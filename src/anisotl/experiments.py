@@ -54,6 +54,7 @@ from .linalg_expansive import (
 )
 from .norms import (
     NormParams,
+    _weighted_terms,
     band_arrays,
     besov_norm,
     peetre_arrays,
@@ -467,7 +468,8 @@ def _characterization_table(cfg, grid, pair, S, fields, flag_counts=None) -> lis
     """Per (q, alpha): suite extremes of the characterization ratios.
 
     flag_counts, when given, accumulates saturation/tail flags from every
-    windowed supremum so the manifest can report them.
+    windowed supremum, and under "peetre_boundary" the (field, beta) sweeps
+    whose boundary flag fired, so the manifest can report them.
     """
     absdet = S.owner.absdet
     qs = [_q_value(q) for q in cfg["qs"]]
@@ -482,17 +484,19 @@ def _characterization_table(cfg, grid, pair, S, fields, flag_counts=None) -> lis
     n_fine = int(round((j_max - j_min) / fine_step))
     cont_scales = j_min + fine_step * np.arange(n_fine + 1)
 
-    # per field and beta: plain bands once, maximal fields once on the
-    # fine scale grid (coarser q-grids subsample it)
+    # per field: plain bands once, maximal fields for every beta from one
+    # sweep on the fine scale grid (coarser q-grids subsample it)
     table = {}
     for fi, f in enumerate(fields):
         bands = band_arrays(f, pair.phi, disc_scales)
-        pmax: dict = {}
-        for beta in betas:
-            arr, flag = peetre_arrays(
-                f, pair.phi, S, cont_scales, beta, int(cfg.get("search_shells", 2))
-            )
-            pmax[beta] = arr
+        sweeps = peetre_arrays(
+            f, pair.phi, S, cont_scales, betas, int(cfg.get("search_shells", 2))
+        )
+        pmax = {beta: arr for beta, (arr, _) in sweeps.items()}
+        if flag_counts is not None:
+            hits = sum(flag for _, flag in sweeps.values())
+            if hits:
+                flag_counts["peetre_boundary"] = flag_counts.get("peetre_boundary", 0) + hits
         table[fi] = (bands, pmax)
 
     rows = []
@@ -506,13 +510,13 @@ def _characterization_table(cfg, grid, pair, S, fields, flag_counts=None) -> lis
             ratios_d, ratios_c, factors = [], [], []
             for fi, f in enumerate(fields):
                 bands, pmax = table[fi]
-                plain_terms = _terms_from(bands, alpha, q, absdet, lambda s: 1.0)
+                plain_terms = _weighted_terms(bands, alpha, q, absdet, lambda s: 1.0)
                 plain = _tracked_sup(grid, S, plain_terms, params, flag_counts)
                 disc_arrays = {float(j): pmax[beta][float(j)] for j in disc_scales}
-                disc_terms = _terms_from(disc_arrays, alpha, q, absdet, lambda s: 1.0)
+                disc_terms = _weighted_terms(disc_arrays, alpha, q, absdet, lambda s: 1.0)
                 disc = _tracked_sup(grid, S, disc_terms, params, flag_counts)
                 cont_arrays = {float(s): pmax[beta][float(s)] for s in sel}
-                cont_terms = _terms_from(
+                cont_terms = _weighted_terms(
                     cont_arrays, alpha, q, absdet, lambda s: step
                 )
                 cont = _tracked_sup(grid, S, cont_terms, params, flag_counts)
@@ -542,17 +546,6 @@ def _tracked_sup(grid, S, terms, params, flag_counts) -> float:
             if val is True:
                 flag_counts[key] = flag_counts.get(key, 0) + 1
     return rep.value
-
-
-def _terms_from(arrays, alpha, q, absdet, quad):
-    terms = []
-    for s, arr in arrays.items():
-        scaled = absdet ** (alpha * s) * arr
-        if math.isinf(q):
-            terms.append((s, 1.0, scaled))
-        else:
-            terms.append((s, quad(s), scaled**q))
-    return terms
 
 
 def run_norm_equivalence(config: dict | None = None) -> dict:

@@ -360,13 +360,7 @@ def pti_norm(
         if np.max(arr) == 0.0:
             sup = arr.ravel()
         else:
-            struct = offset_shells(
-                grid,
-                S,
-                E.power(-float(s)),
-                params.search_shells,
-                cache_tag=("g", round(float(s), 9), params.search_shells),
-            )
+            struct = offset_shells(grid, S, E.power(-float(s)), params.search_shells)
             res = weighted_sup_multi(arr, struct, [params.beta], E.absdet)
             vals, flag = res[params.beta]
             flagged = flagged or flag
@@ -508,7 +502,7 @@ def translation_bound_check(
 
 
 def _v_candidates(S: QuasiNormStructure, m_range: int, n_dirs: int) -> np.ndarray:
-    key = ("vcand", id(S), m_range, n_dirs)
+    key = ("vcand", S.value_key, m_range, n_dirs)
     if key not in _V_CACHE:
         E = S.owner
         dirs = np.unique(np.round(S.boundary_points(n_dirs), 12), axis=0)

@@ -180,6 +180,12 @@ class QuasiNormStructure:
     def shell_clamp(self) -> int:
         return SHELL_CLAMP
 
+    @property
+    def value_key(self) -> tuple:
+        """Hashable value of (A, Q, c); tables derived from the structure are
+        cached under it, so equal structures share them."""
+        return (self.owner.A.tobytes(), self.Q.tobytes(), self.c)
+
     def quadratic_form(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(pts)
         return np.einsum("ni,ij,nj->n", pts, self.Q, pts)

@@ -105,7 +105,7 @@ _WINDOW_CACHE: dict = {}
 
 
 def cube_windows(grid: GridSpec, S: QuasiNormStructure, ell: int) -> _CubeWindows:
-    key = ("cube", grid, id(S), ell)
+    key = ("cube", grid, S.value_key, ell)
     if key in _WINDOW_CACHE:
         return _WINDOW_CACHE[key]
     E = S.owner
@@ -139,7 +139,7 @@ class _BallWindows:
 
 
 def ball_windows(grid: GridSpec, S: QuasiNormStructure, ell: int, stride: int = 1) -> _BallWindows:
-    key = ("ball", grid, id(S), ell, stride)
+    key = ("ball", grid, S.value_key, ell, stride)
     if key in _WINDOW_CACHE:
         return _WINDOW_CACHE[key]
     offs = offset_index_vectors(grid)
@@ -332,28 +332,24 @@ def peetre_arrays(
     profile,
     S: QuasiNormStructure,
     scales,
-    beta: float,
+    betas,
     search_shells: int,
-) -> tuple[dict[float, np.ndarray], bool]:
-    """Peetre maximal fields per scale; returns the or-ed boundary flag."""
-    out = {}
-    flagged = False
+) -> dict[float, tuple[dict[float, np.ndarray], bool]]:
+    """Peetre maximal fields per scale for several betas from one sweep per
+    scale; returns per beta the fields and the or-ed boundary flag."""
+    betas = list(betas)
+    arrays = {b: {} for b in betas}
+    flagged = dict.fromkeys(betas, False)
     E = S.owner
     for s in scales:
         s = float(s)
         band = convolve_scale(f, profile, s)
-        struct = offset_shells(
-            f.grid,
-            S,
-            E.power(s),
-            search_shells,
-            cache_tag=("f", round(s, 9), search_shells),
-        )
-        res = weighted_sup_multi(band.abs_values, struct, [beta], E.absdet)
-        vals, flag = res[beta]
-        flagged = flagged or flag
-        out[s] = vals.ravel()
-    return out, flagged
+        struct = offset_shells(f.grid, S, E.power(s), search_shells)
+        res = weighted_sup_multi(band.abs_values, struct, betas, E.absdet)
+        for b, (vals, flag) in res.items():
+            arrays[b][s] = vals.ravel()
+            flagged[b] = flagged[b] or flag
+    return {b: (arrays[b], flagged[b]) for b in betas}
 
 
 def _weighted_terms(
@@ -440,8 +436,8 @@ def tl_peetre_norm(
         step = params.effective_s_step
         quad = lambda s: step
     arrays, flagged = peetre_arrays(
-        f, pair.phi, S, scales, params.beta, params.search_shells
-    )
+        f, pair.phi, S, scales, [params.beta], params.search_shells
+    )[params.beta]
     terms = _weighted_terms(arrays, params.alpha, params.q, S.owner.absdet, quad)
     rep = sup_over_windows(f.grid, S, terms, params, coupling="fine")
     rep.flags["peetre_boundary"] = flagged

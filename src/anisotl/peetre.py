@@ -4,9 +4,12 @@ maximal operator.
 The supremum over offsets z is organized by quasi-norm shells: the weight
 (1 + rho(A^m z))^-beta is constant on each shell, so a running maximum
 over shell-grouped torus offsets evaluates the weighted supremum exactly
-on the grid.  Far shells beyond the search radius are dropped; a boundary
-dominance flag marks points where the outermost shell still competes,
-making the truncation auditable.
+on the grid, for several betas in one sweep.  The shell maxima come from
+_shift_max: the field is wrap-padded once by the largest offset per axis
+and each shell's offsets are read from a sliding-window view of it, so no
+gather table is built and the result is bit-exact.  Far shells beyond the
+search radius are dropped; a boundary dominance flag marks points where
+the outermost shell still competes, making the truncation auditable.
 
 All transforms are pure and operate on immutable inputs; they can be
 mapped over scales or fields in parallel.
@@ -17,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .field_engine import ScaleBand
 from .grids import GridSpec, offset_index_vectors
@@ -25,7 +29,7 @@ from .linalg_expansive import QuasiNormStructure
 _BOUNDARY_FRACTION = 0.95
 
 # Offset-table row p and FFT array position p describe the same node, so
-# kernels and gathered rows line up with plain C-order raveling.
+# kernels built over the offset table line up with plain C-order raveling.
 
 
 @dataclass(frozen=True)
@@ -48,17 +52,15 @@ def offset_shells(
     S: QuasiNormStructure,
     scale_matrix: np.ndarray,
     search_shells: int | None,
-    cache_tag=None,
 ) -> OffsetShells:
     """Group all nonzero torus offsets by the shell index of rho(M z)."""
-    key = None
-    if cache_tag is not None:
-        key = (grid, id(S), cache_tag)
-        if key in _SHELL_CACHE:
-            return _SHELL_CACHE[key]
+    matrix = np.asarray(scale_matrix, dtype=float)
+    key = (grid, S.value_key, matrix.tobytes(), search_shells)
+    if key in _SHELL_CACHE:
+        return _SHELL_CACHE[key]
     offs = offset_index_vectors(grid)
     z = offs * grid.h
-    u = z @ np.asarray(scale_matrix).T
+    u = z @ matrix.T
     shell, _ = S.shell_index(u)
     nonzero = np.any(offs != 0, axis=1)
     clipped = np.clip(shell, -S.shell_clamp, S.shell_clamp + 1)
@@ -81,22 +83,21 @@ def offset_shells(
         truncated=truncated,
         rho_values=rho,
     )
-    if key is not None:
-        if len(_SHELL_CACHE) >= _SHELL_CACHE_CAP:
-            _SHELL_CACHE.pop(next(iter(_SHELL_CACHE)))
-        _SHELL_CACHE[key] = out
+    if len(_SHELL_CACHE) >= _SHELL_CACHE_CAP:
+        _SHELL_CACHE.pop(next(iter(_SHELL_CACHE)))
+    _SHELL_CACHE[key] = out
     return out
 
 
-def _flat_shift_indices(grid: GridSpec, offsets: np.ndarray) -> np.ndarray:
-    """Flat gather indices for x -> x + z over all grid x, per offset z."""
-    n = grid.n
-    base = offset_index_vectors(grid)
-    idx = np.zeros((len(offsets), grid.size), dtype=np.int64)
-    for ax in range(grid.d):
-        comp = (base[:, ax][None, :] + offsets[:, ax][:, None]) % n
-        idx = idx * n + comp
-    return idx
+def _shift_max(values: np.ndarray, groups) -> list[np.ndarray]:
+    """Per group of offsets z, max over the group of values(x + z) on the
+    torus, for every x; the field is padded once for all groups."""
+    if not groups:
+        return []
+    r = np.abs(np.concatenate(groups)).max(axis=0)
+    padded = np.pad(values, np.stack([r, r], axis=1), mode="wrap")
+    windows = sliding_window_view(padded, tuple(2 * r + 1))
+    return [windows[(Ellipsis,) + tuple((g + r).T)].max(axis=-1) for g in groups]
 
 
 def weighted_sup_multi(
@@ -110,15 +111,12 @@ def weighted_sup_multi(
     Returns per beta the supremum field and the boundary-dominance flag
     (outermost kept shell within 5% of the maximum somewhere).
     """
-    grid = struct.grid
-    flat = np.ascontiguousarray(band_abs, dtype=float).ravel()
+    values = np.asarray(band_abs, dtype=float).reshape(struct.grid.shape)
     betas = list(betas)
-    results = {b: flat.copy() for b in betas}  # z = 0 term, weight 1
-    running = flat.copy()
+    results = {b: values.copy() for b in betas}  # z = 0 term, weight 1
+    running = values.copy()
     last_candidates: dict[float, np.ndarray] = {}
-    for m, offsets in zip(struct.shells, struct.groups):
-        idx = _flat_shift_indices(grid, offsets)
-        group_max = flat[idx].max(axis=0)
+    for m, group_max in zip(struct.shells, _shift_max(values, struct.groups)):
         np.maximum(running, group_max, out=running)
         shell_rho = absdet ** float(m)
         for b in betas:
@@ -127,10 +125,10 @@ def weighted_sup_multi(
             last_candidates[b] = cand
     out = {}
     for b in betas:
-        res = results[b].reshape(grid.shape)
+        res = results[b]
         flag = False
         if struct.shells and struct.truncated:
-            flag = bool(np.any(last_candidates[b] >= _BOUNDARY_FRACTION * results[b]))
+            flag = bool(np.any(last_candidates[b] >= _BOUNDARY_FRACTION * res))
         res.flags.writeable = False
         out[b] = (res, flag)
     return out
@@ -152,7 +150,6 @@ def peetre_maximal(
     beta: float,
     search_radius_shells: int = 2,
     scale_matrix: np.ndarray | None = None,
-    cache_tag=None,
 ) -> PeetreField:
     """sup_z |(f * phi_s)(x+z)| / (1 + rho(A^s z))^beta on the grid.
 
@@ -165,9 +162,7 @@ def peetre_maximal(
     E = S.owner
     if scale_matrix is None:
         scale_matrix = E.power(band.scale)
-    struct = offset_shells(
-        band.grid, S, scale_matrix, search_radius_shells, cache_tag=cache_tag
-    )
+    struct = offset_shells(band.grid, S, scale_matrix, search_radius_shells)
     res = weighted_sup_multi(band.abs_values, struct, [beta], E.absdet)
     values, flag = res[beta]
     return PeetreField(scale=band.scale, beta=beta, values=values, boundary_flag=flag)
@@ -238,8 +233,6 @@ def hl_maximal(
             np.fft.fftn(absval) * np.fft.fftn(kern.reshape(grid.shape))
         ).real
         # sup over ball centers within x + A^l Omega
-        idx = _flat_shift_indices(grid, offs[inside])
-        ball_sup = avg.ravel()[idx].max(axis=0)
-        np.maximum(result, ball_sup.reshape(grid.shape), out=result)
+        np.maximum(result, _shift_max(avg, [offs[inside]])[0], out=result)
     result.flags.writeable = False
     return MaximalField(values=result, shell_range=(lo, hi))

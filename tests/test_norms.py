@@ -3,15 +3,19 @@ import math
 import numpy as np
 import pytest
 
+from anisotl import group_analysis, norms, peetre
 from anisotl.analyzers import bump, make_analyzing_pair, make_covering_profile
 from anisotl.errors import WindowOutOfDomain
 from anisotl.field_engine import convolve_scale, field_from_closure
 from anisotl.grids import GridSpec, spatial_points
 from anisotl.linalg_expansive import build_ellipsoid, validate_expansive
+from anisotl.experiments import run_norm_equivalence
 from anisotl.norms import (
     NormParams,
     band_arrays,
+    ball_windows,
     besov_norm,
+    cube_windows,
     embedding_check,
     sup_over_windows,
     tl_norm_inf,
@@ -204,3 +208,51 @@ class TestEmbedding:
         rep = embedding_check(f, pair, S1, 0.0, 2.0, PARAMS)
         assert not rep["skipped"]
         assert rep["besov_over_inf"] >= 1.0 - 1e-12
+
+
+class TestValueKeyedCaches:
+    @pytest.fixture(autouse=True)
+    def colliding_ids(self, monkeypatch):
+        # every object reports the same id, so id-keyed caches would collide
+        for module in (norms, group_analysis, peetre):
+            monkeypatch.setattr(module, "id", lambda _o: 0, raising=False)
+        monkeypatch.setattr(norms, "_WINDOW_CACHE", {})
+        monkeypatch.setattr(group_analysis, "_V_CACHE", {})
+        monkeypatch.setattr(peetre, "_SHELL_CACHE", {})
+
+    def test_distinct_structures_get_their_own_tables(self):
+        S3 = build_ellipsoid(validate_expansive([[3.0]]))
+        M = np.array([[1.0]])
+        cube_windows(GRID, S1, 1)
+        ball_windows(GRID, S1, 1)
+        group_analysis._v_candidates(S1, 2, 8)
+        peetre.offset_shells(GRID, S1, M, 2)
+        cube = cube_windows(GRID, S3, 1)
+        ball = ball_windows(GRID, S3, 1)
+        cand = group_analysis._v_candidates(S3, 2, 8)
+        shells = peetre.offset_shells(GRID, S3, M, 2)
+        for cache in (norms._WINDOW_CACHE, group_analysis._V_CACHE, peetre._SHELL_CACHE):
+            cache.clear()
+        assert np.array_equal(cube.labels, cube_windows(GRID, S3, 1).labels)
+        assert ball.count == ball_windows(GRID, S3, 1).count
+        assert np.array_equal(cand, group_analysis._v_candidates(S3, 2, 8))
+        assert shells.shells == peetre.offset_shells(GRID, S3, M, 2).shells
+
+    def test_equal_structures_share_one_entry(self):
+        Sa, Sb = build_ellipsoid(E1), build_ellipsoid(E1)
+        assert Sa is not Sb
+        assert cube_windows(GRID, Sa, 0) is cube_windows(GRID, Sb, 0)
+        assert len(norms._WINDOW_CACHE) == 1
+
+
+def test_norm_equivalence_reports_peetre_boundary_count():
+    result = run_norm_equivalence(
+        {
+            "grid": {"extent": 8.0, "n": 256},
+            "suite": {"count": 1, "seed": 5, "t_range": [1.6, 3.4]},
+            "qs": [1.0],
+            "alphas": [0.0],
+            "refine": False,
+        }
+    )
+    assert result["manifest"]["flag_counts"]["peetre_boundary"] > 0

@@ -10,7 +10,13 @@ from anisotl.linalg_expansive import (
     measure_nu_constant,
     validate_expansive,
 )
-from anisotl.peetre import check_submeanvalue, hl_maximal, peetre_maximal
+from anisotl.peetre import (
+    check_submeanvalue,
+    hl_maximal,
+    offset_shells,
+    peetre_maximal,
+    weighted_sup_multi,
+)
 
 E1 = validate_expansive([[2.0]])
 GRID1 = GridSpec(d=1, extent=8.0, n=512)
@@ -88,6 +94,52 @@ class TestPeetreMaximal:
             i, j = rng.integers(0, GRID1.n, size=2)
             gap = nu((xs[i] - xs[j]) @ Ms.T)
             assert pf.values[i] <= 1.02 * K * gap[0] * pf.values[j]
+
+
+def _reference_sweep(values, struct, beta, absdet):
+    """Per-offset np.roll loop: sup_z values(x + z) * shell weight(z)."""
+    axes = tuple(range(values.ndim))
+    best = values.copy()       # z = 0, weight 1
+    outer = values.copy()      # every kept offset, for the boundary flag
+    weight = 1.0
+    for m, offsets in zip(struct.shells, struct.groups):
+        weight = (1.0 + absdet ** float(m)) ** (-beta)
+        for z in offsets:
+            shifted = np.roll(values, tuple(-z), axis=axes)
+            np.maximum(best, shifted * weight, out=best)
+            np.maximum(outer, shifted, out=outer)
+    flag = bool(
+        struct.shells
+        and struct.truncated
+        and np.any(outer * weight >= 0.95 * best)
+    )
+    return best, flag
+
+
+SWEEP_CASES = [
+    ([[2.0]], GridSpec(d=1, extent=8.0, n=256)),
+    ([[2.0, 1.0], [0.0, 2.0]], GridSpec(d=2, extent=2.0, n=16)),
+    ([[2.0, 0.0], [0.0, 4.0]], GridSpec(d=2, extent=2.0, n=16)),
+]
+
+
+@pytest.mark.parametrize("search_shells", [1, None])
+@pytest.mark.parametrize("matrix,grid", SWEEP_CASES)
+def test_sweep_matches_roll_reference(matrix, grid, search_shells):
+    E = validate_expansive(matrix)
+    S = build_ellipsoid(E)
+    rng = np.random.default_rng(17)
+    values = np.abs(rng.normal(size=grid.shape))
+    betas = [0.6, 1.5, 2.0]
+    for s in (-1.0, 0.5, 4.0):  # at s = 4 the plane cases keep no shell
+        struct = offset_shells(grid, S, E.power(s), search_shells)
+        res = weighted_sup_multi(values, struct, betas, E.absdet)
+        assert sorted(res) == betas
+        for beta in betas:
+            ref, ref_flag = _reference_sweep(values, struct, beta, E.absdet)
+            field, flag = res[beta]
+            assert np.array_equal(field, ref)
+            assert flag == ref_flag
 
 
 class TestSubMeanValue:
