@@ -69,16 +69,27 @@ def _fail_config(msg: str) -> int:
     return 2
 
 
+def _execute(kind: str, cfg: dict) -> dict | int:
+    """The runner's result, or exit code 2 if it could not run: a toolkit
+    error, or a config with a missing key or a bad value."""
+    try:
+        return RUNNERS[kind](cfg)
+    except AnisoError as exc:
+        print(f"experiment failed to run: {exc}", file=sys.stderr)
+        return 2
+    except (KeyError, ValueError) as exc:
+        what = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+        return _fail_config(f"{kind}: " + " ".join(what.split()))
+
+
 def run(kind: str, config: dict, out_dir: str = "results") -> int:
     """Run one experiment kind and write its artifact directory."""
     if kind not in RUNNERS:
         return _fail_config(f"unknown experiment kind {kind!r}")
     cfg = merged_config(kind, config)
-    try:
-        result = RUNNERS[kind](cfg)
-    except AnisoError as exc:
-        print(f"experiment failed to run: {exc}", file=sys.stderr)
-        return 2
+    result = _execute(kind, cfg)
+    if isinstance(result, int):
+        return result
     label = cfg.get("label", kind)
     dest = ensure_dir(Path(out_dir) / label)
     write_csv(dest / f"{kind}.csv", result["columns"], result["rows"])
@@ -182,11 +193,9 @@ def _cmd_frames(args) -> int:
     cfg = _load_config(args.config, args.set)
     kind = "frames"
     merged = merged_config(kind, cfg.get(kind, {}))
-    try:
-        result = RUNNERS[kind](merged)
-    except AnisoError as exc:
-        print(f"experiment failed to run: {exc}", file=sys.stderr)
-        return 2
+    result = _execute(kind, merged)
+    if isinstance(result, int):
+        return result
     stage = _FRAME_STAGES.get(args.what)
     rows = result["rows"]
     if stage is not None:

@@ -199,10 +199,18 @@ DEFAULTS: dict = {
 
 
 def merged_config(kind: str, config: dict | None) -> dict:
-    base = dict(DEFAULTS[kind])
-    if config:
-        base.update(config)
-    return base
+    """The kind's defaults overridden by config; nested dicts merge key by
+    key at every depth, any other value (lists included) replaces."""
+    return _deep_merge(DEFAULTS[kind], config or {})
+
+
+def _deep_merge(base: dict, over: dict) -> dict:
+    out = dict(base)
+    for key, value in over.items():
+        if isinstance(value, dict) and isinstance(out.get(key), dict):
+            value = _deep_merge(out[key], value)
+        out[key] = value
+    return out
 
 
 def _setup(matrix_json: dict, grid_json: dict):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Diverged, IllConditioned, VerificationFailed
-from .field_engine import SampledField, field_from_spec
+from .field_engine import SampledField, evaluate_spectrum, field_from_spec
 from .grids import GridSpec, freq_points, spatial_points
 from .group_analysis import GroupField, GroupGrid, GroupPoint, group_point, pti_norm, wavelet_transform
 from .linalg_expansive import QuasiNormStructure
@@ -395,10 +395,7 @@ def centered_coefficients(
     pts = spatial_points(grid)[::stride]
     M = np.asarray(vec.matrix.power(gamma.s))
     probe = gamma.x + pts @ M.T
-    out = np.empty((len(hgrid.s_values), len(probe)), dtype=complex)
-    for i in range(len(hgrid.s_values)):
-        out[i] = W.slice_at_points(i, probe)
-    return out
+    return evaluate_spectrum(grid, W.spec, probe)
 
 
 def _shifted_ggrid(hgrid: GroupGrid, s0: float) -> GroupGrid:
@@ -461,9 +458,7 @@ def dual_envelope(
             centered_coefficients(phi, gamma, system.vec, hgrid, stride=stride)
         )
         env = vals if env is None else np.maximum(env, vals)
-    full = np.zeros((len(hgrid.s_values),) + hgrid.grid.shape)
     # expand the strided envelope back to the full grid by nearest fill
-    reps = hgrid.grid.size // env.shape[1]
     full_flat = np.repeat(env, stride, axis=1)[:, : hgrid.grid.size]
     full = full_flat.reshape((len(hgrid.s_values),) + hgrid.grid.shape)
     return GroupField(ggrid=hgrid, vals=full), members

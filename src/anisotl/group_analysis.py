@@ -398,12 +398,14 @@ def left_translate(F: GroupField, g: GroupPoint, E: ExpansiveMatrix) -> GroupFie
     pts = (spatial_points(grid) - np.asarray(g.x)) @ expm(
         -float(g.s) * _log_of(E)
     ).T
-    svals = ggrid.s_values
-    out = np.zeros((len(svals),) + grid.shape, dtype=complex)
-    for i in range(len(svals)):
-        src = i - shift
-        if 0 <= src < len(svals):
-            out[i] = F.slice_at_points(src, pts).reshape(grid.shape)
+    n_s = len(ggrid.s_values)
+    out = np.zeros((n_s,) + grid.shape, dtype=complex)
+    lo, hi = max(0, -shift), min(n_s, n_s - shift)  # source slices kept
+    if lo < hi:
+        if F.spec is None:
+            raise ValueError("slice evaluation needs spectral slices")
+        vals = evaluate_spectrum(grid, F.spec[lo:hi], pts)
+        out[lo + shift : hi + shift] = vals.reshape((hi - lo,) + grid.shape)
     return GroupField(ggrid=ggrid, vals=out)
 
 

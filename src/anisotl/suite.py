@@ -26,9 +26,9 @@ class SuiteSpec:
     kind: str = "random"  # "random" | "mixed" (adds deterministic fixtures)
 
 
-def _random_field(grid: GridSpec, gauge, rng) -> SampledField:
-    spec_lo, spec_hi = _random_field.t_range
-    n_atoms = int(rng.integers(1, _random_field.max_atoms + 1))
+def _random_field(grid: GridSpec, gauge, rng, spec: SuiteSpec) -> SampledField:
+    spec_lo, spec_hi = spec.t_range
+    n_atoms = int(rng.integers(1, spec.max_atoms + 1))
     params = []
     w_hi = min(0.6, 0.5 * (spec_hi - spec_lo) - 0.01)
     for _ in range(n_atoms):
@@ -36,7 +36,7 @@ def _random_field(grid: GridSpec, gauge, rng) -> SampledField:
         t0 = rng.uniform(spec_lo + width, spec_hi - width)
         amp = rng.normal() + 1j * rng.normal()
         center = rng.uniform(-1.0, 1.0, size=grid.d) * (
-            _random_field.center_fraction * grid.extent
+            spec.center_fraction * grid.extent
         )
         params.append((amp, t0, width, center))
 
@@ -73,10 +73,7 @@ def translated_atom_field(grid: GridSpec, gauge, profile, center, t_shift: float
 def suite_generate(spec: SuiteSpec, grid: GridSpec, gauge, profile=None) -> list[SampledField]:
     """Seeded suite; identical spec and seed give identical coefficients."""
     rng = np.random.default_rng(spec.seed)
-    _random_field.t_range = spec.t_range
-    _random_field.max_atoms = spec.max_atoms
-    _random_field.center_fraction = spec.center_fraction
-    fields = [_random_field(grid, gauge, rng) for _ in range(spec.count)]
+    fields = [_random_field(grid, gauge, rng, spec) for _ in range(spec.count)]
     if spec.kind == "mixed" and profile is not None and spec.count >= 2:
         mid = int(round(0.5 * (spec.t_range[0] + spec.t_range[1])))
         fields[-2] = single_band_field(grid, gauge, mid, profile)

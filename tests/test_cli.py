@@ -6,6 +6,7 @@ import pytest
 
 from anisotl.analyzers import make_covering_profile
 from anisotl.cli import main
+from anisotl.experiments import DEFAULTS, merged_config
 from anisotl.grids import GridSpec
 from anisotl.linalg_expansive import validate_expansive
 from anisotl.storage import load_array, load_field, save_field, write_csv
@@ -116,6 +117,48 @@ class TestCli:
         assert code == 0
         manifest = json.loads((out / "fast" / "manifest.json").read_text())
         assert manifest["config"]["points"] == 400
+
+    def test_nested_set_keeps_sibling_defaults(self, tmp_path):
+        # --set suite.seed / grid.n override one key of a nested default
+        out = tmp_path / "res"
+        code = main(
+            [
+                "--out", str(out),
+                "run", "--kind", "translation-bounds",
+                "--set", "suite.seed=4",
+                "--set", "grid.n=256",
+                "--set", "pairs_per_branch=2",
+            ]
+        )
+        assert code == 0
+        cfg = json.loads((out / "translation-bounds" / "manifest.json").read_text())["config"]
+        assert cfg["suite"] == {"count": 4, "seed": 4, "t_range": [1.9, 3.1]}
+        assert cfg["grid"] == {"extent": 8.0, "n": 256}
+
+    def test_merged_config_replaces_lists(self):
+        cfg = merged_config("frames", {"s_range": [-1.0, 0.0], "covering": {"density": 0.25}})
+        assert cfg["s_range"] == [-1.0, 0.0]
+        assert cfg["covering"] == {"U": [0.25, 0.25], "density": 0.25}
+        assert DEFAULTS["frames"]["covering"]["density"] == 0.5
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["run", "--kind", "calderon", "--set", 'cases=[{"matrix": {"dim": 1, "entries": [2.0]}}]'],
+                "config error: calderon: missing key 'grid'",
+            ),
+            (
+                ["frames", "moments", "--set", "frames.grid.n=abc"],
+                "config error: frames: invalid literal for int() with base 10: 'abc'",
+            ),
+        ],
+    )
+    def test_bad_config_value_exit_two(self, tmp_path, capsys, argv, message):
+        code = main(["--out", str(tmp_path / "r")] + argv)
+        assert code == 2
+        assert capsys.readouterr().err.strip() == message
+        assert not (tmp_path / "r").exists()
 
     def test_suite_emission(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -14,7 +14,7 @@ from anisotl.field_engine import (
     spec_to_values,
     values_to_spec,
 )
-from anisotl.grids import GridSpec, freq_points
+from anisotl.grids import GridSpec, freq_points, spatial_points
 from anisotl.linalg_expansive import validate_expansive
 
 E1 = validate_expansive([[2.0]])
@@ -155,3 +155,60 @@ class TestDilationCovariance:
             lhs = E1.absdet * convolve_scale(f, phi, s).at_points(xs @ E1.A.T)
             rhs = convolve_scale(g, phi, s + 1.0).at_points(xs)
             assert np.max(np.abs(lhs - rhs)) <= 1e-8 * max(np.max(np.abs(lhs)), 1e-12)
+
+
+def _evaluate_one(grid, spec, points):
+    """Reference: one spectrum, its own phase matrix over its active set."""
+    points = np.atleast_2d(points)
+    flat = spec.ravel()
+    active = np.flatnonzero(np.abs(flat) > 0.0)
+    xi = freq_points(grid)[active]
+    return np.exp(2j * np.pi * (points @ xi.T)) @ flat[active]
+
+
+class TestStackedEvaluation:
+    def _banded_stack(self, grid, rng, m):
+        # random complex slices on overlapping random bands, one all zero
+        stack = np.zeros((m, grid.size), dtype=complex)
+        for k in range(m):
+            lo = int(rng.integers(0, grid.size - 8))
+            hi = int(rng.integers(lo + 1, min(grid.size, lo + grid.size // 3)))
+            stack[k, lo:hi] = rng.normal(size=hi - lo) + 1j * rng.normal(size=hi - lo)
+        stack[m // 2] = 0.0
+        return stack.reshape((m,) + grid.shape)
+
+    def test_line_stack_bit_identical_to_lone_slices(self):
+        rng = np.random.default_rng(12)
+        grid = GridSpec(d=1, extent=8.0, n=256)
+        for _ in range(5):
+            m = int(rng.integers(2, 9))
+            stack = self._banded_stack(grid, rng, m)
+            pts = rng.uniform(-8.0, 8.0, size=(int(rng.integers(1, 300)), 1))
+            got = evaluate_spectrum(grid, stack, pts)
+            assert got.shape == (m, len(pts))
+            ref = np.stack([_evaluate_one(grid, sl, pts) for sl in stack])
+            assert np.array_equal(got, ref)
+            assert np.all(got[m // 2] == 0.0)
+
+    def test_single_spectrum_keeps_point_shape(self, phi):
+        f = field_from_closure(GRID1, phi.gauge, band_field(phi.gauge, seed=5))
+        rng = np.random.default_rng(3)
+        for count in rng.integers(1, 400, size=3):
+            pts = rng.uniform(-8.0, 8.0, size=(int(count), 1))
+            got = evaluate_spectrum(GRID1, f.spec, pts)
+            assert got.shape == (count,)
+            assert np.array_equal(got, _evaluate_one(GRID1, f.spec, pts))
+
+    def test_plane_shear_stack(self):
+        E = validate_expansive([[2.0, 1.0], [0.0, 2.0]])
+        grid = GridSpec(d=2, extent=2.0, n=32)
+        phi2 = make_covering_profile(E, grid)
+        rng = np.random.default_rng(8)
+        spec = rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
+        f = field_from_spec(grid, spec, phi2.gauge)
+        stack = np.stack([b.spec for b in scale_bank(f, phi2, [-3, -2, -1, 0])])
+        pts = spatial_points(grid)[::7] + rng.uniform(-0.05, 0.05, size=(1, 2))
+        got = evaluate_spectrum(grid, stack, pts)
+        ref = np.stack([_evaluate_one(grid, sl, pts) for sl in stack])
+        assert got.shape == ref.shape == (4, len(pts))
+        assert np.allclose(got, ref, rtol=1e-12, atol=1e-12 * np.max(np.abs(ref)))

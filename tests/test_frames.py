@@ -19,7 +19,7 @@ from anisotl.frames import (
     sequence_norm,
     synthesis,
 )
-from anisotl.grids import GridSpec
+from anisotl.grids import GridSpec, spatial_points
 from anisotl.group_analysis import GroupGrid, group_point, psi_spatial_field, wavelet_transform
 from anisotl.linalg_expansive import build_ellipsoid, validate_expansive
 from anisotl.norms import NormParams
@@ -283,6 +283,20 @@ class TestMolecules:
         )
         rep = molecule_check(system, HGRID, stride=4)
         assert len(rep["violations"]) == 1 and rep["violations"][0][0] == 2
+
+    def test_centered_coefficients_match_slice_loop(self, vec, separated_gamma):
+        system = FrameSystem.build(vec, separated_gamma, GRID)
+        _, _, D = moment_problem(np.zeros(len(separated_gamma)), system)
+        for i in (0, len(separated_gamma) // 2):
+            member = system.synthesis(D[:, i])
+            gamma = group_point(separated_gamma.xs[i], separated_gamma.ss[i])
+            got = centered_coefficients(member, gamma, vec, HGRID, stride=4)
+            # one single-slice evaluation per scale of the centered grid
+            shifted = GroupGrid(GRID, HGRID.s_min + gamma.s, HGRID.s_max + gamma.s, HGRID.ds)
+            W = wavelet_transform(member, vec, shifted)
+            probe = gamma.x + spatial_points(GRID)[::4] @ np.asarray(E1.power(gamma.s)).T
+            ref = np.stack([W.slice_at_points(k, probe) for k in range(len(HGRID.s_values))])
+            assert np.array_equal(got, ref)
 
     def test_dual_envelope_accepts_duals(self, vec, separated_gamma):
         system = FrameSystem.build(vec, separated_gamma, GRID)

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import expm
 
 from anisotl.analyzers import bump, make_admissible, make_covering_profile
 from anisotl.field_engine import field_from_closure
-from anisotl.grids import GridSpec
+from anisotl.grids import GridSpec, spatial_points
 from anisotl.group_analysis import (
     ControlWeight,
     EnvelopeSpec,
@@ -114,6 +115,19 @@ class TestWaveletTransform:
         LW = left_translate(W, g, E1)
         scale = np.max(np.abs(W_moved.values))
         assert np.max(np.abs(W_moved.values - LW.values)) <= 1e-8 * scale
+
+    @pytest.mark.parametrize("s", [-1.0, 0.0, 0.5, 2.0, 7.0])
+    def test_left_translate_matches_slice_loop(self, psi_vec, suite_field, s):
+        # the stacked evaluation gives what one evaluation per kept slice gave
+        W = wavelet_transform(suite_field, psi_vec, GGRID)
+        g = group_point([0.5], s)
+        shift = int(round(s / GGRID.ds))
+        pts = (spatial_points(GRID) - np.asarray(g.x)) @ expm(-s * E1.log).T
+        ref = np.zeros_like(W.spec)
+        for i in range(len(GGRID.s_values)):
+            if 0 <= i - shift < len(GGRID.s_values):
+                ref[i] = W.slice_at_points(i - shift, pts).reshape(GRID.shape)
+        assert np.array_equal(left_translate(W, g, E1).values, ref)
 
     def test_haar_invariance(self, psi_vec, suite_field):
         # grid-compatible g: spatial shift on the lattice, integer negative scale;

@@ -38,6 +38,32 @@ class TestSuite:
     def test_zero_count(self, phi):
         assert suite_generate(SuiteSpec(count=0, seed=1), GRID, phi.gauge) == []
 
+    def test_interleaved_suites_match_solo_runs(self, phi):
+        # suite b is generated while the first field of suite a is being
+        # evaluated; each suite must read only its own spec
+        a = SuiteSpec(count=3, seed=4, t_range=(1.8, 3.2), center_fraction=0.05, max_atoms=1)
+        b = SuiteSpec(count=3, seed=4, t_range=(2.2, 3.6), center_fraction=0.2, max_atoms=3)
+
+        class NestingGauge:
+            def __init__(self, gauge):
+                self.gauge, self.nested = gauge, None
+
+            def __getattr__(self, name):
+                return getattr(self.gauge, name)
+
+            def t(self, xi):
+                if self.nested is None:
+                    self.nested = suite_generate(b, GRID, self.gauge)
+                return self.gauge.t(xi)
+
+        gauge = NestingGauge(phi.gauge)
+        mixed_a = suite_generate(a, GRID, gauge)
+        for mixed, spec in ((mixed_a, a), (gauge.nested, b)):
+            solo = suite_generate(spec, GRID, phi.gauge)
+            assert len(mixed) == len(solo) == 3
+            for fm, fs in zip(mixed, solo):
+                assert np.array_equal(fm.spec, fs.spec)
+
     def test_single_band_fixture_band_count(self, phi, pair):
         f = single_band_field(GRID, phi.gauge, j0=2, profile=phi)
         bank = scale_bank(f, phi, range(-1, 6))
