@@ -69,7 +69,6 @@ from .group_analysis import (
     GroupField,
     GroupGrid,
     GroupPoint,
-    WaveletField,
     control_weight,
     envelope_compare,
     group_inv,

@@ -302,9 +302,9 @@ def admissibility_integral(
     """integral |psi_hat((A^T)^s xi)|^2 ds per row of xis.
 
     With independent=True each node (A^T)^s xi is formed with an explicit
-    matrix exponential and the scale coordinate re-solved from scratch, so
-    the result is a genuine quadrature oracle rather than a restatement of
-    the construction.
+    matrix exponential and the scale coordinate re-solved from scratch (one
+    stacked gauge solve over all nodes), so the result is a genuine
+    quadrature oracle rather than a restatement of the construction.
     """
     psi = vec.psi
     step = vec.s_step if s_step is None else s_step
@@ -317,14 +317,13 @@ def admissibility_integral(
     m = int(math.ceil((s_hi - s_lo) / step))
     s_nodes = s_lo + (s_hi - s_lo) * np.arange(m + 1) / m
     ds = (s_hi - s_lo) / m
-    B = psi.gauge.B
+    if independent:
+        B = psi.gauge.B
+        t_nodes = psi.gauge.t(np.stack([xis @ expm(float(s) * B).T for s in s_nodes]))
+    else:
+        t_nodes = t0 + s_nodes[:, None]
     total = np.zeros(xis.shape[0])
-    for idx, s in enumerate(s_nodes):
-        if independent:
-            moved = xis @ expm(float(s) * B).T
-            t_here = psi.gauge.t(moved)
-        else:
-            t_here = t0 + s
+    for idx, t_here in enumerate(t_nodes):
         w = 0.5 if idx in (0, m) else 1.0
         total += w * np.abs(psi.shape(t_here)) ** 2
     return total * ds

@@ -32,15 +32,6 @@ _GROUP_KINDS = {
     "translations": "translation-bounds",
 }
 
-_FRAMES_KINDS = {
-    "sample-gamma": "frames",
-    "bounds": "frames",
-    "reconstruct": "frames",
-    "moments": "frames",
-    "molecule-check": "frames",
-}
-
-
 def _load_config(path: str | None, overrides: list[str]) -> dict:
     cfg: dict = {}
     if path:
@@ -49,14 +40,19 @@ def _load_config(path: str | None, overrides: list[str]) -> dict:
                 cfg = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise SystemExit(_fail_config(f"cannot read config {path}: {exc}"))
+        if not isinstance(cfg, dict):
+            raise SystemExit(_fail_config(f"config {path} is not a JSON object"))
     for item in overrides or []:
         if "=" not in item:
             raise SystemExit(_fail_config(f"--set needs key=value, got {item!r}"))
         key, _, value = item.partition("=")
         node = cfg
         parts = key.split(".")
-        for p in parts[:-1]:
+        for i, p in enumerate(parts[:-1]):
             node = node.setdefault(p, {})
+            if not isinstance(node, dict):
+                where = ".".join(parts[: i + 1])
+                raise SystemExit(_fail_config(f"--set {item}: {where} is not an object"))
         try:
             node[parts[-1]] = json.loads(value)
         except json.JSONDecodeError:
@@ -69,11 +65,12 @@ def _fail_config(msg: str) -> int:
     return 2
 
 
-def _execute(kind: str, cfg: dict) -> dict | int:
-    """The runner's result, or exit code 2 if it could not run: a toolkit
-    error, or a config with a missing key or a bad value."""
+def _execute(kind: str, config: dict) -> tuple[dict, dict] | int:
+    """The merged config and the runner's result, or exit code 2 if it could
+    not run: a toolkit error, or a config with a missing key or a bad value."""
     try:
-        return RUNNERS[kind](cfg)
+        cfg = merged_config(kind, config)
+        return cfg, RUNNERS[kind](cfg)
     except AnisoError as exc:
         print(f"experiment failed to run: {exc}", file=sys.stderr)
         return 2
@@ -86,10 +83,10 @@ def run(kind: str, config: dict, out_dir: str = "results") -> int:
     """Run one experiment kind and write its artifact directory."""
     if kind not in RUNNERS:
         return _fail_config(f"unknown experiment kind {kind!r}")
-    cfg = merged_config(kind, config)
-    result = _execute(kind, cfg)
-    if isinstance(result, int):
-        return result
+    outcome = _execute(kind, config)
+    if isinstance(outcome, int):
+        return outcome
+    cfg, result = outcome
     label = cfg.get("label", kind)
     dest = ensure_dir(Path(out_dir) / label)
     write_csv(dest / f"{kind}.csv", result["columns"], result["rows"])
@@ -192,10 +189,10 @@ _FRAME_STAGES = {
 def _cmd_frames(args) -> int:
     cfg = _load_config(args.config, args.set)
     kind = "frames"
-    merged = merged_config(kind, cfg.get(kind, {}))
-    result = _execute(kind, merged)
-    if isinstance(result, int):
-        return result
+    outcome = _execute(kind, cfg.get(kind, {}))
+    if isinstance(outcome, int):
+        return outcome
+    merged, result = outcome
     stage = _FRAME_STAGES.get(args.what)
     rows = result["rows"]
     if stage is not None:
@@ -281,7 +278,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("frames", parents=[common], help="frame decomposition experiments")
     p.add_argument(
         "what",
-        choices=sorted(_FRAMES_KINDS),
+        choices=sorted(_FRAME_STAGES),
         nargs="?",
         default="reconstruct",
     )

@@ -200,15 +200,23 @@ DEFAULTS: dict = {
 
 def merged_config(kind: str, config: dict | None) -> dict:
     """The kind's defaults overridden by config; nested dicts merge key by
-    key at every depth, any other value (lists included) replaces."""
-    return _deep_merge(DEFAULTS[kind], config or {})
+    key at every depth, any other value (lists included) replaces.  An
+    override that puts an object where the default has none, or the other
+    way round, raises ValueError."""
+    config = {} if config is None else config
+    if not isinstance(config, dict):
+        raise ValueError(f"{kind} must be an object, got {config!r}")
+    return _deep_merge(DEFAULTS[kind], config, "")
 
 
-def _deep_merge(base: dict, over: dict) -> dict:
+def _deep_merge(base: dict, over: dict, path: str) -> dict:
     out = dict(base)
     for key, value in over.items():
-        if isinstance(value, dict) and isinstance(out.get(key), dict):
-            value = _deep_merge(out[key], value)
+        if key in out and isinstance(out[key], dict) != isinstance(value, dict):
+            must = "must" if isinstance(out[key], dict) else "must not"
+            raise ValueError(f"{path}{key} {must} be an object, got {value!r}")
+        if isinstance(value, dict) and key in out:
+            value = _deep_merge(out[key], value, f"{path}{key}.")
         out[key] = value
     return out
 

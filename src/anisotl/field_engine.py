@@ -87,11 +87,6 @@ class SampledField:
             np.sqrt(self.grid.box_volume * np.sum(np.abs(self.spec) ** 2))
         )
 
-    def inner(self, other: "SampledField") -> complex:
-        return complex(
-            self.grid.box_volume * np.sum(self.spec * np.conj(other.spec))
-        )
-
     def __add__(self, other: "SampledField") -> "SampledField":
         lo = min(self.band_t[0], other.band_t[0])
         hi = max(self.band_t[1], other.band_t[1])

@@ -181,10 +181,6 @@ def wavelet_transform(f: SampledField, vec, ggrid: GroupGrid) -> GroupField:
     return GroupField(ggrid=ggrid, spec=spec, analyzer=vec)
 
 
-# Wavelet transforms are group fields tagged with their analyzer.
-WaveletField = GroupField
-
-
 def psi_spatial_field(vec, grid: GridSpec) -> SampledField:
     """The analyzer as a sampled field: the periodization of the continuum
     wavelet, whose lattice coefficients are its transform values divided

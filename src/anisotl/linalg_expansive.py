@@ -495,17 +495,30 @@ class ScaleGauge:
         return expm(float(u) * self.B)
 
     def t(self, pts: np.ndarray) -> np.ndarray:
-        """Solve the gauge equation per point; -inf at the origin."""
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        n = pts.shape[0]
-        out = np.full(n, -np.inf)
-        nz = ~np.all(pts == 0.0, axis=1)
-        if not np.any(nz):
-            return out
-        x = pts[nz]
-        m = x.shape[0]
+        """Solve the gauge equation per point; -inf at the origin.
 
-        def logG(s):
+        pts is one point set (n, d), giving (n,), or a stack of independent
+        sets (k, n, d), giving (k, n).  Each set iterates until its own
+        max |log G| < 1e-13 (at most 120 steps) and is then frozen; the other
+        sets go on.  Every per-point operation is elementwise, so a stacked
+        call is bit-identical to k separate calls.
+        """
+        pts = np.asarray(pts, dtype=float)
+        stacked = pts.ndim == 3
+        if not stacked:
+            pts = np.atleast_2d(pts)[None]
+        out = np.full(pts.shape[:2], -np.inf)
+        nz = ~np.all(pts == 0.0, axis=2)
+        if not np.any(nz):
+            return out if stacked else out[0]
+        flat = out.reshape(-1)
+        live = np.flatnonzero(nz)  # flat indices of live points, set by set
+        x = pts[nz]
+        counts = np.count_nonzero(nz, axis=1)
+        counts = counts[counts > 0]  # live points per unfinished set
+        starts = np.cumsum(counts) - counts
+
+        def logG(s, x):
             y = self.flow(s, x)
             g = np.einsum("ni,ij,nj->n", y, self.P, y)
             ynorm = np.einsum("ni,ni->n", y, y)
@@ -515,15 +528,27 @@ class ScaleGauge:
         g0 = np.einsum("ni,ij,nj->n", x, self.P, x)
         lam_mid = 2.0 / (1.0 / self._lam_min + 1.0 / self._lam_max)
         s = np.log(np.maximum(g0, 1e-300)) * lam_mid
-        lo = np.full(m, -np.inf)
-        hi = np.full(m, np.inf)
+        lo = np.full(len(s), -np.inf)
+        hi = np.full(len(s), np.inf)
         for _ in range(120):
-            val, slope = logG(s)
+            val, slope = logG(s, x)
             # logG is strictly decreasing: val > 0 means the root is above s
             lo = np.where(val > 0, np.maximum(lo, s), lo)
             hi = np.where(val < 0, np.minimum(hi, s), hi)
-            if np.max(np.abs(val)) < 1e-13:
-                break
+            done = np.maximum.reduceat(np.abs(val), starts) < 1e-13
+            if np.count_nonzero(done):
+                # freeze finished sets and drop them; compacting only here
+                # keeps a lone set's step as cheap as before
+                fin = np.repeat(done, counts)
+                flat[live[fin]] = s[fin]
+                keep = ~fin
+                live, x, s, lo, hi, val, slope = (
+                    a[keep] for a in (live, x, s, lo, hi, val, slope)
+                )
+                counts = counts[~done]
+                if not counts.size:
+                    break
+                starts = np.cumsum(counts) - counts
             step = val / np.maximum(slope, 1e-300)
             nxt = s + step
             # bisect when Newton leaves the bracket
@@ -534,8 +559,8 @@ class ScaleGauge:
                 need_mid & ~mid_ok, s + np.sign(step) * np.minimum(np.abs(step), 8.0), nxt
             )
             s = nxt
-        out[nz] = s
-        return out
+        flat[live] = s
+        return out if stacked else out[0]
 
     def t_on_grid(self, key, pts_fn) -> np.ndarray:
         """Cached t-array for a hashable grid key; pts_fn() supplies points."""
@@ -544,10 +569,6 @@ class ScaleGauge:
             arr.flags.writeable = False
             self._t_cache[key] = arr
         return self._t_cache[key]
-
-    def gauge_radius(self, pts: np.ndarray) -> np.ndarray:
-        """|det A|^t(x): the continuous homogeneous companion of rho_A."""
-        return self.absdet ** self.t(pts)
 
     def points_on_level(self, tau: float, n_dirs: int, seed: int = 3) -> np.ndarray:
         """Points on the level set {t = tau} via flowed sphere directions."""

@@ -1,6 +1,6 @@
 """Array containers and experiment output files.
 
-Fields and group arrays travel as a one-line UTF-8 JSON header followed
+Fields travel as a one-line UTF-8 JSON header followed
 by a newline and the raw little-endian complex payload.  CSV emission
 uses shortest round-trip float formatting so identical runs are
 byte-identical.
@@ -74,20 +74,6 @@ def load_field(path, gauge) -> SampledField:
     g = header["grid"]
     grid = GridSpec(d=int(g["d"]), extent=float(g["extent"]), n=int(g["n"]))
     return field_from_spec(grid, arr, gauge)
-
-
-def save_group_array(path, ggrid, arr: np.ndarray) -> None:
-    save_array(
-        path,
-        arr,
-        {
-            "kind": "group",
-            "grid": {"d": ggrid.grid.d, "extent": ggrid.grid.extent, "n": ggrid.grid.n},
-            "s_min": ggrid.s_min,
-            "s_max": ggrid.s_max,
-            "ds": ggrid.ds,
-        },
-    )
 
 
 def format_float(x) -> str:

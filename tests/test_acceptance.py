@@ -48,7 +48,7 @@ def test_criterion_02_calderon_identity():
 
 
 def test_criterion_03_admissibility():
-    _run("3 admissibility", run_admissibility, budget=30.0)
+    _run("3 admissibility", run_admissibility, budget=10.0)
 
 
 def test_criterion_04_isometry_and_reproducing():

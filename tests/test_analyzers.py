@@ -192,6 +192,33 @@ class TestAdmissible:
         vals = admissibility_integral(vec, xi, independent=True)
         assert np.max(np.abs(vals - 1.0)) <= 1e-6
 
+    @pytest.mark.parametrize("case", ["line", "plane"])
+    def test_stacked_nodes_match_per_node_solves(self, phi1, case):
+        rng = np.random.default_rng(12)
+        if case == "line":
+            phi, xi = phi1, rng.uniform(-8, 8, size=(30, 1))
+        else:
+            phi, xi = make_covering_profile(E2, GRID2), rng.normal(size=(20, 2)) * 3.0
+        vec = make_admissible(phi)
+        psi, step = vec.psi, 1.0 / 32.0
+        # the quadrature as one gauge solve per node
+        t0 = psi.gauge.t(xi)
+        lo, hi = psi.t_support
+        s_lo = float(np.min(lo - t0)) - step
+        s_hi = float(np.max(hi - t0)) + step
+        m = int(math.ceil((s_hi - s_lo) / step))
+        s_nodes = s_lo + (s_hi - s_lo) * np.arange(m + 1) / m
+        total = np.zeros(len(xi))
+        for idx, s in enumerate(s_nodes):
+            t_here = psi.gauge.t(xi @ expm(float(s) * psi.gauge.B).T)
+            w = 0.5 if idx in (0, m) else 1.0
+            total += w * np.abs(psi.shape(t_here)) ** 2
+        reference = total * ((s_hi - s_lo) / m)
+        vals = admissibility_integral(vec, xi, s_step=step, independent=True)
+        assert np.array_equal(vals, reference)
+        flowed = admissibility_integral(vec, xi, s_step=step, independent=False)
+        assert np.allclose(flowed, reference, rtol=0.0, atol=1e-9)
+
     def test_step_guard(self, phi1):
         with pytest.raises(ValueError):
             make_admissible(phi1, s_step=0.1)

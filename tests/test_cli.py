@@ -85,6 +85,12 @@ class TestCli:
         code = main(["run", "--kind", "calderon", "--config", str(bad)])
         assert code == 2
 
+    def test_non_object_config_exit_two(self, tmp_path, capsys):
+        cfg = tmp_path / "list.json"
+        cfg.write_text("[1, 2]")
+        assert main(["run", "--kind", "calderon", "--config", str(cfg)]) == 2
+        assert "is not a JSON object" in capsys.readouterr().err
+
     def test_missing_kind_exit_two(self, tmp_path):
         cfg = tmp_path / "empty.json"
         cfg.write_text("{}")
@@ -142,6 +148,19 @@ class TestCli:
         assert DEFAULTS["frames"]["covering"]["density"] == 0.5
 
     @pytest.mark.parametrize(
+        "override, message",
+        [
+            ({"covering": 0.5}, "covering must be an object, got 0.5"),
+            ({"covering": {"U": {"a": 1}}}, "covering.U must not be an object, got {'a': 1}"),
+            ({"seed": {"x": 1}}, "seed must not be an object, got {'x': 1}"),
+        ],
+    )
+    def test_merged_config_rejects_shape_change(self, override, message):
+        with pytest.raises(ValueError) as exc:
+            merged_config("frames", override)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
         "argv, message",
         [
             (
@@ -151,6 +170,18 @@ class TestCli:
             (
                 ["frames", "moments", "--set", "frames.grid.n=abc"],
                 "config error: frames: invalid literal for int() with base 10: 'abc'",
+            ),
+            (
+                ["run", "--kind", "translation-bounds", "--set", "suite=3"],
+                "config error: translation-bounds: suite must be an object, got 3",
+            ),
+            (
+                ["run", "--kind", "translation-bounds", "--set", "seed=3", "--set", "seed.x=1"],
+                "config error: --set seed.x=1: seed is not an object",
+            ),
+            (
+                ["group", "translations", "--set", "translation-bounds=3"],
+                "config error: translation-bounds: translation-bounds must be an object, got 3",
             ),
         ],
     )

@@ -275,3 +275,47 @@ class TestScaleGauge:
         pts = g.points_on_level(1.5, 64)
         assert np.allclose(g.t(pts), 1.5, atol=1e-9)
         assert g.level_extent(2.0) > g.level_extent(0.0)
+
+    @pytest.mark.parametrize("mat", [[[2.0]], np.diag([2.0, 4.0]), JORDAN])
+    def test_stacked_solve_matches_separate_calls(self, mat):
+        E = validate_expansive(mat)
+        g = transpose_gauge(E)
+        flow, sizes = g.flow, []
+
+        def counted(s, pts):
+            sizes.append(len(s))
+            return flow(s, pts)
+
+        g.flow = counted
+        rng = np.random.default_rng(8)
+        n = 16
+        # far-out and near-origin sets take different numbers of steps
+        sets = [rng.normal(size=(n, E.d)) * 10.0**e for e in (-8, 0, 3, 12)]
+        sets.append(np.zeros((n, E.d)))
+        with_origin = rng.normal(size=(n, E.d))
+        with_origin[[0, 9]] = 0.0
+        sets.append(with_origin)
+        steps = []
+        for pts in sets:
+            sizes.clear()
+            g.t(pts)
+            steps.append(len(sizes))
+        assert len(set(steps) - {0}) > 1
+        sizes.clear()
+        out = g.t(np.stack(sets))
+        assert out.shape == (len(sets), n)
+        assert len(sizes) == max(steps)
+        assert sizes[0] > sizes[-1]  # finished sets were dropped
+        for k, pts in enumerate(sets):
+            alone = g.t(pts)
+            assert alone.shape == (n,)
+            assert np.array_equal(out[k], alone)
+        assert np.all(out[4] == -np.inf)
+        assert np.all(out[5, [0, 9]] == -np.inf)
+        assert np.all(np.isfinite(np.delete(out[5], [0, 9])))
+
+    def test_single_set_shape(self):
+        g = transpose_gauge(validate_expansive(JORDAN))
+        assert g.t(np.ones((5, 2))).shape == (5,)
+        assert g.t(np.ones((1, 5, 2))).shape == (1, 5)
+        assert g.t(np.zeros((3, 2))).shape == (3,)
