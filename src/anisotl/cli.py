@@ -15,14 +15,12 @@ import math
 import sys
 from pathlib import Path
 
+from .analyzers import make_analyzing_pair
 from .errors import AnisoError
-from .experiments import RUNNERS, merged_config
-from .grids import GridSpec
+from .experiments import RUNNERS, _setup, _suite, merged_config
 from .linalg_expansive import build_ellipsoid, diagnostic_record, matrix_from_json
-from .analyzers import make_analyzing_pair, make_covering_profile
 from .norms import NormParams, besov_norm, tl_norm_inf, tl_norm_q
 from .storage import ensure_dir, load_field, save_field, write_csv, write_json
-from .suite import SuiteSpec, suite_generate
 
 _GROUP_KINDS = {
     "wavelet": "wavelet-repro",
@@ -65,41 +63,52 @@ def _fail_config(msg: str) -> int:
     return 2
 
 
-def _execute(kind: str, config: dict) -> tuple[dict, dict] | int:
-    """The merged config and the runner's result, or exit code 2 if it could
-    not run: a toolkit error, or a config with a missing key or a bad value."""
+def _execute(what: str, build, *args):
+    """build(*args), or exit code 2 if it could not run: a toolkit error, a
+    missing input file, or a config with a missing key or a bad value."""
     try:
-        cfg = merged_config(kind, config)
-        return cfg, RUNNERS[kind](cfg)
+        return build(*args)
     except AnisoError as exc:
         print(f"experiment failed to run: {exc}", file=sys.stderr)
         return 2
-    except (KeyError, ValueError) as exc:
-        what = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
-        return _fail_config(f"{kind}: " + " ".join(what.split()))
+    except (KeyError, ValueError, OSError) as exc:
+        msg = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+        return _fail_config(f"{what}: " + " ".join(msg.split()))
+
+
+def _run_kind(kind: str, config: dict) -> tuple[dict, dict]:
+    cfg = merged_config(kind, config)
+    return cfg, RUNNERS[kind](cfg)
+
+
+def _write_artifacts(out_dir: str, cfg: dict, result: dict, tables: dict, summary: dict) -> Path:
+    """Write each (columns, rows) table as <name>.csv, then summary.json and
+    manifest.json, into out_dir/<label>/; returns that directory."""
+    kind = result["kind"]
+    dest = ensure_dir(Path(out_dir) / cfg.get("label", kind))
+    for name, (columns, rows) in tables.items():
+        write_csv(dest / f"{name}.csv", columns, rows)
+    write_json(dest / "summary.json", {"kind": kind, **summary})
+    write_json(
+        dest / "manifest.json",
+        {"kind": kind, "config": cfg, "manifest": result["manifest"]},
+    )
+    return dest
 
 
 def run(kind: str, config: dict, out_dir: str = "results") -> int:
     """Run one experiment kind and write its artifact directory."""
     if kind not in RUNNERS:
         return _fail_config(f"unknown experiment kind {kind!r}")
-    outcome = _execute(kind, config)
+    outcome = _execute(kind, _run_kind, kind, config)
     if isinstance(outcome, int):
         return outcome
     cfg, result = outcome
-    label = cfg.get("label", kind)
-    dest = ensure_dir(Path(out_dir) / label)
-    write_csv(dest / f"{kind}.csv", result["columns"], result["rows"])
-    for name, (cols, rows) in result.get("extra_tables", {}).items():
-        write_csv(dest / f"{kind}-{name}.csv", cols, rows)
-    write_json(
-        dest / "summary.json",
-        {"kind": kind, "label": label, "pass": result["pass"]},
-    )
-    write_json(
-        dest / "manifest.json",
-        {"kind": kind, "config": cfg, "manifest": result["manifest"]},
-    )
+    tables = {kind: (result["columns"], result["rows"])}
+    for name, table in result.get("extra_tables", {}).items():
+        tables[f"{kind}-{name}"] = table
+    summary = {"label": cfg.get("label", kind), "pass": result["pass"]}
+    dest = _write_artifacts(out_dir, cfg, result, tables, summary)
     status = "PASS" if result["pass"] else "FAIL"
     print(f"{kind}: {status} ({len(result['rows'])} rows) -> {dest}")
     return 0 if result["pass"] else 1
@@ -128,21 +137,29 @@ def _cmd_validate(args) -> int:
 
 def _cmd_norm(args) -> int:
     cfg = _load_config(args.config, args.set)
-    if args.field:
-        return _single_field_norm(args, cfg)
-    worst = 0
-    for kind in ("norm-equivalence", "embedding"):
-        worst = max(worst, run(kind, cfg.get(kind, {}), args.out))
-    return worst
+    if not args.field:
+        worst = 0
+        for kind in ("norm-equivalence", "embedding"):
+            worst = max(worst, run(kind, cfg.get(kind, {}), args.out))
+        return worst
+    reports = _execute("norm", _field_reports, args, cfg)
+    if isinstance(reports, int):
+        return reports
+    dest = ensure_dir(Path(args.out) / "norm")
+    write_json(dest / "norm_report.json", reports)
+    rows = [
+        {"field": args.field, "norm": name, "value": rep["value"]}
+        for name, rep in reports.items()
+    ]
+    write_csv(dest / "norms.csv", ["field", "norm", "value"], rows)
+    print(json.dumps(reports, sort_keys=True))
+    return 0
 
 
-def _single_field_norm(args, cfg: dict) -> int:
+def _field_reports(args, cfg: dict) -> dict:
     base = merged_config("norm-equivalence", cfg.get("norm-equivalence", {}))
-    E = matrix_from_json(base["matrix"])
+    E, grid, phi = _setup(base["matrix"], base["grid"])
     S = build_ellipsoid(E)
-    grid_json = base["grid"]
-    grid = GridSpec(d=E.d, extent=float(grid_json["extent"]), n=int(grid_json["n"]))
-    phi = make_covering_profile(E, grid)
     pair = make_analyzing_pair(phi, check_grid=grid)
     f = load_field(args.field, phi.gauge)
     params = NormParams(
@@ -155,20 +172,11 @@ def _single_field_norm(args, cfg: dict) -> int:
         window=args.window,
         s_step=args.ds,
     )
-    reports = {
-        "tl_q": tl_norm_q(f, pair, S, params).to_json(),
-        "tl_inf": tl_norm_inf(f, pair, S, params).to_json(),
-        "besov": besov_norm(f, pair, S, args.alpha, params).to_json(),
+    return {
+        "tl_q": tl_norm_q(f, pair.phi, S, params).to_json(),
+        "tl_inf": tl_norm_inf(f, pair.phi, S, params).to_json(),
+        "besov": besov_norm(f, pair.phi, S, args.alpha, params).to_json(),
     }
-    dest = ensure_dir(Path(args.out) / "norm")
-    write_json(dest / "norm_report.json", reports)
-    rows = [
-        {"field": args.field, "norm": name, "value": rep["value"]}
-        for name, rep in reports.items()
-    ]
-    write_csv(dest / "norms.csv", ["field", "norm", "value"], rows)
-    print(json.dumps(reports, sort_keys=True))
-    return 0
 
 
 def _cmd_group(args) -> int:
@@ -188,43 +196,32 @@ _FRAME_STAGES = {
 
 def _cmd_frames(args) -> int:
     cfg = _load_config(args.config, args.set)
-    kind = "frames"
-    outcome = _execute(kind, cfg.get(kind, {}))
+    outcome = _execute("frames", _run_kind, "frames", cfg.get("frames", {}))
     if isinstance(outcome, int):
         return outcome
     merged, result = outcome
-    stage = _FRAME_STAGES.get(args.what)
-    rows = result["rows"]
-    if stage is not None:
-        rows = [r for r in rows if r["stage"] == stage]
-    passed = all(r["pass"] for r in rows) if rows else result["pass"]
-    label = merged.get("label", kind)
-    dest = ensure_dir(Path(args.out) / label)
-    write_csv(dest / f"{kind}-{args.what}.csv", result["columns"], rows)
-    write_json(dest / "summary.json", {"kind": kind, "stage": args.what, "pass": passed})
-    write_json(
-        dest / "manifest.json",
-        {"kind": kind, "config": merged, "manifest": result["manifest"]},
+    stage = _FRAME_STAGES[args.what]
+    rows = [r for r in result["rows"] if stage in (None, r["stage"])]
+    passed = all(r["pass"] for r in rows)
+    tables = {f"frames-{args.what}": (result["columns"], rows)}
+    dest = _write_artifacts(
+        args.out, merged, result, tables, {"stage": args.what, "pass": passed}
     )
     print(f"frames/{args.what}: {'PASS' if passed else 'FAIL'} -> {dest}")
     return 0 if passed else 1
 
 
+def _suite_fields(config: dict) -> list:
+    cfg = merged_config("suite", config)
+    E, grid, phi = _setup(cfg["matrix"], cfg["grid"])
+    return _suite(cfg["suite"], grid, phi.gauge, phi)
+
+
 def _cmd_suite(args) -> int:
     cfg = _load_config(args.config, args.set)
-    suite_cfg = cfg.get("suite", {"count": 8, "seed": 7})
-    matrix = cfg.get("matrix", {"dim": 1, "entries": [2.0]})
-    grid_json = cfg.get("grid", {"extent": 8.0, "n": 1024})
-    E = matrix_from_json(matrix)
-    grid = GridSpec(d=E.d, extent=float(grid_json["extent"]), n=int(grid_json["n"]))
-    phi = make_covering_profile(E, grid)
-    spec = SuiteSpec(
-        count=int(suite_cfg.get("count", 8)),
-        seed=int(suite_cfg.get("seed", 7)),
-        t_range=tuple(suite_cfg.get("t_range", (1.8, 3.2))),
-        kind=suite_cfg.get("kind", "random"),
-    )
-    fields = suite_generate(spec, grid, phi.gauge, phi)
+    fields = _execute("suite", _suite_fields, cfg)
+    if isinstance(fields, int):
+        return fields
     dest = ensure_dir(Path(args.out) / "suite")
     rows = []
     for i, f in enumerate(fields):

@@ -10,7 +10,6 @@ pool; all randomness flows through seeded generators.
 from __future__ import annotations
 
 import math
-import types
 from dataclasses import replace
 
 import numpy as np
@@ -43,6 +42,7 @@ from .group_analysis import (
     reproducing_check,
     translation_bound_check,
     wavelet_transform,
+    wiener_amalgam_norm,
 )
 from .linalg_expansive import (
     WeightNu,
@@ -195,6 +195,12 @@ DEFAULTS: dict = {
         "reconstruction_tolerance": 1e-3,
         "moment_tolerance": 1e-6,
     },
+    # not a runner: the fields the `suite` subcommand stores
+    "suite": {
+        "matrix": LINE_MATRIX,
+        "grid": {"extent": 8.0, "n": 1024},
+        "suite": {"count": 8, "seed": 7},
+    },
 }
 
 
@@ -242,6 +248,37 @@ def _q_value(q) -> float:
     return math.inf if q in ("inf", math.inf) else float(q)
 
 
+def _table(name: str, rows: list[dict]) -> tuple[list[str], list[dict]]:
+    if not rows:
+        raise ValueError(f"the config yields no {name} rows")
+    return list(rows[0]), rows
+
+
+def _result(kind: str, rows: list[dict], manifest: dict, holds=True, extra_tables=None) -> dict:
+    """A runner's result.  Each table's columns are the keys of its first
+    row, in order; the verdict is every row's pass and-ed with holds, the
+    runner-level condition.  A table without rows raises ValueError."""
+    columns, rows = _table(kind, rows)
+    result = {
+        "kind": kind,
+        "pass": bool(holds) and all(r["pass"] for r in rows),
+        "rows": rows,
+        "columns": columns,
+        "manifest": manifest,
+    }
+    if extra_tables:
+        result["extra_tables"] = {n: _table(n, r) for n, r in extra_tables.items()}
+    return result
+
+
+def _count_flags(counts: dict, *flag_dicts: dict) -> None:
+    """Add one to counts[key] for every flag that is True."""
+    for flags in flag_dicts:
+        for key, val in flags.items():
+            if val is True:
+                counts[key] = counts.get(key, 0) + 1
+
+
 # ---------------------------------------------------------------------------
 # 1. quasi-norm axioms
 # ---------------------------------------------------------------------------
@@ -250,7 +287,6 @@ def _q_value(q) -> float:
 def run_quasinorm_axioms(config: dict | None = None) -> dict:
     cfg = merged_config("quasinorm-axioms", config)
     rows = []
-    ok = True
     for mat in cfg["matrices"]:
         E = matrix_from_json(mat)
         S = build_ellipsoid(E)
@@ -273,7 +309,6 @@ def run_quasinorm_axioms(config: dict | None = None) -> dict:
         k2 = measure_nu_constant(nu, n=4 * int(cfg["points"]), seed=int(cfg["seed"]))
         nu_stable = np.isfinite(k1) and abs(k2 - k1) <= 0.5 * k1
         passed = hom_exact and hom_float and sym_exact and positive and stable and nu_stable
-        ok = ok and passed
         rows.append(
             {
                 "matrix": mat["entries"],
@@ -286,22 +321,9 @@ def run_quasinorm_axioms(config: dict | None = None) -> dict:
                 "pass": passed,
             }
         )
-    return {
-        "kind": "quasinorm-axioms",
-        "pass": ok,
-        "rows": rows,
-        "columns": [
-            "matrix",
-            "homogeneity_exact",
-            "symmetry_exact",
-            "quasi_triangle_c",
-            "quasi_triangle_c_4x",
-            "nu_constant",
-            "usable_fraction",
-            "pass",
-        ],
-        "manifest": {"stability_tolerance": cfg["stability_tolerance"]},
-    }
+    return _result(
+        "quasinorm-axioms", rows, {"stability_tolerance": cfg["stability_tolerance"]}
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +334,6 @@ def run_quasinorm_axioms(config: dict | None = None) -> dict:
 def run_calderon(config: dict | None = None) -> dict:
     cfg = merged_config("calderon", config)
     rows = []
-    ok = True
     for case in cfg["cases"]:
         E, grid, phi = _setup(case["matrix"], case["grid"])
         pair = make_analyzing_pair(phi, check_grid=grid)
@@ -323,7 +344,6 @@ def run_calderon(config: dict | None = None) -> dict:
         phi_line = phi.shape(np.linspace(*phi.t_support, 2001))
         win_err = float(np.max(np.abs(phi_line * win - phi_line)))
         passed = err <= cfg["tolerance"] and win_err <= cfg["tolerance"]
-        ok = ok and passed
         rows.append(
             {
                 "matrix": case["matrix"]["entries"],
@@ -335,21 +355,7 @@ def run_calderon(config: dict | None = None) -> dict:
                 "pass": passed,
             }
         )
-    return {
-        "kind": "calderon",
-        "pass": ok,
-        "rows": rows,
-        "columns": [
-            "matrix",
-            "dim",
-            "grid_n",
-            "calderon_error",
-            "window_error",
-            "overlap_n",
-            "pass",
-        ],
-        "manifest": {"tolerance": cfg["tolerance"]},
-    }
+    return _result("calderon", rows, {"tolerance": cfg["tolerance"]})
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +366,6 @@ def run_calderon(config: dict | None = None) -> dict:
 def run_admissibility(config: dict | None = None) -> dict:
     cfg = merged_config("admissibility", config)
     rows = []
-    ok = True
     rng = np.random.default_rng(int(cfg["seed"]))
     for case in cfg["cases"]:
         E, grid, phi = _setup(case["matrix"], case["grid"])
@@ -374,7 +379,6 @@ def run_admissibility(config: dict | None = None) -> dict:
         coarse = admissibility_integral(vec, xi[:16], s_step=1.0 / 32.0, independent=True)
         drift = float(np.max(np.abs(fine - coarse)))
         passed = err <= cfg["tolerance"] and drift < cfg["stability_tolerance"]
-        ok = ok and passed
         rows.append(
             {
                 "matrix": case["matrix"]["entries"],
@@ -385,16 +389,14 @@ def run_admissibility(config: dict | None = None) -> dict:
                 "pass": passed,
             }
         )
-    return {
-        "kind": "admissibility",
-        "pass": ok,
-        "rows": rows,
-        "columns": ["matrix", "dim", "max_error", "halving_drift", "n_frequencies", "pass"],
-        "manifest": {
+    return _result(
+        "admissibility",
+        rows,
+        {
             "tolerance": cfg["tolerance"],
             "stability_tolerance": cfg["stability_tolerance"],
         },
-    }
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +416,6 @@ def run_wavelet_repro(config: dict | None = None) -> dict:
     )
     fields = _suite(cfg["suite"], grid, phi.gauge, phi)
     rows = []
-    ok = True
     fine = ggrid.refined()
     for i, f in enumerate(fields):
         W = wavelet_transform(f, vec, ggrid)
@@ -428,7 +429,6 @@ def run_wavelet_repro(config: dict | None = None) -> dict:
             and rep["rel_l2"] <= cfg["repro_tolerance"]
             and improved
         )
-        ok = ok and passed
         rows.append(
             {
                 "field": i,
@@ -438,23 +438,15 @@ def run_wavelet_repro(config: dict | None = None) -> dict:
                 "pass": passed,
             }
         )
-    return {
-        "kind": "wavelet-repro",
-        "pass": ok,
-        "rows": rows,
-        "columns": [
-            "field",
-            "isometry_error",
-            "repro_rel_l2",
-            "repro_rel_l2_refined",
-            "pass",
-        ],
-        "manifest": {
+    return _result(
+        "wavelet-repro",
+        rows,
+        {
             "isometry_tolerance": cfg["isometry_tolerance"],
             "repro_tolerance": cfg["repro_tolerance"],
             "refine_factor": cfg["refine_factor"],
         },
-    }
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -480,12 +472,12 @@ def _norm_params(cfg, alpha: float, q: float) -> NormParams:
     )
 
 
-def _characterization_table(cfg, grid, pair, S, fields, flag_counts=None) -> list[dict]:
+def _characterization_table(cfg, grid, profile, S, fields, flag_counts) -> list[dict]:
     """Per (q, alpha): suite extremes of the characterization ratios.
 
-    flag_counts, when given, accumulates saturation/tail flags from every
-    windowed supremum, and under "peetre_boundary" the (field, beta) sweeps
-    whose boundary flag fired, so the manifest can report them.
+    flag_counts accumulates saturation/tail flags from every windowed
+    supremum, and under "peetre_boundary" the (field, beta) sweeps whose
+    boundary flag fired, so the manifest can report them.
     """
     absdet = S.owner.absdet
     qs = [_q_value(q) for q in cfg["qs"]]
@@ -504,15 +496,13 @@ def _characterization_table(cfg, grid, pair, S, fields, flag_counts=None) -> lis
     # sweep on the fine scale grid (coarser q-grids subsample it)
     table = {}
     for fi, f in enumerate(fields):
-        bands = band_arrays(f, pair.phi, disc_scales)
+        bands = band_arrays(f, profile, disc_scales)
         sweeps = peetre_arrays(
-            f, pair.phi, S, cont_scales, betas, int(cfg.get("search_shells", 2))
+            f, profile, S, cont_scales, betas, int(cfg.get("search_shells", 2))
         )
         pmax = {beta: arr for beta, (arr, _) in sweeps.items()}
-        if flag_counts is not None:
-            hits = sum(flag for _, flag in sweeps.values())
-            if hits:
-                flag_counts["peetre_boundary"] = flag_counts.get("peetre_boundary", 0) + hits
+        for _, flag in sweeps.values():
+            _count_flags(flag_counts, {"peetre_boundary": flag})
         table[fi] = (bands, pmax)
 
     rows = []
@@ -546,8 +536,8 @@ def _characterization_table(cfg, grid, pair, S, fields, flag_counts=None) -> lis
                     "q": "inf" if math.isinf(q) else q,
                     "alpha": alpha,
                     "beta": beta,
-                    "c_emp_discrete": max(ratios_d),
                     "min_ratio_discrete": min(ratios_d),
+                    "c_emp_discrete": max(ratios_d),
                     "c_emp_continuous": max(ratios_c),
                     "factor_cont_over_disc": max(factors),
                 }
@@ -557,10 +547,7 @@ def _characterization_table(cfg, grid, pair, S, fields, flag_counts=None) -> lis
 
 def _tracked_sup(grid, S, terms, params, flag_counts) -> float:
     rep = sup_over_windows(grid, S, terms, params, "fine")
-    if flag_counts is not None:
-        for key, val in rep.flags.items():
-            if val is True:
-                flag_counts[key] = flag_counts.get(key, 0) + 1
+    _count_flags(flag_counts, rep.flags)
     return rep.value
 
 
@@ -571,16 +558,17 @@ def run_norm_equivalence(config: dict | None = None) -> dict:
     S = build_ellipsoid(E)
     fields = _suite(cfg["suite"], grid, phi.gauge, phi)
     flag_counts: dict = {}
-    base_rows = _characterization_table(cfg, grid, pair, S, fields, flag_counts)
+    base_rows = _characterization_table(cfg, grid, pair.phi, S, fields, flag_counts)
 
     rows = []
-    ok = True
     if cfg.get("refine", True):
         fine_grid = grid.refined()
         fine_fields = [
             field_from_closure(fine_grid, phi.gauge, f.spectrum_fn) for f in fields
         ]
-        fine_rows = _characterization_table(cfg, fine_grid, pair, S, fine_fields, flag_counts)
+        fine_rows = _characterization_table(
+            cfg, fine_grid, pair.phi, S, fine_fields, flag_counts
+        )
     else:
         fine_rows = base_rows
     tol = float(cfg["stability_tolerance"])
@@ -592,7 +580,6 @@ def run_norm_equivalence(config: dict | None = None) -> dict:
             / b["factor_cont_over_disc"]
         )
         passed = lower_ok and drift_c < tol and drift_f < tol
-        ok = ok and passed
         rows.append(
             {
                 **b,
@@ -602,25 +589,9 @@ def run_norm_equivalence(config: dict | None = None) -> dict:
                 "pass": passed,
             }
         )
-    return {
-        "kind": "norm-equivalence",
-        "pass": ok,
-        "rows": rows,
-        "columns": [
-            "q",
-            "alpha",
-            "beta",
-            "min_ratio_discrete",
-            "c_emp_discrete",
-            "c_emp_continuous",
-            "factor_cont_over_disc",
-            "c_emp_refined",
-            "c_emp_drift",
-            "factor_drift",
-            "pass",
-        ],
-        "manifest": {"stability_tolerance": tol, "flag_counts": flag_counts},
-    }
+    return _result(
+        "norm-equivalence", rows, {"stability_tolerance": tol, "flag_counts": flag_counts}
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -636,7 +607,7 @@ def run_embedding(config: dict | None = None) -> dict:
     fields = _suite(cfg["suite"], grid, phi.gauge, phi)
     alpha = float(cfg["alpha"])
     rows = []
-    ok = True
+    flag_counts: dict = {}
     for grid_now, tag in ((grid, "base"), (grid.refined(), "refined")):
         flds = (
             fields
@@ -655,9 +626,13 @@ def run_embedding(config: dict | None = None) -> dict:
             besov_over_inf = []
             inf_over_q = []
             for f in flds:
-                n_q = tl_norm_q(f, pair, S, params).value
-                n_inf = tl_norm_inf(f, pair, S, params).value
-                n_b = besov_norm(f, pair, S, alpha, params).value
+                reps = (
+                    tl_norm_q(f, pair.phi, S, params),
+                    tl_norm_inf(f, pair.phi, S, params),
+                    besov_norm(f, pair.phi, S, alpha, params),
+                )
+                _count_flags(flag_counts, *(rep.flags for rep in reps))
+                n_q, n_inf, n_b = (rep.value for rep in reps)
                 if n_q > 0 and n_inf > 0:
                     besov_over_inf.append(n_b / n_inf)
                     inf_over_q.append(n_inf / n_q)
@@ -665,8 +640,8 @@ def run_embedding(config: dict | None = None) -> dict:
                 {
                     "grid": tag,
                     "q": qv,
-                    "besov_over_inf_max": max(besov_over_inf),
                     "besov_over_inf_min": min(besov_over_inf),
+                    "besov_over_inf_max": max(besov_over_inf),
                     "inf_over_q_max": max(inf_over_q),
                 }
             )
@@ -682,26 +657,13 @@ def run_embedding(config: dict | None = None) -> dict:
             and b["inf_over_q_max"] <= 1.0 + 1e-9
             and drift <= tol
         )
-        ok = ok and passed
         b["stability_drift"] = drift
         b["pass"] = passed
         f["stability_drift"] = drift
         f["pass"] = passed
-    return {
-        "kind": "embedding",
-        "pass": ok,
-        "rows": rows,
-        "columns": [
-            "grid",
-            "q",
-            "besov_over_inf_min",
-            "besov_over_inf_max",
-            "inf_over_q_max",
-            "stability_drift",
-            "pass",
-        ],
-        "manifest": {"stability_tolerance": tol},
-    }
+    return _result(
+        "embedding", rows, {"stability_tolerance": tol, "flag_counts": flag_counts}
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -729,7 +691,7 @@ def run_translation_bounds(config: dict | None = None) -> dict:
     )
     rng = np.random.default_rng(int(cfg["seed"]))
     rows = []
-    ok = True
+    flag_counts: dict = {}
     per_branch = int(cfg["pairs_per_branch"])
     ds = float(cfg["ds"])
     for branch, t_choices in (
@@ -744,8 +706,8 @@ def run_translation_bounds(config: dict | None = None) -> dict:
             rep = translation_bound_check(
                 W, group_point(y, t), S, params, slack=float(cfg["slack"])
             )
+            _count_flags(flag_counts, *rep["flags"], {"v_saturated": rep["v_saturated"]})
             passed = rep["left_ok"] and rep["right_ok"]
-            ok = ok and passed
             rows.append(
                 {
                     "branch": branch,
@@ -759,23 +721,9 @@ def run_translation_bounds(config: dict | None = None) -> dict:
                     "pass": passed,
                 }
             )
-    return {
-        "kind": "translation-bounds",
-        "pass": ok,
-        "rows": rows,
-        "columns": [
-            "branch",
-            "t",
-            "y",
-            "left_ratio",
-            "left_bound",
-            "right_ratio",
-            "right_bound",
-            "v",
-            "pass",
-        ],
-        "manifest": {"slack": cfg["slack"]},
-    }
+    return _result(
+        "translation-bounds", rows, {"slack": cfg["slack"], "flag_counts": flag_counts}
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -790,7 +738,6 @@ def run_control_weight(config: dict | None = None) -> dict:
     n = int(cfg["samples"])
     rng = np.random.default_rng(int(cfg["seed"]))
     rows = []
-    ok = True
     for branch_cfg in cfg["branches"]:
         w = control_weight(
             S,
@@ -823,7 +770,6 @@ def run_control_weight(config: dict | None = None) -> dict:
             and drift_max <= float(cfg["stability_tolerance"])
             and drift_min <= float(cfg["stability_tolerance"])
         )
-        ok = ok and passed
         rows.append(
             {
                 "alpha": branch_cfg["alpha"],
@@ -839,28 +785,15 @@ def run_control_weight(config: dict | None = None) -> dict:
             }
         )
     branches = {bool(r["upper_branch"]) for r in rows}
-    ok = ok and branches == {True, False}
-    return {
-        "kind": "control-weight",
-        "pass": ok,
-        "rows": rows,
-        "columns": [
-            "alpha",
-            "beta",
-            "q",
-            "upper_branch",
-            "symmetry_error",
-            "envelope_min_ratio",
-            "envelope_max_ratio",
-            "min_ratio_drift",
-            "max_ratio_drift",
-            "pass",
-        ],
-        "manifest": {
+    return _result(
+        "control-weight",
+        rows,
+        {
             "symmetry_tolerance": cfg["symmetry_tolerance"],
             "stability_tolerance": cfg["stability_tolerance"],
         },
-    }
+        holds=branches == {True, False},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -879,7 +812,6 @@ def run_coorbit(config: dict | None = None) -> dict:
     fields = _suite(cfg["suite"], grid, phi.gauge, phi)
 
     rows = []
-    ok = True
     flag_counts: dict = {}
     for grid_now, tag in ((grid, "base"), (grid.widened(2), "refined")):
         flds = (
@@ -908,23 +840,20 @@ def run_coorbit(config: dict | None = None) -> dict:
             tl_params = replace(pti_params, alpha=alpha, window="cube")
             ratios = []
             exactness = []
-            shim = types.SimpleNamespace(phi=vec.psi)
             for f in flds:
                 W = wavelet_transform(f, vec, ggrid)
                 coeff_rep = pti_norm(W, S, pti_params)
                 coeff = coeff_rep.value
-                for key, val in coeff_rep.flags.items():
-                    if val is True:
-                        flag_counts[key] = flag_counts.get(key, 0) + 1
+                _count_flags(flag_counts, coeff_rep.flags)
                 plain = (
-                    tl_norm_q(f, shim, S, tl_params).value
+                    tl_norm_q(f, vec.psi, S, tl_params).value
                     if not math.isinf(qv)
-                    else tl_norm_inf(f, shim, S, tl_params).value
+                    else tl_norm_inf(f, vec.psi, S, tl_params).value
                 )
                 if plain > 0:
                     ratios.append(coeff / plain)
                 peetre_cont = tl_peetre_norm(
-                    f, shim, S, replace(pti_params, alpha=alpha, window="ball"),
+                    f, vec.psi, S, replace(pti_params, alpha=alpha, window="ball"),
                     discrete=False,
                 ).value
                 if peetre_cont > 0:
@@ -950,27 +879,10 @@ def run_coorbit(config: dict | None = None) -> dict:
             and drift <= tol
             and 0.8 <= b["exactness_min"] <= b["exactness_max"] <= 1.25
         )
-        ok = ok and passed
         for r in (b, f):
             r["ratio_drift"] = drift
             r["pass"] = passed
-    return {
-        "kind": "coorbit",
-        "pass": ok,
-        "rows": rows,
-        "columns": [
-            "grid",
-            "q",
-            "alpha_prime",
-            "ratio_min",
-            "ratio_max",
-            "exactness_min",
-            "exactness_max",
-            "ratio_drift",
-            "pass",
-        ],
-        "manifest": {"stability_tolerance": tol, "flag_counts": flag_counts},
-    }
+    return _result("coorbit", rows, {"stability_tolerance": tol, "flag_counts": flag_counts})
 
 
 # ---------------------------------------------------------------------------
@@ -999,8 +911,8 @@ def run_frames(config: dict | None = None) -> dict:
     a_lo, b_hi = frame_bounds(system, fields)
     manifest["frame_bounds"] = [a_lo, b_hi]
     manifest["covering_stats"] = cov.stats
-    ok = a_lo > 0
-    rate = (b_hi - a_lo) / (b_hi + a_lo) + 0.05
+    # frame_bounds gives (0, 0) when no field has energy, e.g. an empty suite
+    rate = (b_hi - a_lo) / (b_hi + a_lo) + 0.05 if b_hi > 0 else 0.0
     curve_rows = []
     for i, f in enumerate(fields):
         rec, errors = dual_reconstruct(
@@ -1017,7 +929,6 @@ def run_frames(config: dict | None = None) -> dict:
         passed = errors[-1] <= float(cfg["reconstruction_tolerance"]) and (
             mean_ratio <= rate
         )
-        ok = ok and passed
         rows.append(
             {
                 "stage": "reconstruction",
@@ -1041,7 +952,6 @@ def run_frames(config: dict | None = None) -> dict:
     f_sol, residuals, D = moment_problem(c, sep_system)
     res = float(np.max(residuals) / max(np.max(np.abs(c)), 1e-300))
     res_ok = res <= float(cfg["moment_tolerance"])
-    ok = ok and res_ok
     rows.append(
         {"stage": "moments", "field": -1, "value": res, "detail": len(sep), "pass": res_ok}
     )
@@ -1051,11 +961,8 @@ def run_frames(config: dict | None = None) -> dict:
     mol = MolecularSystem(members=members, Gamma=sep, envelope=env, vec=vec)
     rep = molecule_check(mol, hgrid, stride=4)
     w = control_weight(S, alpha=0.0, beta=1.0, q=2.0)
-    from .group_analysis import wiener_amalgam_norm
-
     wnorm = wiener_amalgam_norm(env, w, r=1.0)
     mol_ok = rep["violations"] == [] and np.isfinite(wnorm) and wnorm > 0
-    ok = ok and mol_ok
     rows.append(
         {"stage": "molecules", "field": -1, "value": wnorm, "detail": len(rep["violations"]), "pass": mol_ok}
     )
@@ -1068,20 +975,14 @@ def run_frames(config: dict | None = None) -> dict:
         S,
         NormParams(alpha=0.0, q=2.0, beta=1.0, ell_min=-2, ell_max=1, window="ball"),
     )
+    manifest["flag_counts"] = {}
+    _count_flags(manifest["flag_counts"], seq.flags)
     rows.append(
         {"stage": "sequence-norm", "field": -1, "value": seq.value, "detail": 0, "pass": seq.value > 0}
     )
-
-    return {
-        "kind": "frames",
-        "pass": ok,
-        "rows": rows,
-        "columns": ["stage", "field", "value", "detail", "pass"],
-        "manifest": manifest,
-        "extra_tables": {
-            "error-curves": (["field", "iteration", "error"], curve_rows)
-        },
-    }
+    return _result(
+        "frames", rows, manifest, holds=a_lo > 0, extra_tables={"error-curves": curve_rows}
+    )
 
 
 RUNNERS = {

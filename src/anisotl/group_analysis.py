@@ -470,7 +470,10 @@ def translation_bound_check(
     params: NormParams,
     slack: float = 0.01,
 ) -> dict:
-    """Measured operator ratios for L_g and R_g against the stated bounds."""
+    """Measured operator ratios for L_g and R_g against the stated bounds.
+
+    "flags" holds the flags of the three coefficient-space norms (F, L_g F,
+    R_g F) in that order."""
     E = S.owner
     base = pti_norm(F, S, params)
     lt = pti_norm(left_translate(F, g, E), S, params)
@@ -491,6 +494,7 @@ def translation_bound_check(
         "v": v_val,
         "v_saturated": v_sat,
         "overlap_n": n_overlap,
+        "flags": [base.flags, lt.flags, rt.flags],
     }
 
 

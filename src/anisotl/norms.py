@@ -385,26 +385,26 @@ def _continuous_scales(params: NormParams) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def tl_norm_q(f: SampledField, pair, S: QuasiNormStructure, params: NormParams) -> NormReport:
+def tl_norm_q(f: SampledField, profile, S: QuasiNormStructure, params: NormParams) -> NormReport:
     """Localized small-scale norm with the l^q sum inside the window average."""
     if math.isinf(params.q):
-        return tl_norm_inf(f, pair, S, params)
-    arrays = band_arrays(f, pair.phi, _discrete_scales(params))
+        return tl_norm_inf(f, profile, S, params)
+    arrays = band_arrays(f, profile, _discrete_scales(params))
     terms = _weighted_terms(arrays, params.alpha, params.q, S.owner.absdet, lambda s: 1.0)
     return sup_over_windows(f.grid, S, terms, params, coupling="fine")
 
 
-def tl_norm_inf(f: SampledField, pair, S: QuasiNormStructure, params: NormParams) -> NormReport:
+def tl_norm_inf(f: SampledField, profile, S: QuasiNormStructure, params: NormParams) -> NormReport:
     """Variant with the sup over scales outside the window average."""
-    arrays = band_arrays(f, pair.phi, _discrete_scales(params))
+    arrays = band_arrays(f, profile, _discrete_scales(params))
     p = replace(params, q=math.inf)
     terms = _weighted_terms(arrays, params.alpha, math.inf, S.owner.absdet, lambda s: 1.0)
     return sup_over_windows(f.grid, S, terms, p, coupling="fine")
 
 
-def besov_norm(f: SampledField, pair, S: QuasiNormStructure, alpha: float, params: NormParams) -> NormReport:
+def besov_norm(f: SampledField, profile, S: QuasiNormStructure, alpha: float, params: NormParams) -> NormReport:
     """sup_j |det A|^(alpha j) max_x |f * phi_j|."""
-    arrays = band_arrays(f, pair.phi, _discrete_scales(params))
+    arrays = band_arrays(f, profile, _discrete_scales(params))
     absdet = S.owner.absdet
     best, arg = 0.0, None
     for s, arr in arrays.items():
@@ -421,7 +421,7 @@ def besov_norm(f: SampledField, pair, S: QuasiNormStructure, alpha: float, param
 
 def tl_peetre_norm(
     f: SampledField,
-    pair,
+    profile,
     S: QuasiNormStructure,
     params: NormParams,
     discrete: bool = True,
@@ -436,7 +436,7 @@ def tl_peetre_norm(
         step = params.effective_s_step
         quad = lambda s: step
     arrays, flagged = peetre_arrays(
-        f, pair.phi, S, scales, [params.beta], params.search_shells
+        f, profile, S, scales, [params.beta], params.search_shells
     )[params.beta]
     terms = _weighted_terms(arrays, params.alpha, params.q, S.owner.absdet, quad)
     rep = sup_over_windows(f.grid, S, terms, params, coupling="fine")
@@ -462,15 +462,15 @@ def window_equivalence_check(
 
 
 def embedding_check(
-    f: SampledField, pair, S: QuasiNormStructure, alpha: float, q: float, params: NormParams
+    f: SampledField, profile, S: QuasiNormStructure, alpha: float, q: float, params: NormParams
 ) -> dict:
     """Besov versus localized-norm comparisons for one field."""
     if math.isinf(q):
         raise ValueError("embedding check needs q < inf")
     p = replace(params, alpha=alpha, q=q)
-    n_q = tl_norm_q(f, pair, S, p)
-    n_inf = tl_norm_inf(f, pair, S, p)
-    n_b = besov_norm(f, pair, S, alpha, p)
+    n_q = tl_norm_q(f, profile, S, p)
+    n_inf = tl_norm_inf(f, profile, S, p)
+    n_b = besov_norm(f, profile, S, alpha, p)
     if n_q.value == 0.0 or n_inf.value == 0.0:
         return {"skipped": True}
     return {

@@ -183,6 +183,32 @@ class TestCli:
                 ["group", "translations", "--set", "translation-bounds=3"],
                 "config error: translation-bounds: translation-bounds must be an object, got 3",
             ),
+            (
+                ["suite", "--set", "suite=3"],
+                "config error: suite: suite must be an object, got 3",
+            ),
+            (
+                ["suite", "--set", "grid.n=abc"],
+                "config error: suite: invalid literal for int() with base 10: 'abc'",
+            ),
+            (
+                ["norm", "--field", "/nonexistent"],
+                "config error: norm: [Errno 2] No such file or directory: '/nonexistent'",
+            ),
+            # a config that yields an empty table fails instead of passing vacuously
+            (
+                ["run", "--kind", "quasinorm-axioms", "--set", "matrices=[]"],
+                "config error: quasinorm-axioms: the config yields no quasinorm-axioms rows",
+            ),
+            (
+                ["run", "--kind", "calderon", "--set", "cases=[]"],
+                "config error: calderon: the config yields no calderon rows",
+            ),
+            (
+                ["frames", "--set", "frames.suite.count=0", "--set", "frames.grid.n=512",
+                 "--set", "frames.s_range=[-2.5, 0.5]"],
+                "config error: frames: the config yields no error-curves rows",
+            ),
         ],
     )
     def test_bad_config_value_exit_two(self, tmp_path, capsys, argv, message):

@@ -10,6 +10,7 @@ from anisotl.field_engine import convolve_scale, field_from_closure
 from anisotl.grids import GridSpec, spatial_points
 from anisotl.linalg_expansive import build_ellipsoid, validate_expansive
 from anisotl.experiments import run_norm_equivalence
+from anisotl.suite import SuiteSpec, suite_generate
 from anisotl.norms import (
     NormParams,
     band_arrays,
@@ -61,14 +62,21 @@ def zero_field(pair):
 class TestBasics:
     def test_zero_field(self, pair):
         z = zero_field(pair)
-        assert tl_norm_q(z, pair, S1, PARAMS).value == 0.0
-        assert tl_norm_inf(z, pair, S1, PARAMS).value == 0.0
-        assert besov_norm(z, pair, S1, 0.0, PARAMS).value == 0.0
+        assert tl_norm_q(z, pair.phi, S1, PARAMS).value == 0.0
+        assert tl_norm_inf(z, pair.phi, S1, PARAMS).value == 0.0
+        assert besov_norm(z, pair.phi, S1, 0.0, PARAMS).value == 0.0
+
+    def test_profile_argument_keeps_pair_values(self, pair):
+        # the values tl_norm_q gave when it took the pair and read pair.phi
+        f = suite_generate(SuiteSpec(count=1, seed=5), GRID, pair.phi.gauge, pair.phi)[0]
+        p = NormParams(alpha=0.5, q=1.0, scale_max=4, ell_min=-2, ell_max=2)
+        assert tl_norm_q(f, pair.phi, S1, PARAMS).value == pytest.approx(55.30772175771998, rel=1e-12)
+        assert tl_norm_q(f, pair.phi, S1, p).value == pytest.approx(111.97521349243847, rel=1e-12)
 
     def test_homogeneity(self, pair):
         f = make_field(seed=1)
-        a = tl_norm_q(f, pair, S1, PARAMS).value
-        b = tl_norm_q(f.scaled(-3.5j), pair, S1, PARAMS).value
+        a = tl_norm_q(f, pair.phi, S1, PARAMS).value
+        b = tl_norm_q(f.scaled(-3.5j), pair.phi, S1, PARAMS).value
         assert b == pytest.approx(3.5 * a, rel=1e-12)
 
     def test_alpha_reweighting_single_band(self, pair):
@@ -86,16 +94,16 @@ class TestBasics:
     def test_beta_guard(self, pair):
         f = make_field(seed=3)
         with pytest.raises(ValueError):
-            tl_peetre_norm(f, pair, S1, NormParams(alpha=0.0, q=2.0, beta=0.4), discrete=True)
+            tl_peetre_norm(f, pair.phi, S1, NormParams(alpha=0.0, q=2.0, beta=0.4), discrete=True)
         with pytest.raises(ValueError):
             tl_peetre_norm(
-                f, pair, S1, NormParams(alpha=0.0, q=math.inf, beta=0.9), discrete=True
+                f, pair.phi, S1, NormParams(alpha=0.0, q=math.inf, beta=0.9), discrete=True
             )
 
     def test_window_out_of_domain(self, pair):
         f = make_field(seed=4)
         with pytest.raises(WindowOutOfDomain):
-            tl_norm_q(f, pair, S1, NormParams(alpha=0.0, q=2.0, ell_min=8, ell_max=9))
+            tl_norm_q(f, pair.phi, S1, NormParams(alpha=0.0, q=2.0, ell_min=8, ell_max=9))
 
 
 class TestSingleBandOracle:
@@ -126,7 +134,7 @@ class TestSingleBandOracle:
     def test_tail_flag_when_band_at_truncation(self, pair):
         f = make_field(seed=6, t0=4.6, width=0.3)
         p = NormParams(alpha=0.0, q=2.0, scale_max=4, ell_min=-2, ell_max=2)
-        rep = tl_norm_q(f, pair, S1, p)
+        rep = tl_norm_q(f, pair.phi, S1, p)
         assert rep.flags["scale_tail"]
 
 
@@ -137,22 +145,22 @@ class TestStructuralInequalities:
         g = make_field(seed=8, t0=2.1, center=-0.6)
         p = NormParams(alpha=0.0, q=q, scale_max=5, ell_min=-2, ell_max=2)
         r = min(1.0, q)
-        nf = tl_norm_q(f, pair, S1, p).value
-        ng = tl_norm_q(g, pair, S1, p).value
-        nfg = tl_norm_q(f + g, pair, S1, p).value
+        nf = tl_norm_q(f, pair.phi, S1, p).value
+        ng = tl_norm_q(g, pair.phi, S1, p).value
+        nfg = tl_norm_q(f + g, pair.phi, S1, p).value
         assert nfg**r <= nf**r + ng**r + 1e-10
 
     def test_window_monotonicity(self, pair):
         f = make_field(seed=9)
         small = NormParams(alpha=0.0, q=2.0, scale_max=4, ell_min=-1, ell_max=1)
         big = NormParams(alpha=0.0, q=2.0, scale_max=5, ell_min=-3, ell_max=2)
-        assert tl_norm_q(f, pair, S1, big).value >= tl_norm_q(f, pair, S1, small).value - 1e-14
+        assert tl_norm_q(f, pair.phi, S1, big).value >= tl_norm_q(f, pair.phi, S1, small).value - 1e-14
 
     def test_besov_dominates_tl_inf(self, pair):
         for seed in range(4):
             f = make_field(seed=20 + seed)
-            n_inf = tl_norm_inf(f, pair, S1, PARAMS).value
-            n_b = besov_norm(f, pair, S1, 0.0, PARAMS).value
+            n_inf = tl_norm_inf(f, pair.phi, S1, PARAMS).value
+            n_b = besov_norm(f, pair.phi, S1, 0.0, PARAMS).value
             assert n_inf <= n_b * (1 + 1e-12)
 
     def test_tl_inf_below_tl_q(self, pair):
@@ -160,16 +168,16 @@ class TestStructuralInequalities:
             p = NormParams(alpha=0.0, q=q, scale_max=5, ell_min=-2, ell_max=2)
             for seed in range(3):
                 f = make_field(seed=30 + seed)
-                assert tl_norm_inf(f, pair, S1, p).value <= tl_norm_q(
-                    f, pair, S1, p
+                assert tl_norm_inf(f, pair.phi, S1, p).value <= tl_norm_q(
+                    f, pair.phi, S1, p
                 ).value * (1 + 1e-12)
 
     @pytest.mark.parametrize("discrete", [True, False])
     def test_peetre_dominates_plain(self, pair, discrete):
         f = make_field(seed=40)
         p = NormParams(alpha=0.0, q=2.0, beta=1.0, scale_max=4, ell_min=-2, ell_max=2, s_step=0.25)
-        plain = tl_norm_q(f, pair, S1, p).value
-        charac = tl_peetre_norm(f, pair, S1, p, discrete=True).value
+        plain = tl_norm_q(f, pair.phi, S1, p).value
+        charac = tl_peetre_norm(f, pair.phi, S1, p, discrete=True).value
         assert charac >= plain * (1 - 1e-12)
 
 
@@ -200,12 +208,12 @@ class TestWindowEquivalence:
 
 class TestEmbedding:
     def test_zero_skipped(self, pair):
-        rep = embedding_check(zero_field(pair), pair, S1, 0.0, 2.0, PARAMS)
+        rep = embedding_check(zero_field(pair), pair.phi, S1, 0.0, 2.0, PARAMS)
         assert rep["skipped"]
 
     def test_single_band_besov_ratio(self, pair):
         f = make_field(seed=50, t0=3.2, width=0.4)
-        rep = embedding_check(f, pair, S1, 0.0, 2.0, PARAMS)
+        rep = embedding_check(f, pair.phi, S1, 0.0, 2.0, PARAMS)
         assert not rep["skipped"]
         assert rep["besov_over_inf"] >= 1.0 - 1e-12
 
