@@ -179,6 +179,7 @@ DEFAULTS: dict = {
         "ds": 0.125,
         "ell_range": [-2, 2],
         "scale_max": 4,
+        "search_shells": 2,
         "stability_tolerance": 0.25,
     },
     "frames": {
@@ -836,6 +837,7 @@ def run_coorbit(config: dict | None = None) -> dict:
                 ell_max=int(cfg["ell_range"][1]),
                 window="ball",
                 s_step=ds,
+                search_shells=int(cfg["search_shells"]),
             )
             tl_params = replace(pti_params, alpha=alpha, window="cube")
             ratios = []

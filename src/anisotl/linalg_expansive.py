@@ -194,6 +194,16 @@ class QuasiNormStructure:
         """Membership of points in Omega."""
         return self.quadratic_form(pts) < self.c
 
+    def member(self, pts: np.ndarray, level) -> np.ndarray:
+        """Membership of points in A^level Omega, for a level per point or
+        one for all; levels are clamped to [-CL, CL].  shell_index and the
+        Peetre ball builder share it, so shell <= m <=> member at m + 1 holds
+        bit for bit."""
+        level = np.broadcast_to(level, pts.shape[:1])
+        mats = self._neg_powers[np.clip(level, -SHELL_CLAMP, SHELL_CLAMP) + SHELL_CLAMP]
+        y = np.einsum("nij,nj->ni", mats, pts)
+        return np.einsum("ni,ij,nj->n", y, self.Q, y) < self.c
+
     def boundary_points(self, n: int, rng=None) -> np.ndarray:
         """n points on the boundary of Omega (deterministic unless rng given)."""
         d = self.owner.d
@@ -222,9 +232,7 @@ class QuasiNormStructure:
             if not np.any(active):
                 break
             mid = (lo + hi) // 2
-            mats = self._neg_powers[np.clip(mid, -SHELL_CLAMP, SHELL_CLAMP) + SHELL_CLAMP]
-            y = np.einsum("nij,nj->ni", mats[active], pts[active])
-            member = np.einsum("ni,ij,nj->n", y, self.Q, y) < self.c
+            member = self.member(pts[active], mid[active])
             hi_a = hi[active]
             lo_a = lo[active]
             hi[active] = np.where(member, mid[active], hi_a)

@@ -2,14 +2,18 @@
 maximal operator.
 
 The supremum over offsets z is organized by quasi-norm shells: the weight
-(1 + rho(A^m z))^-beta is constant on each shell, so a running maximum
-over shell-grouped torus offsets evaluates the weighted supremum exactly
-on the grid, for several betas in one sweep.  The shell maxima come from
-_shift_max: the field is wrap-padded once by the largest offset per axis
-and each shell's offsets are read from a sliding-window view of it, so no
-gather table is built and the result is bit-exact.  Far shells beyond the
-search radius are dropped; a boundary dominance flag marks points where
-the outermost shell still competes, making the truncation auditable.
+(1 + rho(A^m z))^-beta is constant on each shell, so the running maximum
+over the nested balls ball_m = {0} u {z : shell(z) <= m} evaluates the
+weighted supremum exactly on the grid, for several betas in one sweep.
+offset_shells builds the balls by descending membership (each one tests
+only the points of the next larger one) and stores each ball as the
+power-of-two windows covering its row runs.  _ball_maxima wrap-pads the
+field once and reads every window from a lazily built doubling table of
+running maxima over the last axis (van Herk / Gil-Werman), so a sweep
+takes two views per run, gathers nothing per offset and is bit-exact.
+Far shells beyond the search radius are dropped; a boundary dominance
+flag marks points where the outermost shell still competes, making the
+truncation auditable.
 
 All transforms are pure and operate on immutable inputs; they can be
 mapped over scales or fields in parallel.
@@ -20,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .field_engine import ScaleBand
 from .grids import GridSpec, offset_index_vectors
@@ -29,18 +32,19 @@ from .linalg_expansive import QuasiNormStructure
 _BOUNDARY_FRACTION = 0.95
 
 # Offset-table row p and FFT array position p describe the same node, so
-# kernels built over the offset table line up with plain C-order raveling.
+# kernels built over the offset table line up with plain C-order raveling,
+# and a mask over the offset table is a mask in raw 0..n-1 coordinates.
 
 
 @dataclass(frozen=True)
 class OffsetShells:
-    """Torus offsets grouped by the shell of rho(M z), ascending."""
+    """Nested balls of torus offsets, one per kept shell m of rho(M z),
+    ascending: ball_m holds the origin and every offset of shell <= m."""
 
     grid: GridSpec
     shells: tuple[int, ...]
-    groups: tuple[np.ndarray, ...]  # offset index vectors per shell
+    groups: tuple[np.ndarray, ...]  # per ball, window rows (k, lead shifts..., start)
     truncated: bool                 # shells beyond the search radius exist
-    rho_values: np.ndarray          # rho(M z) for every flat offset index
 
 
 _SHELL_CACHE: dict = {}
@@ -51,37 +55,51 @@ def offset_shells(
     grid: GridSpec,
     S: QuasiNormStructure,
     scale_matrix: np.ndarray,
-    search_shells: int | None,
+    search_shells: int,
 ) -> OffsetShells:
-    """Group all nonzero torus offsets by the shell index of rho(M z)."""
+    """Balls of the torus offsets by the shell index of rho(M z), up to
+    shell search_shells.
+
+    shell <= m is membership in A^(m+1) Omega.  The largest ball tests that
+    level on every nonzero offset; each smaller ball tests only the points
+    of the previous one, one level down, until it is empty or at the clamp
+    (levels above it are members, shells below -CL - 1 do not occur).
+    """
     matrix = np.asarray(scale_matrix, dtype=float)
     key = (grid, S.value_key, matrix.tobytes(), search_shells)
     if key in _SHELL_CACHE:
         return _SHELL_CACHE[key]
     offs = offset_index_vectors(grid)
-    z = offs * grid.h
-    u = z @ matrix.T
-    shell, _ = S.shell_index(u)
-    nonzero = np.any(offs != 0, axis=1)
-    clipped = np.clip(shell, -S.shell_clamp, S.shell_clamp + 1)
-    rho = S._pow_table[clipped + S.shell_clamp]
-    rho = np.where(nonzero, rho, 0.0)
-    shell = np.where(nonzero, shell, np.iinfo(np.int64).min)
+    u = (offs * grid.h) @ matrix.T
 
-    present = np.unique(shell[nonzero])
-    if search_shells is None:
-        kept = present
-        truncated = False
-    else:
-        kept = present[present <= search_shells]
-        truncated = bool(np.any(present > search_shells))
-    groups = tuple(offs[shell == m] for m in kept)
+    def members(idx: np.ndarray, level: int) -> np.ndarray:
+        if level < -S.shell_clamp:
+            return idx[:0]
+        return idx[S.member(u[idx], level)]
+
+    ball = np.flatnonzero(np.any(offs != 0, axis=1))
+    nonzero = ball.size
+    m = min(search_shells, S.shell_clamp)
+    if m < S.shell_clamp:
+        ball = members(ball, m + 1)
+    truncated = ball.size < nonzero
+    shells, balls = [], []
+    while ball.size:
+        inner = members(ball, m)
+        if inner.size < ball.size:
+            shells.append(m)
+            balls.append(ball)
+        ball = inner
+        m -= 1
+    masks = np.zeros((len(balls), grid.size), dtype=bool)
+    for mask, ball in zip(masks, balls[::-1]):
+        mask[ball] = True
+    masks[:, 0] = True  # the origin
     out = OffsetShells(
         grid=grid,
-        shells=tuple(int(m) for m in kept),
-        groups=groups,
+        shells=tuple(shells[::-1]),
+        groups=tuple(_ball_windows(masks.reshape((-1,) + grid.shape))),
         truncated=truncated,
-        rho_values=rho,
     )
     if len(_SHELL_CACHE) >= _SHELL_CACHE_CAP:
         _SHELL_CACHE.pop(next(iter(_SHELL_CACHE)))
@@ -89,15 +107,66 @@ def offset_shells(
     return out
 
 
-def _shift_max(values: np.ndarray, groups) -> list[np.ndarray]:
-    """Per group of offsets z, max over the group of values(x + z) on the
-    torus, for every x; the field is padded once for all groups."""
-    if not groups:
-        return []
-    r = np.abs(np.concatenate(groups)).max(axis=0)
-    padded = np.pad(values, np.stack([r, r], axis=1), mode="wrap")
-    windows = sliding_window_view(padded, tuple(2 * r + 1))
-    return [windows[(Ellipsis,) + tuple((g + r).T)].max(axis=-1) for g in groups]
+def _ball_windows(masks: np.ndarray) -> list[np.ndarray]:
+    """Windows covering torus balls given as masks (balls, *grid shape) in
+    raw coordinates.
+
+    Each row of a mask splits into cyclic runs of consecutive last-axis
+    members; a run of length L from start s is covered by the windows of
+    length 2^k <= L < 2^(k+1) at s and s + L - 2^k (one if they coincide).
+    Returns per ball the windows as int rows (k, lead shifts..., start).
+    """
+    shape = masks.shape[1:]
+    n = shape[-1]
+    rows = masks.reshape(-1, n)
+    full = rows.all(axis=1)  # a full row is one run from 0 to n - 1
+    starts = rows & ~np.concatenate([rows[:, -1:], rows[:, :-1]], axis=1)
+    ends = rows & ~np.concatenate([rows[:, 1:], rows[:, :1]], axis=1)
+    starts[full, 0] = ends[full, -1] = True
+    r, start = np.nonzero(starts)
+    end = np.nonzero(ends)[1]
+    # a run ends at the row's next end; in a row whose run wraps past the
+    # last column the first end belongs to the last start
+    count = np.bincount(r, minlength=len(rows))
+    first = (np.cumsum(count) - count)[r]
+    wraps = (rows[:, 0] & rows[:, -1])[r]
+    partner = first + (np.arange(r.size) - first + wraps) % count[r]
+    length = (end[partner] - start) % n + 1
+    k = np.frexp(length)[1] - 1  # 2^k <= length < 2^(k+1)
+    ball, row = np.divmod(r, int(np.prod(shape[:-1])))
+    lead = np.unravel_index(row, shape[:-1]) if len(shape) > 1 else ()
+    windows = np.stack(
+        [np.column_stack([k, *lead, s]) for s in (start, start + length - (1 << k))],
+        axis=1,
+    )
+    keep = np.column_stack([np.ones_like(r, dtype=bool), length > (1 << k)])
+    windows, ball = windows[keep], np.repeat(ball, keep.sum(axis=1))
+    return np.split(windows, np.searchsorted(ball, np.arange(1, len(masks))))
+
+
+def _ball_maxima(values: np.ndarray, tables):
+    """Per window table, the max of values(x + z) over its ball, for every
+    x on the torus, yielded table by table.
+
+    The field is wrap-padded once; D_k, the max over 2^k consecutive
+    last-axis entries, is built from D_(k-1) only up to the largest k a
+    window needs, and each window is one view of it.
+    """
+    shape = values.shape
+    pad = [(0, n) for n in shape[:-1]] + [(0, 2 * shape[-1])]
+    levels = [np.pad(values, pad, mode="wrap")]
+    for table in tables:
+        out = None
+        for k, *corner in table.tolist():
+            while len(levels) <= k:
+                w = 1 << (len(levels) - 1)
+                levels.append(np.maximum(levels[-1][..., :-w], levels[-1][..., w:]))
+            view = levels[k][tuple(slice(a, a + n) for a, n in zip(corner, shape))]
+            if out is None:
+                out = view.copy()
+            else:
+                np.maximum(out, view, out=out)
+        yield out
 
 
 def weighted_sup_multi(
@@ -114,10 +183,8 @@ def weighted_sup_multi(
     values = np.asarray(band_abs, dtype=float).reshape(struct.grid.shape)
     betas = list(betas)
     results = {b: values.copy() for b in betas}  # z = 0 term, weight 1
-    running = values.copy()
     last_candidates: dict[float, np.ndarray] = {}
-    for m, group_max in zip(struct.shells, _shift_max(values, struct.groups)):
-        np.maximum(running, group_max, out=running)
+    for m, running in zip(struct.shells, _ball_maxima(values, struct.groups)):
         shell_rho = absdet ** float(m)
         for b in betas:
             cand = running * (1.0 + shell_rho) ** (-b)
@@ -182,10 +249,8 @@ def check_submeanvalue(
     Ms = E.power(band.scale)
     grid = band.grid
     pf = peetre_maximal(band, S, beta, search_radius_shells)
-    struct = offset_shells(grid, S, Ms, None)
-    kernel = (grid.cell_volume / (1.0 + struct.rho_values) ** (beta * q)).reshape(
-        grid.shape
-    )
+    rho = S.rho((offset_index_vectors(grid) * grid.h) @ Ms.T)
+    kernel = (grid.cell_volume / (1.0 + rho) ** (beta * q)).reshape(grid.shape)
     rhs = np.fft.ifftn(np.fft.fftn(band.abs_values**q) * np.fft.fftn(kernel)).real
     rhs *= E.absdet ** band.scale
     lhs = pf.values**q
@@ -233,6 +298,7 @@ def hl_maximal(
             np.fft.fftn(absval) * np.fft.fftn(kern.reshape(grid.shape))
         ).real
         # sup over ball centers within x + A^l Omega
-        np.maximum(result, _shift_max(avg, [offs[inside]])[0], out=result)
+        (ball_max,) = _ball_maxima(avg, _ball_windows(inside.reshape((1,) + grid.shape)))
+        np.maximum(result, ball_max, out=result)
     result.flags.writeable = False
     return MaximalField(values=result, shell_range=(lo, hi))

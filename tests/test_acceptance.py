@@ -56,7 +56,7 @@ def test_criterion_04_isometry_and_reproducing():
 
 
 def test_criterion_05_maximal_characterization():
-    result = _run("5 maximal characterization", run_norm_equivalence, budget=120.0)
+    result = _run("5 maximal characterization", run_norm_equivalence, budget=40.0)
     for row in result["rows"]:
         assert row["min_ratio_discrete"] >= 1.0 - 1e-9
         assert row["c_emp_drift"] < 0.20
@@ -84,7 +84,7 @@ def test_criterion_08_control_weight():
 
 
 def test_criterion_09_coorbit_identification():
-    result = _run("9 coorbit identification", run_coorbit, budget=600.0)
+    result = _run("9 coorbit identification", run_coorbit, budget=10.0)
     for row in result["rows"]:
         assert 0 < row["ratio_min"] <= row["ratio_max"]
 

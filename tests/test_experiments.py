@@ -57,3 +57,23 @@ def test_manifest_counts_flags(runner, config):
     counts = runner(config)["manifest"]["flag_counts"]
     assert isinstance(counts, dict) and counts
     assert all(isinstance(n, int) and n > 0 for n in counts.values())
+
+
+def test_coorbit_search_shells_reaches_the_norms(monkeypatch):
+    seen = {"pti_norm": set(), "tl_peetre_norm": set()}
+
+    def recording(name):
+        real = getattr(experiments, name)
+
+        def wrapper(*args, **kwargs):
+            seen[name].add(args[-1].search_shells)
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in seen:
+        monkeypatch.setattr(experiments, name, recording(name))
+    assert experiments.merged_config("coorbit", None)["search_shells"] == 2
+    config = {"grid": {"n": 256}, "suite": {"count": 1}, "qs": [1.0], "search_shells": 5}
+    experiments.run_coorbit(config)
+    assert seen == {"pti_norm": {5}, "tl_peetre_norm": {5}}

@@ -3,7 +3,8 @@ import pytest
 
 from anisotl.analyzers import bump, make_covering_profile
 from anisotl.field_engine import ScaleBand, convolve_scale, field_from_closure, values_to_spec
-from anisotl.grids import GridSpec, spatial_points
+from anisotl import peetre
+from anisotl.grids import GridSpec, offset_index_vectors, spatial_points
 from anisotl.linalg_expansive import (
     WeightNu,
     build_ellipsoid,
@@ -96,34 +97,58 @@ class TestPeetreMaximal:
             assert pf.values[i] <= 1.02 * K * gap[0] * pf.values[j]
 
 
-def _reference_sweep(values, struct, beta, absdet):
-    """Per-offset np.roll loop: sup_z values(x + z) * shell weight(z)."""
+def _torus_shells(grid, S, M):
+    """Per flat torus offset, its vector and its shell from S.shell_index
+    (the bisection), independent of the ball structure under test."""
+    offs = offset_index_vectors(grid)
+    shell, _ = S.shell_index((offs * grid.h) @ np.asarray(M).T)
+    nonzero = np.any(offs != 0, axis=1)
+    return offs, shell, nonzero
+
+
+def _reference_sweep(values, grid, S, M, K, beta, absdet):
+    """Per-offset np.roll loop: sup_z values(x + z) * shell weight(z) over
+    the shells <= K, with the flags the sweep reports."""
+    offs, shell, nonzero = _torus_shells(grid, S, M)
+    present = np.unique(shell[nonzero])
+    kept = present[present <= K]
+    truncated = bool(np.any(present > K))
     axes = tuple(range(values.ndim))
     best = values.copy()       # z = 0, weight 1
     outer = values.copy()      # every kept offset, for the boundary flag
     weight = 1.0
-    for m, offsets in zip(struct.shells, struct.groups):
+    for m in kept:
         weight = (1.0 + absdet ** float(m)) ** (-beta)
-        for z in offsets:
+        for z in offs[nonzero & (shell == m)]:
             shifted = np.roll(values, tuple(-z), axis=axes)
             np.maximum(best, shifted * weight, out=best)
             np.maximum(outer, shifted, out=outer)
-    flag = bool(
-        struct.shells
-        and struct.truncated
-        and np.any(outer * weight >= 0.95 * best)
-    )
-    return best, flag
+    flag = bool(kept.size and truncated and np.any(outer * weight >= 0.95 * best))
+    return best, flag, tuple(int(m) for m in kept), truncated
 
 
+def _covered(table, shape):
+    """The offsets (raw coordinates) that a window table covers."""
+    mask = np.zeros(shape, dtype=bool)
+    n = shape[-1]
+    for k, *lead, start in table.tolist():
+        mask[tuple(lead) + ((start + np.arange(1 << k)) % n,)] = True
+    return mask
+
+
+SHEAR = [[2.0, 1.0], [0.0, 2.0]]
+DIAG24 = [[2.0, 0.0], [0.0, 4.0]]
 SWEEP_CASES = [
     ([[2.0]], GridSpec(d=1, extent=8.0, n=256)),
-    ([[2.0, 1.0], [0.0, 2.0]], GridSpec(d=2, extent=2.0, n=16)),
-    ([[2.0, 0.0], [0.0, 4.0]], GridSpec(d=2, extent=2.0, n=16)),
+    (SHEAR, GridSpec(d=2, extent=2.0, n=16)),
+    (DIAG24, GridSpec(d=2, extent=2.0, n=16)),
+    # at s = -1 the kept balls reach the torus edge on both axes and wrap
+    (SHEAR, GridSpec(d=2, extent=2.0, n=32)),
+    (DIAG24, GridSpec(d=2, extent=2.0, n=32)),
 ]
 
 
-@pytest.mark.parametrize("search_shells", [1, None])
+@pytest.mark.parametrize("search_shells", [1, 40])
 @pytest.mark.parametrize("matrix,grid", SWEEP_CASES)
 def test_sweep_matches_roll_reference(matrix, grid, search_shells):
     E = validate_expansive(matrix)
@@ -135,11 +160,80 @@ def test_sweep_matches_roll_reference(matrix, grid, search_shells):
         struct = offset_shells(grid, S, E.power(s), search_shells)
         res = weighted_sup_multi(values, struct, betas, E.absdet)
         assert sorted(res) == betas
+        if search_shells == 40:  # above every present shell
+            assert struct.truncated is False
         for beta in betas:
-            ref, ref_flag = _reference_sweep(values, struct, beta, E.absdet)
+            ref, ref_flag, kept, truncated = _reference_sweep(
+                values, grid, S, E.power(s), search_shells, beta, E.absdet
+            )
             field, flag = res[beta]
+            assert (struct.shells, struct.truncated) == (kept, truncated)
             assert np.array_equal(field, ref)
             assert flag == ref_flag
+
+
+@pytest.mark.parametrize("matrix", [[[2.0]], SHEAR, DIAG24])
+def test_balls_are_the_shell_sets(matrix):
+    """Ball by ball, the windows cover exactly {0} u {z : shell(M z) <= m},
+    and the kept shells and truncation flag are those of the bisection."""
+    E = validate_expansive(matrix)
+    S = build_ellipsoid(E)
+    grid = GridSpec(d=E.d, extent=8.0 if E.d == 1 else 2.0, n=256 if E.d == 1 else 16)
+    wrapped = False
+    for s in (-2.0, -1.0, 0.0, 0.5, 1.5):
+        M = E.power(s)
+        offs, shell, nonzero = _torus_shells(grid, S, M)
+        present = np.unique(shell[nonzero])
+        for K in (0, 1, 2, 9):
+            struct = offset_shells(grid, S, M, K)
+            assert struct.shells == tuple(int(m) for m in present[present <= K])
+            assert struct.truncated == bool(np.any(present > K))
+            assert len(struct.groups) == len(struct.shells)
+            for m, table in zip(struct.shells, struct.groups):
+                want = (~nonzero | (shell <= m)).reshape(grid.shape)
+                assert np.array_equal(_covered(table, grid.shape), want)
+                # a row through the origin runs past the last column
+                wrapped = wrapped or bool(np.any(table[:, -1] + (1 << table[:, 0]) > grid.n))
+    assert wrapped
+
+
+def test_windows_of_rows_with_several_runs():
+    """Rows with two separate runs, a run across the last column, a full
+    row and an empty row are covered exactly, and the sweep over them is
+    the per-offset roll maximum."""
+    n = 16
+    mask = np.zeros((4, n), dtype=bool)
+    mask[0, [0, 1, 2, 14, 15]] = True          # one run across the edge
+    mask[1, [3, 4, 5, 9, 10, 11, 12]] = True   # two runs in one row
+    mask[2, :] = True                          # full row
+    mask[3, [0, 7, 15]] = True                 # two runs, one across the edge
+    mask = np.vstack([mask, np.zeros((n - 4, n), dtype=bool)])  # empty rows
+    (table,) = peetre._ball_windows(mask[None])
+    assert np.array_equal(_covered(table, mask.shape), mask)
+    values = np.random.default_rng(5).normal(size=mask.shape)
+    (got,) = peetre._ball_maxima(values, [table])
+    ref = np.full(mask.shape, -np.inf)
+    for z in np.argwhere(mask):
+        np.maximum(ref, np.roll(values, tuple(-z), axis=(0, 1)), out=ref)
+    assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("matrix", [SHEAR, DIAG24])
+def test_hl_maximal_matches_roll_reference(matrix):
+    E = validate_expansive(matrix)
+    S = build_ellipsoid(E)
+    grid = GridSpec(d=2, extent=2.0, n=16)
+    src = np.abs(np.random.default_rng(23).normal(size=grid.shape))
+    offs = offset_index_vectors(grid)
+    ref = src.copy()
+    for level in range(-2, 2):
+        inside = S.contains((offs * grid.h) @ np.linalg.inv(E.power(level)).T)
+        kern = np.zeros(grid.size)
+        kern[inside] = 1.0 / np.count_nonzero(inside)
+        avg = np.fft.ifftn(np.fft.fftn(src) * np.fft.fftn(kern.reshape(grid.shape))).real
+        for z in offs[inside]:
+            np.maximum(ref, np.roll(avg, tuple(-z), axis=(0, 1)), out=ref)
+    assert np.array_equal(hl_maximal(src, S, (-2, 1), grid).values, ref)
 
 
 class TestSubMeanValue:
