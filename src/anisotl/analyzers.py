@@ -20,7 +20,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import CoverageGap, DivisionUnderflow
-from .grids import GridSpec, freq_points
+from .grids import GridSpec
 from .linalg_expansive import ExpansiveMatrix, ScaleGauge, transpose_gauge, validate_expansive
 
 _SUPPORT_TOL = 1e-12
@@ -75,7 +75,7 @@ class SpectralProfile:
         return self.amplitude * bump((t - self.t_center) / self.t_halfwidth)
 
     def t_grid(self, grid: GridSpec) -> np.ndarray:
-        return self.gauge.t_on_grid(("freq", grid), lambda: freq_points(grid))
+        return self.gauge.t_grid(grid)
 
     def multiplier(self, grid: GridSpec, s: float = 0.0) -> np.ndarray:
         """Samples of g_hat((A^T)^-s xi) = shape(t(xi) - s), FFT layout."""

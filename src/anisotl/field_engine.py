@@ -13,13 +13,14 @@ independent per scale and safe to run in parallel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import Aliasing
-from .grids import GridSpec, freq_points, spectral_phase
+from .grids import GridSpec, freq_points, offset_index_vectors, spectral_phase
 
 _BAND_TOL = 1e-10
 
@@ -72,15 +73,12 @@ class SampledField:
     band_t: tuple[float, float]
     band_limit: float
     spectrum_fn: Callable[[np.ndarray], np.ndarray] | None = None
-    _values: dict = field(default_factory=dict, repr=False, compare=False)
 
-    @property
+    @cached_property
     def values(self) -> np.ndarray:
-        if "v" not in self._values:
-            v = spec_to_values(self.grid, self.spec)
-            v.flags.writeable = False
-            self._values["v"] = v
-        return self._values["v"]
+        v = spec_to_values(self.grid, self.spec)
+        v.flags.writeable = False
+        return v
 
     def l2_norm(self) -> float:
         return float(
@@ -125,7 +123,7 @@ def field_from_spec(
     recorded for imported fields whose header declares one).
     """
     spec = np.asarray(spec, dtype=complex)
-    t = gauge.t_on_grid(("freq", grid), lambda: freq_points(grid)).reshape(grid.shape)
+    t = gauge.t_grid(grid).reshape(grid.shape)
     mag = np.abs(spec)
     total = float(np.sum(mag**2))
     if total == 0.0:
@@ -158,23 +156,18 @@ class ScaleBand:
     scale: float
     spec: np.ndarray
     grid: GridSpec
-    _values: dict = field(default_factory=dict, repr=False, compare=False)
 
-    @property
+    @cached_property
     def values(self) -> np.ndarray:
-        if "v" not in self._values:
-            v = spec_to_values(self.grid, self.spec)
-            v.flags.writeable = False
-            self._values["v"] = v
-        return self._values["v"]
+        v = spec_to_values(self.grid, self.spec)
+        v.flags.writeable = False
+        return v
 
-    @property
+    @cached_property
     def abs_values(self) -> np.ndarray:
-        if "a" not in self._values:
-            a = np.abs(self.values)
-            a.flags.writeable = False
-            self._values["a"] = a
-        return self._values["a"]
+        a = np.abs(self.values)
+        a.flags.writeable = False
+        return a
 
     def l2_norm(self) -> float:
         return float(np.sqrt(self.grid.box_volume * np.sum(np.abs(self.spec) ** 2)))
@@ -239,8 +232,6 @@ def dilate_field(f: SampledField, E, gauge) -> SampledField:
     requires A to have integer entries so that A^T maps the frequency
     lattice into itself.
     """
-    from .grids import offset_index_vectors
-
     A = E.A
     if not np.allclose(A, np.round(A)):
         raise ValueError("exact lattice dilation needs an integer dilation matrix")
@@ -250,8 +241,5 @@ def dilate_field(f: SampledField, E, gauge) -> SampledField:
     active = np.flatnonzero(np.abs(flat) > 0.0)
     target = (K[active] @ np.round(A).astype(np.int64)) % grid.n
     out = np.zeros(grid.size, dtype=complex)
-    flat_target = np.zeros(len(active), dtype=np.int64)
-    for axis in range(grid.d):
-        flat_target = flat_target * grid.n + target[:, axis]
-    out[flat_target] = E.absdet * flat[active]
+    out[np.ravel_multi_index(target.T, grid.shape)] = E.absdet * flat[active]
     return field_from_spec(grid, out.reshape(grid.shape), gauge)

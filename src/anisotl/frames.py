@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Diverged, IllConditioned, VerificationFailed
+from .errors import Aliasing, Diverged, IllConditioned, VerificationFailed
 from .field_engine import SampledField, evaluate_spectrum, field_from_spec
 from .grids import GridSpec, freq_points, spatial_points
 from .group_analysis import GroupField, GroupGrid, GroupPoint, group_point, pti_norm, wavelet_transform
@@ -148,8 +148,6 @@ def _covering_stats(ggrid, E, xs, ss, U, core) -> tuple[float, int]:
 
 def _check_atom_band(vec, s_min: float, grid: GridSpec) -> None:
     """Atoms at the deepest scale must still fit inside the Nyquist box."""
-    from .errors import Aliasing
-
     lo, hi = vec.psi.t_support
     extent = vec.psi.gauge.region_extent(hi - s_min)
     if extent > grid.nyquist * (1.0 - 1e-9):
@@ -319,9 +317,7 @@ def dual_reconstruct(
     bad = 0
     for _ in range(iterations):
         resid = target.spec - system.apply_frame_operator(cur).spec
-        cur = field_from_spec(
-            f.grid, cur.spec + lam * resid, _shared_gauge(system),
-        )
+        cur = field_from_spec(f.grid, cur.spec + lam * resid, system.vec.psi.gauge)
         err = float(_rel_err(cur, f, norm_f))
         if err > errors[-1] * (1 + 1e-12):
             bad += 1
@@ -331,10 +327,6 @@ def dual_reconstruct(
             bad = 0
         errors.append(err)
     return cur, errors
-
-
-def _shared_gauge(system: FrameSystem):
-    return system.vec.psi.gauge
 
 
 def _rel_err(g: SampledField, f: SampledField, norm_f: float) -> float:

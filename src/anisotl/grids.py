@@ -61,17 +61,22 @@ class GridSpec:
 _CACHE: dict = {}
 
 
-def _cached(key, builder):
-    if key not in _CACHE:
-        arr = builder()
-        arr.flags.writeable = False
-        _CACHE[key] = arr
-    return _CACHE[key]
+def cached(store: dict, key, build):
+    """The value built for key: build() runs on first use and its result
+    is kept in store.  Arrays, returned directly or as fields of a
+    dataclass, are made read-only before they are handed out."""
+    value = store.get(key)
+    if value is None:
+        value = store[key] = build()
+        for arr in (value, *getattr(value, "__dict__", {}).values()):
+            if isinstance(arr, np.ndarray):
+                arr.flags.writeable = False
+    return value
 
 
 def spatial_axis(grid: GridSpec) -> np.ndarray:
-    return _cached(
-        ("sx", grid), lambda: -grid.extent + grid.h * np.arange(grid.n, dtype=float)
+    return cached(
+        _CACHE, ("sx", grid), lambda: -grid.extent + grid.h * np.arange(grid.n, dtype=float)
     )
 
 
@@ -83,11 +88,11 @@ def spatial_points(grid: GridSpec) -> np.ndarray:
         mesh = np.meshgrid(*([ax] * grid.d), indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1)
 
-    return _cached(("sp", grid), build)
+    return cached(_CACHE, ("sp", grid), build)
 
 
 def freq_axis(grid: GridSpec) -> np.ndarray:
-    return _cached(("fx", grid), lambda: np.fft.fftfreq(grid.n, d=grid.h))
+    return cached(_CACHE, ("fx", grid), lambda: np.fft.fftfreq(grid.n, d=grid.h))
 
 
 def freq_points(grid: GridSpec) -> np.ndarray:
@@ -98,7 +103,7 @@ def freq_points(grid: GridSpec) -> np.ndarray:
         mesh = np.meshgrid(*([ax] * grid.d), indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1)
 
-    return _cached(("fp", grid), build)
+    return cached(_CACHE, ("fp", grid), build)
 
 
 def spectral_phase(grid: GridSpec) -> np.ndarray:
@@ -109,11 +114,7 @@ def spectral_phase(grid: GridSpec) -> np.ndarray:
         x0 = -grid.extent * np.ones(grid.d)
         return np.exp(2j * np.pi * (pts @ x0)).reshape(grid.shape)
 
-    if ("ph", grid) not in _CACHE:
-        arr = build()
-        arr.flags.writeable = False
-        _CACHE[("ph", grid)] = arr
-    return _CACHE[("ph", grid)]
+    return cached(_CACHE, ("ph", grid), build)
 
 
 def offset_index_vectors(grid: GridSpec) -> np.ndarray:
@@ -125,4 +126,4 @@ def offset_index_vectors(grid: GridSpec) -> np.ndarray:
         mesh = np.meshgrid(*([half] * grid.d), indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1).astype(np.int64)
 
-    return _cached(("off", grid), build)
+    return cached(_CACHE, ("off", grid), build)

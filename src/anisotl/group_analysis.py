@@ -15,7 +15,8 @@ All transforms are pure; slice computations parallelize over scales.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import expm
@@ -28,7 +29,7 @@ from .field_engine import (
     field_from_spec,
     spec_to_values,
 )
-from .grids import GridSpec, freq_points, spatial_points
+from .grids import GridSpec, cached, freq_points, offset_index_vectors, spatial_points
 from .linalg_expansive import ExpansiveMatrix, QuasiNormStructure
 from .norms import NormParams, NormReport, sup_over_windows
 from .peetre import offset_shells, weighted_sup_multi
@@ -117,26 +118,21 @@ class GroupField:
     spec: np.ndarray | None = None
     vals: np.ndarray | None = None
     analyzer: object = None
-    _cache: dict = field(default_factory=dict, repr=False)
 
-    @property
+    @cached_property
     def values(self) -> np.ndarray:
         if self.vals is not None:
             return self.vals
-        if "v" not in self._cache:
-            g = self.ggrid.grid
-            out = np.stack([spec_to_values(g, sl) for sl in self.spec])
-            out.flags.writeable = False
-            self._cache["v"] = out
-        return self._cache["v"]
+        g = self.ggrid.grid
+        out = np.stack([spec_to_values(g, sl) for sl in self.spec])
+        out.flags.writeable = False
+        return out
 
-    @property
+    @cached_property
     def abs_values(self) -> np.ndarray:
-        if "a" not in self._cache:
-            a = np.abs(self.values)
-            a.flags.writeable = False
-            self._cache["a"] = a
-        return self._cache["a"]
+        a = np.abs(self.values)
+        a.flags.writeable = False
+        return a
 
     def slice_at_points(self, s_idx: int, points: np.ndarray) -> np.ndarray:
         if self.spec is None:
@@ -202,8 +198,6 @@ def quasi_regular(g: GroupPoint, f: SampledField, E: ExpansiveMatrix, gauge) -> 
     polynomial); otherwise the spectral closure of f is resampled, which
     is the periodization-consistent continuum action.
     """
-    from .grids import offset_index_vectors
-
     x0 = np.asarray(g.x, dtype=float)
     s0 = float(g.s)
     grid = f.grid
@@ -216,12 +210,9 @@ def quasi_regular(g: GroupPoint, f: SampledField, E: ExpansiveMatrix, gauge) -> 
         k_new = K[active] @ R
         eta = k_new / (2.0 * grid.extent)
         phase = np.exp(-2j * np.pi * (eta @ x0))
-        target = k_new % grid.n
-        flat_target = np.zeros(len(active), dtype=np.int64)
-        for axis in range(grid.d):
-            flat_target = flat_target * grid.n + target[:, axis]
+        target = np.ravel_multi_index((k_new % grid.n).T, grid.shape)
         out = np.zeros(grid.size, dtype=complex)
-        out[flat_target] = E.absdet ** (-s0 / 2.0) * phase * flat[active]
+        out[target] = E.absdet ** (-s0 / 2.0) * phase * flat[active]
         return field_from_spec(grid, out.reshape(grid.shape), gauge)
     if f.spectrum_fn is None:
         raise ValueError(
@@ -504,8 +495,7 @@ def translation_bound_check(
 
 
 def _v_candidates(S: QuasiNormStructure, m_range: int, n_dirs: int) -> np.ndarray:
-    key = ("vcand", S.value_key, m_range, n_dirs)
-    if key not in _V_CACHE:
+    def build():
         E = S.owner
         dirs = np.unique(np.round(S.boundary_points(n_dirs), 12), axis=0)
         etas = np.array([1.05, 1.4])
@@ -514,8 +504,9 @@ def _v_candidates(S: QuasiNormStructure, m_range: int, n_dirs: int) -> np.ndarra
             M = np.asarray(E.power(m)).T
             for eta in etas:
                 pts.append((eta * dirs) @ M)
-        _V_CACHE[key] = np.concatenate(pts, axis=0)
-    return _V_CACHE[key]
+        return np.concatenate(pts, axis=0)
+
+    return cached(_V_CACHE, ("vcand", S.value_key, m_range, n_dirs), build)
 
 
 _V_CACHE: dict = {}

@@ -19,6 +19,7 @@ from scipy.linalg import expm, logm, solve_continuous_lyapunov
 from scipy.linalg import eigh as generalized_eigh
 
 from .errors import NotExpansive, NotExponential, Singular
+from .grids import GridSpec, cached, freq_points
 
 # Shell search range for the step quasi-norm; outside it the value
 # saturates at the boundary shell and the caller is handed a flag.
@@ -439,7 +440,9 @@ class ScaleGauge:
     which is what makes frequency-side filter dilations act as exact
     translations in t.
 
-    Instances cache t-arrays per grid; treat them as immutable.
+    t_grid(grid) is t on the grid's lattice frequencies, built once per
+    grid through grids.cached and handed out read-only; treat instances
+    as immutable.
     """
 
     _TABLE_STEP = 0.25
@@ -570,13 +573,9 @@ class ScaleGauge:
         flat[live] = s
         return out if stacked else out[0]
 
-    def t_on_grid(self, key, pts_fn) -> np.ndarray:
-        """Cached t-array for a hashable grid key; pts_fn() supplies points."""
-        if key not in self._t_cache:
-            arr = self.t(pts_fn())
-            arr.flags.writeable = False
-            self._t_cache[key] = arr
-        return self._t_cache[key]
+    def t_grid(self, grid: GridSpec) -> np.ndarray:
+        """t at every lattice frequency of grid, in FFT order (cached)."""
+        return cached(self._t_cache, grid, lambda: self.t(freq_points(grid)))
 
     def points_on_level(self, tau: float, n_dirs: int, seed: int = 3) -> np.ndarray:
         """Points on the level set {t = tau} via flowed sphere directions."""

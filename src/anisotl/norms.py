@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import WindowOutOfDomain
 from .field_engine import SampledField, convolve_scale
-from .grids import GridSpec, offset_index_vectors, spatial_points
+from .grids import GridSpec, cached, offset_index_vectors, spatial_points
 from .linalg_expansive import QuasiNormStructure
 from .peetre import offset_shells, weighted_sup_multi
 
@@ -100,35 +100,40 @@ class _CubeWindows:
     counts: np.ndarray
     admissible: np.ndarray  # bool per window: fully inside the box
 
+    def means(self, values_flat: np.ndarray, grid: GridSpec) -> np.ndarray:
+        sums = np.bincount(self.inverse, weights=values_flat, minlength=len(self.counts))
+        return sums / self.counts
+
+    def window_id(self, row: int, grid: GridSpec) -> tuple:
+        return tuple(int(v) for v in self.labels[row])
+
 
 _WINDOW_CACHE: dict = {}
 
 
 def cube_windows(grid: GridSpec, S: QuasiNormStructure, ell: int) -> _CubeWindows:
-    key = ("cube", grid, S.value_key, ell)
-    if key in _WINDOW_CACHE:
-        return _WINDOW_CACHE[key]
-    E = S.owner
-    pts = spatial_points(grid)
-    inv_pow = np.linalg.inv(np.asarray(E.power(ell)))
-    y = pts @ inv_pow.T
-    k = np.floor(y).astype(np.int64)
-    labels, inverse, counts = np.unique(
-        k, axis=0, return_inverse=True, return_counts=True
-    )
-    corners = np.stack(
-        np.meshgrid(*([np.array([0.0, 1.0])] * grid.d), indexing="ij"), axis=-1
-    ).reshape(-1, grid.d)
-    pow_mat = np.asarray(E.power(ell))
-    admissible = np.ones(len(labels), dtype=bool)
-    for c in corners:
-        corner_pts = (labels + c) @ pow_mat.T
-        admissible &= np.all(np.abs(corner_pts) <= grid.extent + 1e-12, axis=1)
-    out = _CubeWindows(
-        labels=labels, inverse=inverse.ravel(), counts=counts, admissible=admissible
-    )
-    _WINDOW_CACHE[key] = out
-    return out
+    def build():
+        E = S.owner
+        pts = spatial_points(grid)
+        inv_pow = np.linalg.inv(np.asarray(E.power(ell)))
+        y = pts @ inv_pow.T
+        k = np.floor(y).astype(np.int64)
+        labels, inverse, counts = np.unique(
+            k, axis=0, return_inverse=True, return_counts=True
+        )
+        corners = np.stack(
+            np.meshgrid(*([np.array([0.0, 1.0])] * grid.d), indexing="ij"), axis=-1
+        ).reshape(-1, grid.d)
+        pow_mat = np.asarray(E.power(ell))
+        admissible = np.ones(len(labels), dtype=bool)
+        for c in corners:
+            corner_pts = (labels + c) @ pow_mat.T
+            admissible &= np.all(np.abs(corner_pts) <= grid.extent + 1e-12, axis=1)
+        return _CubeWindows(
+            labels=labels, inverse=inverse.ravel(), counts=counts, admissible=admissible
+        )
+
+    return cached(_WINDOW_CACHE, ("cube", grid, S.value_key, ell), build)
 
 
 @dataclass(frozen=True)
@@ -137,49 +142,47 @@ class _BallWindows:
     admissible: np.ndarray   # bool per grid point (flat): usable center
     count: int
 
+    def means(self, values_flat: np.ndarray, grid: GridSpec) -> np.ndarray:
+        conv = np.fft.ifftn(np.fft.fftn(values_flat.reshape(grid.shape)) * self.kernel_fft)
+        return conv.real.ravel()
+
+    def window_id(self, row: int, grid: GridSpec) -> tuple:
+        return tuple(float(v) for v in spatial_points(grid)[row])
+
 
 def ball_windows(grid: GridSpec, S: QuasiNormStructure, ell: int, stride: int = 1) -> _BallWindows:
-    key = ("ball", grid, S.value_key, ell, stride)
-    if key in _WINDOW_CACHE:
-        return _WINDOW_CACHE[key]
-    offs = offset_index_vectors(grid)
-    z = offs * grid.h
-    inv_pow = np.linalg.inv(np.asarray(S.owner.power(ell)))
-    inside = S.contains(z @ inv_pow.T)
-    count = int(np.count_nonzero(inside))
-    if count == 0:
-        out = _BallWindows(
-            kernel_fft=np.zeros(grid.shape, dtype=complex),
-            admissible=np.zeros(grid.size, dtype=bool),
-            count=0,
-        )
-        _WINDOW_CACHE[key] = out
-        return out
-    kern = np.zeros(grid.size)
-    kern[inside] = 1.0 / count
-    kernel_fft = np.fft.fftn(kern.reshape(grid.shape))
-    ext = np.max(np.abs(z[inside]), axis=0)
-    pts = spatial_points(grid)
-    admissible = np.all(np.abs(pts) <= grid.extent - ext - grid.h, axis=1)
-    if stride > 1:
-        keep = np.zeros(grid.shape, dtype=bool)
-        keep[(slice(None, None, stride),) * grid.d] = True
-        admissible &= keep.ravel()
-    out = _BallWindows(kernel_fft=kernel_fft, admissible=admissible, count=count)
-    _WINDOW_CACHE[key] = out
-    return out
+    def build():
+        offs = offset_index_vectors(grid)
+        z = offs * grid.h
+        inv_pow = np.linalg.inv(np.asarray(S.owner.power(ell)))
+        inside = S.contains(z @ inv_pow.T)
+        count = int(np.count_nonzero(inside))
+        if count == 0:
+            return _BallWindows(
+                kernel_fft=np.zeros(grid.shape, dtype=complex),
+                admissible=np.zeros(grid.size, dtype=bool),
+                count=0,
+            )
+        kern = np.zeros(grid.size)
+        kern[inside] = 1.0 / count
+        kernel_fft = np.fft.fftn(kern.reshape(grid.shape))
+        ext = np.max(np.abs(z[inside]), axis=0)
+        pts = spatial_points(grid)
+        admissible = np.all(np.abs(pts) <= grid.extent - ext - grid.h, axis=1)
+        if stride > 1:
+            keep = np.zeros(grid.shape, dtype=bool)
+            keep[(slice(None, None, stride),) * grid.d] = True
+            admissible &= keep.ravel()
+        return _BallWindows(kernel_fft=kernel_fft, admissible=admissible, count=count)
+
+    return cached(_WINDOW_CACHE, ("ball", grid, S.value_key, ell, stride), build)
 
 
-def _cube_means(values_flat: np.ndarray, w: _CubeWindows) -> np.ndarray:
-    sums = np.bincount(w.inverse, weights=values_flat, minlength=len(w.counts))
-    return sums / w.counts
-
-
-def _ball_means(values_flat: np.ndarray, grid: GridSpec, w: _BallWindows) -> np.ndarray:
-    conv = np.fft.ifftn(
-        np.fft.fftn(values_flat.reshape(grid.shape)) * w.kernel_fft
-    ).real
-    return conv.ravel()
+def _windows(grid: GridSpec, S: QuasiNormStructure, ell: int, params: NormParams):
+    """The window table of level ell for params.window."""
+    if params.window == "cube":
+        return cube_windows(grid, S, ell)
+    return ball_windows(grid, S, ell, params.center_stride)
 
 
 # ---------------------------------------------------------------------------
@@ -206,8 +209,7 @@ def sup_over_windows(
     terms = sorted(terms, key=lambda it: it[0], reverse=(coupling == "fine"))
     # with this ordering, the admitted set only grows as ell increases
     best = -1.0
-    best_ell = None
-    best_window = None
+    best_ell = best_row = best_window = None
     any_window = False
     tail_flag = False
     running: np.ndarray | None = None
@@ -236,42 +238,23 @@ def sup_over_windows(
             if not stack:
                 continue
 
-        if params.window == "cube":
-            table = cube_windows(grid, S, ell)
-            if not np.any(table.admissible):
-                continue
-            any_window = True
-            means = None
-            for arr in stack:
-                m = _cube_means(arr, table)
-                means = m if means is None else np.maximum(means, m)
-            means = means[table.admissible]
-            local = int(np.argmax(means))
-            val = float(means[local])
-            window_id = tuple(
-                int(v) for v in table.labels[table.admissible][local]
-            )
-        else:
-            table = ball_windows(grid, S, ell, params.center_stride)
-            if table.count == 0 or not np.any(table.admissible):
-                continue
-            any_window = True
-            means = None
-            for arr in stack:
-                m = _ball_means(arr, grid, table)
-                means = m if means is None else np.maximum(means, m)
-            means = means[table.admissible]
-            local = int(np.argmax(means))
-            val = float(means[local])
-            center = spatial_points(grid)[table.admissible][local]
-            window_id = tuple(float(v) for v in center)
+        table = _windows(grid, S, ell, params)
+        rows = np.flatnonzero(table.admissible)
+        if not rows.size:
+            continue
+        any_window = True
+        means = None
+        for arr in stack:
+            m = table.means(arr, grid)
+            means = m if means is None else np.maximum(means, m)
+        row = rows[int(np.argmax(means[rows]))]
+        val = float(means[row])
 
         if finite_q:
             val = val ** (1.0 / q) if val > 0 else 0.0
         if val > best:
-            best = val
-            best_ell = ell
-            best_window = window_id
+            best, best_ell, best_row = val, ell, row
+            best_window = table.window_id(row, grid)
 
     if not any_window:
         raise WindowOutOfDomain(
@@ -288,24 +271,8 @@ def sup_over_windows(
             if coupling == "fine"
             else min(terms, key=lambda it: it[0])
         )
-        total = best**q
-        if params.window == "cube":
-            table = cube_windows(grid, S, best_ell)
-            rows = np.flatnonzero(table.admissible)
-            which = [
-                r
-                for r in rows
-                if tuple(int(v) for v in table.labels[r]) == best_window
-            ]
-            if which:
-                m = _cube_means(w_f * arr_f, table)[which[0]]
-                tail_flag = bool(m > _TAIL_FRACTION * total)
-        else:
-            table = ball_windows(grid, S, best_ell, params.center_stride)
-            m = _ball_means(w_f * arr_f, grid, table)
-            pts = spatial_points(grid)
-            d2 = np.sum((pts - np.asarray(best_window)) ** 2, axis=1)
-            tail_flag = bool(m[int(np.argmin(d2))] > _TAIL_FRACTION * total)
+        m = _windows(grid, S, best_ell, params).means(w_f * arr_f, grid)[best_row]
+        tail_flag = bool(m > _TAIL_FRACTION * best**q)
 
     flags = {
         "ell_saturated": best_ell in (params.ell_min, params.ell_max),

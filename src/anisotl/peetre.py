@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field_engine import ScaleBand
-from .grids import GridSpec, offset_index_vectors
+from .grids import GridSpec, cached, offset_index_vectors
 from .linalg_expansive import QuasiNormStructure
 
 _BOUNDARY_FRACTION = 0.95
@@ -48,7 +48,6 @@ class OffsetShells:
 
 
 _SHELL_CACHE: dict = {}
-_SHELL_CACHE_CAP = 192
 
 
 def offset_shells(
@@ -67,8 +66,12 @@ def offset_shells(
     """
     matrix = np.asarray(scale_matrix, dtype=float)
     key = (grid, S.value_key, matrix.tobytes(), search_shells)
-    if key in _SHELL_CACHE:
-        return _SHELL_CACHE[key]
+    return cached(_SHELL_CACHE, key, lambda: _build_shells(grid, S, matrix, search_shells))
+
+
+def _build_shells(
+    grid: GridSpec, S: QuasiNormStructure, matrix: np.ndarray, search_shells: int
+) -> OffsetShells:
     offs = offset_index_vectors(grid)
     u = (offs * grid.h) @ matrix.T
 
@@ -95,16 +98,12 @@ def offset_shells(
     for mask, ball in zip(masks, balls[::-1]):
         mask[ball] = True
     masks[:, 0] = True  # the origin
-    out = OffsetShells(
+    return OffsetShells(
         grid=grid,
         shells=tuple(shells[::-1]),
         groups=tuple(_ball_windows(masks.reshape((-1,) + grid.shape))),
         truncated=truncated,
     )
-    if len(_SHELL_CACHE) >= _SHELL_CACHE_CAP:
-        _SHELL_CACHE.pop(next(iter(_SHELL_CACHE)))
-    _SHELL_CACHE[key] = out
-    return out
 
 
 def _ball_windows(masks: np.ndarray) -> list[np.ndarray]:

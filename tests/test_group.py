@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from anisotl.analyzers import bump, make_admissible, make_covering_profile
-from anisotl.field_engine import field_from_closure
+from anisotl.field_engine import convolve_scale, field_from_closure
 from anisotl.grids import GridSpec, spatial_points
 from anisotl.group_analysis import (
     ControlWeight,
@@ -92,6 +92,17 @@ class TestGroupLaw:
         assert np.allclose(lhs.x, rhs.x, atol=1e-10) and lhs.s == pytest.approx(rhs.s)
         e = group_mul(E1, ga, group_inv(E1, ga))
         assert np.allclose(e.x, 0.0, atol=1e-10) and e.s == pytest.approx(0.0)
+
+
+def test_lazy_values_are_computed_once_and_read_only(psi_vec, suite_field):
+    band = convolve_scale(suite_field, psi_vec.psi, 0.0)
+    W = wavelet_transform(suite_field, psi_vec, GGRID)
+    lazy = [(suite_field, "values"), (band, "values"), (band, "abs_values"),
+            (W, "values"), (W, "abs_values")]
+    for obj, name in lazy:
+        first = getattr(obj, name)
+        assert getattr(obj, name) is first
+        assert first.flags.writeable is False
 
 
 class TestWaveletTransform:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from anisotl import group_analysis, norms, peetre
+from anisotl import grids, group_analysis, norms, peetre
 from anisotl.analyzers import bump, make_analyzing_pair, make_covering_profile
 from anisotl.errors import WindowOutOfDomain
 from anisotl.field_engine import convolve_scale, field_from_closure
@@ -246,11 +246,42 @@ class TestValueKeyedCaches:
         assert np.array_equal(cand, group_analysis._v_candidates(S3, 2, 8))
         assert shells.shells == peetre.offset_shells(GRID, S3, M, 2).shells
 
-    def test_equal_structures_share_one_entry(self):
+    @pytest.mark.parametrize(
+        "module, cache, build",
+        [
+            (norms, "_WINDOW_CACHE", lambda S: cube_windows(GRID, S, 0)),
+            (norms, "_WINDOW_CACHE", lambda S: ball_windows(GRID, S, 0)),
+            (peetre, "_SHELL_CACHE", lambda S: peetre.offset_shells(GRID, S, np.eye(1), 2)),
+            (group_analysis, "_V_CACHE", lambda S: group_analysis._v_candidates(S, 2, 8)),
+        ],
+        ids=["cube_windows", "ball_windows", "offset_shells", "v_candidates"],
+    )
+    def test_equal_structures_share_one_entry(self, module, cache, build):
         Sa, Sb = build_ellipsoid(E1), build_ellipsoid(E1)
         assert Sa is not Sb
-        assert cube_windows(GRID, Sa, 0) is cube_windows(GRID, Sb, 0)
-        assert len(norms._WINDOW_CACHE) == 1
+        assert build(Sa) is build(Sb)
+        assert len(getattr(module, cache)) == 1
+
+    def test_shell_tables_are_kept_past_many_scales(self):
+        first = peetre.offset_shells(GRID, S1, np.eye(1), 2)
+        for k in range(1, 201):
+            peetre.offset_shells(GRID, S1, np.array([[1.0 + k / 256]]), 2)
+        assert len(peetre._SHELL_CACHE) == 201
+        assert peetre.offset_shells(GRID, S1, np.eye(1), 2) is first
+
+
+def test_derived_tables_are_read_only(pair):
+    tables = [
+        grids.spatial_points(GRID),
+        grids.freq_points(GRID),
+        grids.spectral_phase(GRID),
+        grids.offset_index_vectors(GRID),
+        group_analysis._v_candidates(S1, 2, 8),
+        pair.phi.gauge.t_grid(GRID),
+        cube_windows(GRID, S1, 0).labels,
+        ball_windows(GRID, S1, 0).kernel_fft,
+    ]
+    assert [t.flags.writeable for t in tables] == [False] * len(tables)
 
 
 def test_norm_equivalence_reports_peetre_boundary_count():
