@@ -63,14 +63,15 @@ _CACHE: dict = {}
 
 def cached(store: dict, key, build):
     """The value built for key: build() runs on first use and its result
-    is kept in store.  Arrays, returned directly or as fields of a
-    dataclass, are made read-only before they are handed out."""
+    is kept in store.  Arrays, returned directly, as fields of a dataclass
+    or inside tuple fields, are made read-only before they are handed out."""
     value = store.get(key)
     if value is None:
         value = store[key] = build()
-        for arr in (value, *getattr(value, "__dict__", {}).values()):
-            if isinstance(arr, np.ndarray):
-                arr.flags.writeable = False
+        for item in (value, *getattr(value, "__dict__", {}).values()):
+            for arr in item if isinstance(item, tuple) else (item,):
+                if isinstance(arr, np.ndarray):
+                    arr.flags.writeable = False
     return value
 
 

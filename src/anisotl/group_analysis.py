@@ -122,7 +122,9 @@ class GroupField:
     @cached_property
     def values(self) -> np.ndarray:
         if self.vals is not None:
-            return self.vals
+            view = self.vals.view()  # read-only, so abs_values cannot go stale
+            view.flags.writeable = False
+            return view
         g = self.ggrid.grid
         out = np.stack([spec_to_values(g, sl) for sl in self.spec])
         out.flags.writeable = False

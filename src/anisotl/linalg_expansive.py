@@ -176,10 +176,7 @@ class QuasiNormStructure:
     quasi_triangle_c: float
     _neg_powers: np.ndarray = field(repr=False)  # [k] = A^{-(k - SHELL_CLAMP)}
     _pow_table: np.ndarray = field(repr=False)   # |det A|^j, j in [-CL, CL+1]
-
-    @property
-    def shell_clamp(self) -> int:
-        return SHELL_CLAMP
+    _level_bounds: np.ndarray = field(repr=False)  # (2, 2CL+1), see _level_bounds
 
     @property
     def value_key(self) -> tuple:
@@ -197,9 +194,8 @@ class QuasiNormStructure:
 
     def member(self, pts: np.ndarray, level) -> np.ndarray:
         """Membership of points in A^level Omega, for a level per point or
-        one for all; levels are clamped to [-CL, CL].  shell_index and the
-        Peetre ball builder share it, so shell <= m <=> member at m + 1 holds
-        bit for bit."""
+        one for all; levels are clamped to [-CL, CL].  shell_index decides
+        with it, so shell <= m <=> member at m + 1 holds bit for bit."""
         level = np.broadcast_to(level, pts.shape[:1])
         mats = self._neg_powers[np.clip(level, -SHELL_CLAMP, SHELL_CLAMP) + SHELL_CLAMP]
         y = np.einsum("nij,nj->ni", mats, pts)
@@ -220,14 +216,26 @@ class QuasiNormStructure:
         """Shell index j with x in A^(j+1)Omega \\ A^j Omega, vectorized.
 
         Membership in A^j Omega is monotone in j, so the smallest member
-        level is found by binary search over the clamped range.  Returns
-        (j, saturated); for x = 0 the index is meaningless and callers map
-        it to rho = 0.  Saturated marks shells outside [-CL, CL].
+        level is found by binary search.  The search starts from a bracket
+        read off log(x^T Q x / c) against the per-level eigenvalue bounds of
+        _level_bounds: below it the point is surely outside, at its top
+        surely inside, with a margin beyond the rounding of member.  So the
+        same member tests decide every point near a shell boundary, and the
+        index equals that of a search over the whole clamped range.  Points
+        whose quadratic form is zero, subnormal or not finite search the
+        whole range.  Returns (j, saturated); for x = 0 the index is
+        meaningless and callers map it to rho = 0.  Saturated marks shells
+        outside [-CL, CL].
         """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        n = pts.shape[0]
-        lo = np.full(n, -SHELL_CLAMP, dtype=np.int64)
-        hi = np.full(n, SHELL_CLAMP + 1, dtype=np.int64)  # virtual member level
+        q = self.quadratic_form(pts)
+        normal = (q >= np.finfo(float).tiny) & (q < np.inf)
+        log_q = np.log(np.where(normal, q, self.c) / self.c)
+        surely_out, surely_in = self._level_bounds
+        lo = np.where(normal, np.searchsorted(surely_out, log_q, "right") - SHELL_CLAMP, -SHELL_CLAMP)
+        hi = np.where(  # SHELL_CLAMP + 1 is a virtual member level
+            normal, np.searchsorted(surely_in, log_q, "right") - SHELL_CLAMP, SHELL_CLAMP + 1
+        )
         while True:
             active = lo < hi
             if not np.any(active):
@@ -293,14 +301,16 @@ def build_ellipsoid(E: ExpansiveMatrix, max_condition: float = 1e12) -> QuasiNor
         raise NotExpansive("expansion gap certificate failed: r <= 1")
     r = 1.0 + 0.99 * (r_exact - 1.0)
 
+    neg_powers = _power_chain(E.A, A_inv)
     structure = QuasiNormStructure(
         owner=E,
         Q=_freeze(Q),
         c=float(c),
         r=float(r),
         quasi_triangle_c=float("nan"),
-        _neg_powers=_power_chain(E.A, A_inv),
+        _neg_powers=neg_powers,
         _pow_table=_det_powers(E.absdet),
+        _level_bounds=_level_bounds(Q, cond, neg_powers),
     )
     bnd = structure.boundary_points(256 * d)
     if not np.all(structure.contains(r * bnd @ A_inv.T)):
@@ -324,6 +334,29 @@ def _power_chain(A: np.ndarray, A_inv: np.ndarray) -> np.ndarray:
     res = np.ascontiguousarray(out)
     res.flags.writeable = False
     return res
+
+
+def _level_bounds(Q: np.ndarray, cond: float, neg_powers: np.ndarray) -> np.ndarray:
+    """Per level j in [-CL, CL], bounds on L = log(x^T Q x / c) that decide
+    membership of x in A^j Omega without a test.
+
+    With N = A^-j from the power chain, x^T N^T Q N x lies between the
+    smallest and largest generalized eigenvalue of N^T Q N against Q times
+    x^T Q x; these are the squared singular values of K = R N R^-1 for
+    Q = R^T R.  Row 0: L >= it means surely outside A^j Omega or some
+    larger level's ball; row 1: L < it means surely inside A^j Omega or
+    some smaller level's ball, so both rows are nondecreasing in j.  The
+    margin, 2^20 unit roundoffs times d cond(Q) cond(K), lies far beyond
+    the rounding of member, of the quadratic form and of the singular
+    values, so member still decides every point near a boundary.
+    """
+    d = Q.shape[0]
+    R = np.linalg.cholesky(Q).T
+    sv = np.linalg.svd(R @ neg_powers @ np.linalg.inv(R), compute_uv=False)
+    margin = 2.0**-32 * d * cond * sv[:, 0] / sv[:, -1]
+    surely_out = np.minimum.accumulate((margin - 2.0 * np.log(sv[:, -1]))[::-1])[::-1]
+    surely_in = np.maximum.accumulate(-margin - 2.0 * np.log(sv[:, 0]))
+    return _freeze(np.stack([surely_out, surely_in]))
 
 
 def _det_powers(absdet: float) -> np.ndarray:
@@ -374,20 +407,26 @@ def sample_points(S: QuasiNormStructure, n: int, seed: int, shell_range: tuple[i
     """Random points with log-uniform quasi-norm magnitudes.
 
     Directions uniform on the Omega boundary; radial factor A^u with u
-    uniform over shell_range, so all shells are exercised evenly.
+    uniform over shell_range, so all shells are exercised evenly.  For an
+    exponential A, u snaps to the half-step-shifted 1/16 grid and A^u is
+    read from a table of expm(v log A) over the grid values of shell_range,
+    built once per (log A, range); every point is still one product with
+    the exponential of its own grid value.
     """
     rng = np.random.default_rng(seed)
     dirs = S.boundary_points(n, rng=rng)
     u = rng.uniform(shell_range[0], shell_range[1], size=n)
     E = S.owner
     if E.log is not None:
-        # snap to a shifted 1/16 grid (reuses exponentials, and the half-step
-        # offset keeps flowed boundary directions off the exact shell boundaries)
-        grid = (np.round(u * 16) + 0.5) / 16
+        # the half-step offset of the 1/16 grid keeps flowed boundary
+        # directions off the exact shell boundaries
+        k_lo, k_hi = round(16 * shell_range[0]), round(16 * shell_range[1])
+        steps = _flow_steps(E, k_lo, k_hi)
+        idx = np.round(u * 16).astype(int) - k_lo
         pts = np.empty_like(dirs)
-        for val in np.unique(grid):
-            mask = grid == val
-            pts[mask] = dirs[mask] @ expm(val * E.log).T
+        for i in np.unique(idx):
+            mask = idx == i
+            pts[mask] = dirs[mask] @ steps[i].T
         return pts
     k = np.round(u).astype(int)
     jitter = rng.uniform(1.02, 1.35, size=(n, 1))
@@ -396,6 +435,18 @@ def sample_points(S: QuasiNormStructure, n: int, seed: int, shell_range: tuple[i
         mask = k == val
         pts[mask] = (jitter[mask] * dirs[mask]) @ np.linalg.matrix_power(E.A, int(val)).T
     return pts
+
+
+_FLOW_CACHE: dict = {}
+
+
+def _flow_steps(E: ExpansiveMatrix, k_lo: int, k_hi: int) -> np.ndarray:
+    """expm(v B) for v = (k + 0.5) / 16, k = k_lo .. k_hi (cached by value)."""
+
+    def build():
+        return np.stack([expm((k + 0.5) / 16 * E.log) for k in np.arange(k_lo, k_hi + 1.0)])
+
+    return cached(_FLOW_CACHE, (E.log.tobytes(), k_lo, k_hi), build)
 
 
 def measure_quasi_triangle(S: QuasiNormStructure, n: int = 4096, seed: int = 7) -> float:

@@ -5,12 +5,12 @@ The supremum over offsets z is organized by quasi-norm shells: the weight
 (1 + rho(A^m z))^-beta is constant on each shell, so the running maximum
 over the nested balls ball_m = {0} u {z : shell(z) <= m} evaluates the
 weighted supremum exactly on the grid, for several betas in one sweep.
-offset_shells builds the balls by descending membership (each one tests
-only the points of the next larger one) and stores each ball as the
-power-of-two windows covering its row runs.  _ball_maxima wrap-pads the
-field once and reads every window from a lazily built doubling table of
-running maxima over the last axis (van Herk / Gil-Werman), so a sweep
-takes two views per run, gathers nothing per offset and is bit-exact.
+offset_shells builds the balls from one shell_index call on the offsets
+and stores each ball as the power-of-two windows covering its row runs.
+_ball_maxima wrap-pads the field once and reads every window from a
+lazily built doubling table of running maxima over the last axis (van
+Herk / Gil-Werman), so a sweep takes two views per run, gathers nothing
+per offset and is bit-exact.
 Far shells beyond the search radius are dropped; a boundary dominance
 flag marks points where the outermost shell still competes, making the
 truncation auditable.
@@ -59,10 +59,9 @@ def offset_shells(
     """Balls of the torus offsets by the shell index of rho(M z), up to
     shell search_shells.
 
-    shell <= m is membership in A^(m+1) Omega.  The largest ball tests that
-    level on every nonzero offset; each smaller ball tests only the points
-    of the previous one, one level down, until it is empty or at the clamp
-    (levels above it are members, shells below -CL - 1 do not occur).
+    One shell_index call gives every nonzero offset its shell; ball_m
+    holds the origin and the offsets of shell <= m, for each present shell
+    m <= search_shells (shells lie in [-CL - 1, CL]).
     """
     matrix = np.asarray(scale_matrix, dtype=float)
     key = (grid, S.value_key, matrix.tobytes(), search_shells)
@@ -73,36 +72,17 @@ def _build_shells(
     grid: GridSpec, S: QuasiNormStructure, matrix: np.ndarray, search_shells: int
 ) -> OffsetShells:
     offs = offset_index_vectors(grid)
-    u = (offs * grid.h) @ matrix.T
-
-    def members(idx: np.ndarray, level: int) -> np.ndarray:
-        if level < -S.shell_clamp:
-            return idx[:0]
-        return idx[S.member(u[idx], level)]
-
-    ball = np.flatnonzero(np.any(offs != 0, axis=1))
-    nonzero = ball.size
-    m = min(search_shells, S.shell_clamp)
-    if m < S.shell_clamp:
-        ball = members(ball, m + 1)
-    truncated = ball.size < nonzero
-    shells, balls = [], []
-    while ball.size:
-        inner = members(ball, m)
-        if inner.size < ball.size:
-            shells.append(m)
-            balls.append(ball)
-        ball = inner
-        m -= 1
-    masks = np.zeros((len(balls), grid.size), dtype=bool)
-    for mask, ball in zip(masks, balls[::-1]):
-        mask[ball] = True
+    nonzero = np.flatnonzero(np.any(offs != 0, axis=1))
+    shell, _ = S.shell_index(((offs * grid.h) @ matrix.T)[nonzero])
+    shells = np.unique(shell[shell <= search_shells])
+    masks = np.zeros((len(shells), grid.size), dtype=bool)
+    masks[:, nonzero] = shell <= shells[:, None]
     masks[:, 0] = True  # the origin
     return OffsetShells(
         grid=grid,
-        shells=tuple(shells[::-1]),
+        shells=tuple(int(m) for m in shells),
         groups=tuple(_ball_windows(masks.reshape((-1,) + grid.shape))),
-        truncated=truncated,
+        truncated=bool(shell.max() > search_shells),
     )
 
 

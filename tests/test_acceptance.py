@@ -77,7 +77,7 @@ def test_criterion_07_translation_bounds():
 
 
 def test_criterion_08_control_weight():
-    result = _run("8 control weight", run_control_weight, budget=120.0)
+    result = _run("8 control weight", run_control_weight, budget=15.0)
     for row in result["rows"]:
         assert row["symmetry_error"] <= 1e-9
     assert {bool(r["upper_branch"]) for r in result["rows"]} == {True, False}

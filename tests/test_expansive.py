@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import expm
 
 from anisotl.errors import NotExpansive, NotExponential, Singular
 from anisotl.linalg_expansive import (
+    SHELL_CLAMP,
     build_ellipsoid,
     fractional_power,
     matrix_from_json,
@@ -227,6 +229,51 @@ class TestQuasiNorm:
 
 
 _JORDAN_STRUCTURE = build_ellipsoid(validate_expansive(JORDAN))
+
+SHELL_MATRICES = [[[2.0]], np.diag([2.0, 4.0]), JORDAN, [[1.0, -1.0], [1.0, 1.0]]]
+
+
+@pytest.mark.parametrize("mat", SHELL_MATRICES, ids=["line", "diag24", "shear", "rotation"])
+def test_shell_index_matches_full_range_bisection(mat):
+    E = validate_expansive(mat)
+    S = build_ellipsoid(E)
+    rng = np.random.default_rng(17)
+    dirs = rng.normal(size=(20_000, E.d))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    scattered = dirs * np.exp(rng.uniform(-30.0, 30.0, size=(len(dirs), 1)))
+    bnd = S.boundary_points(64, rng=rng)
+    on_shells = [bnd @ np.linalg.matrix_power(E.A, j).T for j in range(-70, 71)]
+    pts = np.concatenate([scattered, *on_shells, np.zeros((1, E.d))])
+
+    # the search over the whole clamped range, as before the bracket
+    lo = np.full(len(pts), -SHELL_CLAMP)
+    hi = np.full(len(pts), SHELL_CLAMP + 1)
+    while np.any(lo < hi):
+        active = lo < hi
+        mid = (lo + hi) // 2
+        member = S.member(pts[active], mid[active])
+        hi[active] = np.where(member, mid[active], hi[active])
+        lo[active] = np.where(member, lo[active], mid[active] + 1)
+    saturated = (lo == -SHELL_CLAMP) | (lo == SHELL_CLAMP + 1)
+
+    shell, sat = S.shell_index(pts)
+    assert np.array_equal(shell, lo - 1)
+    assert np.array_equal(sat, saturated)
+
+
+@pytest.mark.parametrize("shell_range", [(-8, 8), (-3, 5)])
+@pytest.mark.parametrize("mat", SHELL_MATRICES, ids=["line", "diag24", "shear", "rotation"])
+def test_sample_points_match_per_value_exponentials(mat, shell_range):
+    E = validate_expansive(mat)
+    S = build_ellipsoid(E)
+    rng = np.random.default_rng(4)
+    dirs = S.boundary_points(3000, rng=rng)
+    grid = (np.round(rng.uniform(*shell_range, size=3000) * 16) + 0.5) / 16
+    expected = np.empty_like(dirs)
+    for val in np.unique(grid):
+        mask = grid == val
+        expected[mask] = dirs[mask] @ expm(val * E.log).T
+    assert np.array_equal(sample_points(S, 3000, seed=4, shell_range=shell_range), expected)
 
 
 class TestMetricBall:

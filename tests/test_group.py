@@ -11,6 +11,7 @@ from anisotl.grids import GridSpec, spatial_points
 from anisotl.group_analysis import (
     ControlWeight,
     EnvelopeSpec,
+    GroupField,
     GroupGrid,
     control_weight,
     envelope_compare,
@@ -103,6 +104,16 @@ def test_lazy_values_are_computed_once_and_read_only(psi_vec, suite_field):
         first = getattr(obj, name)
         assert getattr(obj, name) is first
         assert first.flags.writeable is False
+
+
+def test_given_values_are_handed_out_read_only():
+    vals = np.ones((len(GGRID.s_values),) + GRID.shape)
+    F = GroupField(ggrid=GGRID, vals=vals)
+    assert F.values.flags.writeable is False
+    assert np.shares_memory(F.values, vals)
+    with pytest.raises(ValueError):
+        F.values[0, 0] = 5.0
+    assert F.abs_values[0, 0] == 1.0
 
 
 class TestWaveletTransform:

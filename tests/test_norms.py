@@ -280,6 +280,7 @@ def test_derived_tables_are_read_only(pair):
         pair.phi.gauge.t_grid(GRID),
         cube_windows(GRID, S1, 0).labels,
         ball_windows(GRID, S1, 0).kernel_fft,
+        *peetre.offset_shells(GRID, S1, np.eye(1), 2).groups,
     ]
     assert [t.flags.writeable for t in tables] == [False] * len(tables)
 

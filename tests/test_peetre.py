@@ -98,8 +98,8 @@ class TestPeetreMaximal:
 
 
 def _torus_shells(grid, S, M):
-    """Per flat torus offset, its vector and its shell from S.shell_index
-    (the bisection), independent of the ball structure under test."""
+    """Per flat torus offset, its vector and its shell from S.shell_index,
+    the membership the balls under test are built from."""
     offs = offset_index_vectors(grid)
     shell, _ = S.shell_index((offs * grid.h) @ np.asarray(M).T)
     nonzero = np.any(offs != 0, axis=1)
@@ -195,6 +195,21 @@ def test_balls_are_the_shell_sets(matrix):
                 # a row through the origin runs past the last column
                 wrapped = wrapped or bool(np.any(table[:, -1] + (1 << table[:, 0]) > grid.n))
     assert wrapped
+
+
+@pytest.mark.parametrize("matrix", [[[2.0]], SHEAR, DIAG24])
+def test_search_radius_beyond_every_shell_matches_the_clamp(matrix):
+    """A search radius past SHELL_CLAMP builds the same balls as one just
+    above every present shell."""
+    E = validate_expansive(matrix)
+    S = build_ellipsoid(E)
+    grid = GridSpec(d=E.d, extent=8.0 if E.d == 1 else 2.0, n=256 if E.d == 1 else 32)
+    for s in (-1.0, 0.0, 2.0):
+        far, near = (offset_shells(grid, S, E.power(s), K) for K in (10**6, 40))
+        assert far is not near
+        assert (far.shells, far.truncated) == (near.shells, near.truncated)
+        assert len(far.groups) == len(near.groups)
+        assert all(np.array_equal(a, b) for a, b in zip(far.groups, near.groups))
 
 
 def test_windows_of_rows_with_several_runs():
