@@ -50,6 +50,7 @@ from .linalg_expansive import (
     matrix_from_json,
     measure_nu_constant,
     measure_quasi_triangle,
+    per_value_product,
     sample_points,
 )
 from .norms import (
@@ -749,10 +750,7 @@ def run_control_weight(config: dict | None = None) -> dict:
         ys = rng.normal(size=(n, E.d)) * 3.0
         ts = np.round(rng.uniform(-3, 3, size=n) * 8) / 8
         lhs = w(ys, ts)
-        inv_y = np.empty_like(ys)
-        for t in np.unique(ts):
-            mask = ts == t
-            inv_y[mask] = -(ys[mask] @ np.asarray(E.power(-float(t))).T)
+        inv_y = -per_value_product(ts, ys, lambda t: E.power(-float(t)))
         rhs = E.absdet ** (ts / w.r) * w(inv_y, -ts)
         sym_err = float(np.max(np.abs(lhs - rhs) / lhs))
 

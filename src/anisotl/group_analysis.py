@@ -30,7 +30,7 @@ from .field_engine import (
     spec_to_values,
 )
 from .grids import GridSpec, cached, freq_points, offset_index_vectors, spatial_points
-from .linalg_expansive import ExpansiveMatrix, QuasiNormStructure
+from .linalg_expansive import ExpansiveMatrix, QuasiNormStructure, per_value_product
 from .norms import NormParams, NormReport, sup_over_windows
 from .peetre import offset_shells, weighted_sup_multi
 
@@ -586,10 +586,7 @@ class EnvelopeSpec:
         ts = np.asarray(ts, dtype=float)
         E = S.owner
         rho1 = S.rho(ys)
-        rho2 = np.empty_like(rho1)
-        for t in np.unique(ts):
-            mask = ts == t
-            rho2[mask] = S.rho(ys[mask] @ np.asarray(E.power(-float(t))).T)
+        rho2 = S.rho(per_value_product(ts, ys, lambda t: E.power(-float(t))))
         eta = (1.0 + np.minimum(rho1, rho2)) ** (-self.L)
         return self.theta(ts) * eta
 
@@ -660,10 +657,7 @@ class ControlWeight:
         r = self.r
         a = lambda tau: E.absdet ** (ts * tau)
         v_fwd = weight_v_many(self.S, ys, ts)
-        inv_y = np.empty_like(ys)
-        for t in np.unique(ts):
-            mask = ts == t
-            inv_y[mask] = -(ys[mask] @ np.asarray(E.power(-float(t))).T)
+        inv_y = -per_value_product(ts, ys, lambda t: E.power(-float(t)))
         v_inv = weight_v_many(self.S, inv_y, -ts)
         vb = v_fwd**self.beta
         vib = v_inv**self.beta

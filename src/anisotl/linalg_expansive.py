@@ -403,6 +403,28 @@ def metric_ball(S: QuasiNormStructure, y, radius: float) -> BallDescriptor:
     return BallDescriptor(center=np.asarray(y, dtype=float), level=level, radius=radius)
 
 
+def per_value_product(keys: np.ndarray, rows: np.ndarray, matrix) -> np.ndarray:
+    """rows[i] @ matrix(keys[i]).T for every i, with one product per distinct key.
+
+    One stable sort groups the rows by key: each block holds the rows of
+    rows[keys == k] in their order, so its product has the operands of the
+    masked one and rounds as it does.  matrix must be square; empty keys
+    give an empty result.
+    """
+    keys = np.asarray(keys)
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    res = np.asarray(rows)[order]
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = sorted_keys[1:] != sorted_keys[:-1]
+    starts = np.flatnonzero(first)
+    for a, b in zip(starts, np.append(starts[1:], len(keys))):
+        res[a:b] = res[a:b] @ np.asarray(matrix(sorted_keys[a])).T
+    out = np.empty_like(res)
+    out[order] = res
+    return out
+
+
 def sample_points(S: QuasiNormStructure, n: int, seed: int, shell_range: tuple[int, int] = (-8, 8)) -> np.ndarray:
     """Random points with log-uniform quasi-norm magnitudes.
 
@@ -410,8 +432,10 @@ def sample_points(S: QuasiNormStructure, n: int, seed: int, shell_range: tuple[i
     uniform over shell_range, so all shells are exercised evenly.  For an
     exponential A, u snaps to the half-step-shifted 1/16 grid and A^u is
     read from a table of expm(v log A) over the grid values of shell_range,
-    built once per (log A, range); every point is still one product with
-    the exponential of its own grid value.
+    built once per (log A, range); otherwise u rounds to an integer power.
+    The points are grouped by their value with one stable sort
+    (per_value_product), and each block is one product that equals the
+    product over the points masked by that value.
     """
     rng = np.random.default_rng(seed)
     dirs = S.boundary_points(n, rng=rng)
@@ -423,18 +447,10 @@ def sample_points(S: QuasiNormStructure, n: int, seed: int, shell_range: tuple[i
         k_lo, k_hi = round(16 * shell_range[0]), round(16 * shell_range[1])
         steps = _flow_steps(E, k_lo, k_hi)
         idx = np.round(u * 16).astype(int) - k_lo
-        pts = np.empty_like(dirs)
-        for i in np.unique(idx):
-            mask = idx == i
-            pts[mask] = dirs[mask] @ steps[i].T
-        return pts
+        return per_value_product(idx, dirs, lambda i: steps[i])
     k = np.round(u).astype(int)
     jitter = rng.uniform(1.02, 1.35, size=(n, 1))
-    pts = np.empty_like(dirs)
-    for val in np.unique(k):
-        mask = k == val
-        pts[mask] = (jitter[mask] * dirs[mask]) @ np.linalg.matrix_power(E.A, int(val)).T
-    return pts
+    return per_value_product(k, jitter * dirs, lambda v: np.linalg.matrix_power(E.A, int(v)))
 
 
 _FLOW_CACHE: dict = {}

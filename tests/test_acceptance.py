@@ -40,7 +40,7 @@ def _run(name: str, runner, budget: float, config=None) -> dict:
 
 
 def test_criterion_01_quasinorm_axioms():
-    _run("1 quasi-norm axioms", run_quasinorm_axioms, budget=10.0)
+    _run("1 quasi-norm axioms", run_quasinorm_axioms, budget=5.0)
 
 
 def test_criterion_02_calderon_identity():

@@ -14,6 +14,7 @@ from anisotl.linalg_expansive import (
     measure_nu_constant,
     measure_quasi_triangle,
     metric_ball,
+    per_value_product,
     quasi_norm,
     real_matrix_log,
     sample_points,
@@ -274,6 +275,44 @@ def test_sample_points_match_per_value_exponentials(mat, shell_range):
         mask = grid == val
         expected[mask] = dirs[mask] @ expm(val * E.log).T
     assert np.array_equal(sample_points(S, 3000, seed=4, shell_range=shell_range), expected)
+
+
+@pytest.mark.parametrize(
+    "keys",
+    [np.full(40, 3), np.arange(40)[::-1], np.random.default_rng(2).integers(-4, 5, size=40), np.arange(0)],
+    ids=["single-key", "all-distinct", "unsorted", "empty"],
+)
+def test_per_value_product_matches_masked_products(keys):
+    rng = np.random.default_rng(1)
+    rows = rng.normal(size=(len(keys), 2))
+    mats = {k: rng.normal(size=(2, 2)) for k in np.unique(keys)}
+    expected = np.empty_like(rows)
+    for k in np.unique(keys):
+        mask = keys == k
+        expected[mask] = rows[mask] @ mats[k].T
+    assert np.array_equal(per_value_product(keys, rows, mats.__getitem__), expected)
+
+
+def test_sample_points_non_exponential_branch_matches_masked_powers():
+    E = validate_expansive([[-2.0, 0.0], [0.0, 3.0]])
+    assert E.log is None
+    S = build_ellipsoid(E)
+    n = 3000
+    rng = np.random.default_rng(5)
+    dirs = S.boundary_points(n, rng=rng)
+    k = np.round(rng.uniform(-8, 8, size=n)).astype(int)
+    jitter = rng.uniform(1.02, 1.35, size=(n, 1))
+    expected = np.empty_like(dirs)
+    for val in np.unique(k):
+        mask = k == val
+        expected[mask] = (jitter[mask] * dirs[mask]) @ np.linalg.matrix_power(E.A, int(val)).T
+    assert np.array_equal(sample_points(S, n, seed=5), expected)
+
+
+@pytest.mark.parametrize("mat", [[[2.0, 0.0], [0.0, 4.0]], [[-2.0, 0.0], [0.0, 3.0]]], ids=["exponential", "power"])
+def test_sample_points_empty(mat):
+    S = build_ellipsoid(validate_expansive(mat))
+    assert sample_points(S, 0, seed=1).shape == (0, 2)
 
 
 class TestMetricBall:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
+from anisotl import group_analysis
 from anisotl.analyzers import bump, make_admissible, make_covering_profile
 from anisotl.field_engine import convolve_scale, field_from_closure
 from anisotl.grids import GridSpec, spatial_points
@@ -317,6 +318,39 @@ class TestControlWeight:
         _, _, up = sigma_kappa(alpha=0.5, beta=1.0, q=2.0, absdet=2.0)
         _, _, dn = sigma_kappa(alpha=-3.0, beta=1.0, q=2.0, absdet=2.0)
         assert up and not dn
+
+
+@pytest.mark.parametrize(
+    "mat", [[[2.0]], [[2.0, 0.0], [0.0, 4.0]], [[2.0, 1.0], [0.0, 2.0]]], ids=["line", "diag24", "shear"]
+)
+def test_inversions_match_masked_products(mat, monkeypatch):
+    E = validate_expansive(mat)
+    S = build_ellipsoid(E)
+    rng = np.random.default_rng(12)
+    ys = rng.normal(size=(400, E.d)) * 3.0
+    ts = np.round(rng.uniform(-3, 3, size=400) * 8) / 8
+    inv_y = np.empty_like(ys)
+    rho2 = np.empty(len(ts))
+    for t in np.unique(ts):
+        mask = ts == t
+        moved = ys[mask] @ np.asarray(E.power(-float(t))).T
+        inv_y[mask] = -moved
+        rho2[mask] = S.rho(moved)
+
+    env = EnvelopeSpec(sigma=(2.0, 3.0), L=1.5)
+    expected = env.theta(ts) * (1.0 + np.minimum(S.rho(ys), rho2)) ** -1.5
+    assert np.array_equal(env(S, ys, ts), expected)
+
+    seen = []
+
+    def recording(S_, ys_, ts_, *args, **kwargs):
+        seen.append(ys_)
+        return weight_v_many(S_, ys_, ts_, *args, **kwargs)
+
+    monkeypatch.setattr(group_analysis, "weight_v_many", recording)
+    ControlWeight(S, alpha=0.3, beta=1.0, q=2.0)(ys, ts)
+    assert np.array_equal(seen[0], ys)
+    assert np.array_equal(seen[1], inv_y)
 
 
 class TestLocalMaximal:
