@@ -92,6 +92,7 @@ from .frames import (
     atom_field,
     dual_reconstruct,
     frame_bounds,
+    member_coefficients,
     molecule_check,
     moment_problem,
     sample_index_set,

@@ -14,6 +14,7 @@ independent and safe to run in parallel.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -366,12 +367,18 @@ def moment_problem(
 
 @dataclass
 class MolecularSystem:
-    """Members with a common centered envelope on a check grid."""
+    """Members with a common centered envelope on a check grid.
+
+    coefficients[i] holds |W_psi members[i] (gamma_i h)| over the
+    envelope's grid h, its spatial probes strided by stride, as
+    member_coefficients computes them.
+    """
 
     members: list[SampledField]
     Gamma: IndexSet
     envelope: GroupField
-    vec: object
+    coefficients: list[np.ndarray]
+    stride: int
 
 
 def centered_coefficients(
@@ -399,30 +406,38 @@ def _shifted_ggrid(hgrid: GroupGrid, s0: float) -> GroupGrid:
     )
 
 
+def member_coefficients(
+    members: list[SampledField], Gamma: IndexSet, vec, hgrid: GroupGrid, stride: int = 2
+) -> list[np.ndarray]:
+    """|centered_coefficients| of each member at its own point of Gamma."""
+    return [
+        np.abs(centered_coefficients(member, gamma, vec, hgrid, stride=stride))
+        for member, gamma in zip(members, Gamma.points())
+    ]
+
+
 def molecule_check(
-    system: MolecularSystem,
-    hgrid: GroupGrid,
-    stride: int = 2,
-    tol: float = 1e-9,
-    floor_fraction: float = 1e-2,
+    system: MolecularSystem, tol: float = 1e-9, floor_fraction: float = 1e-2
 ) -> dict:
     """Verify |W_psi phi_gamma (gamma h)| <= envelope(h) (1 + tol) on the
-    centered grid; reports violations per member.
+    centered grid from the members' carried coefficients; reports
+    violations per member.
+
+    Against an independent envelope this is a decay check.  Against the
+    envelope of dual_envelope, the max of these same coefficients, it
+    holds by construction and checks only the envelope's expansion to the
+    full grid and back.
 
     Coefficients below floor_fraction of the envelope peak sit where the
     torus wrap of far-edge atoms dominates the true decay; the check is
     audited down to that floor and the floor is reported.
     """
     env = np.abs(system.envelope.values)
-    env = env.reshape(env.shape[0], -1)[:, ::stride]
+    env = env.reshape(env.shape[0], -1)[:, :: system.stride]
     floor = floor_fraction * float(np.max(env))
     violations = []
     worst = 0.0
-    for i, member in enumerate(system.members):
-        gamma = group_point(system.Gamma.xs[i], system.Gamma.ss[i])
-        vals = np.abs(
-            centered_coefficients(member, gamma, system.vec, hgrid, stride=stride)
-        )
+    for i, vals in enumerate(system.coefficients):
         over = vals > env * (1.0 + tol) + floor
         worst = max(worst, float(np.max(vals - env)))
         if np.any(over):
@@ -430,30 +445,29 @@ def molecule_check(
     return {
         "violations": violations,
         "worst_excess": worst,
-        "checked": len(system.members),
+        "checked": len(system.coefficients),
         "floor": floor,
     }
 
 
 def dual_envelope(
     system: FrameSystem, D: np.ndarray, hgrid: GroupGrid, stride: int = 2
-) -> tuple[GroupField, list[SampledField]]:
-    """Members phi_gamma = sum_j D[j, gamma] atom_j and their tight
-    centered envelope max_gamma |W_psi phi_gamma (gamma .)|."""
-    members = []
-    env = None
-    for g_idx in range(D.shape[1]):
-        phi = system.synthesis(D[:, g_idx])
-        members.append(phi)
-        gamma = group_point(system.Gamma.xs[g_idx], system.Gamma.ss[g_idx])
-        vals = np.abs(
-            centered_coefficients(phi, gamma, system.vec, hgrid, stride=stride)
-        )
-        env = vals if env is None else np.maximum(env, vals)
-    # expand the strided envelope back to the full grid by nearest fill
+) -> MolecularSystem:
+    """Members phi_gamma = sum_j D[j, gamma] atom_j, their centered
+    coefficients and the tight envelope max_gamma |W_psi phi_gamma (gamma .)|,
+    expanded from the strided probes to the full grid by nearest fill."""
+    members = [system.synthesis(D[:, g]) for g in range(D.shape[1])]
+    coefs = member_coefficients(members, system.Gamma, system.vec, hgrid, stride)
+    env = functools.reduce(np.maximum, coefs)
     full_flat = np.repeat(env, stride, axis=1)[:, : hgrid.grid.size]
     full = full_flat.reshape((len(hgrid.s_values),) + hgrid.grid.shape)
-    return GroupField(ggrid=hgrid, vals=full), members
+    return MolecularSystem(
+        members=members,
+        Gamma=system.Gamma,
+        envelope=GroupField(ggrid=hgrid, vals=full),
+        coefficients=coefs,
+        stride=stride,
+    )
 
 
 def sequence_norm(

@@ -546,12 +546,19 @@ def weight_v(
 def weight_v_many(
     S: QuasiNormStructure, ys: np.ndarray, ts: np.ndarray, m_range: int = 12, n_dirs: int = 32
 ) -> np.ndarray:
-    """Vectorized weight_v over samples grouped by the scale component."""
+    """Vectorized weight_v over samples grouped by the scale component.
+
+    A denominator is at least 1, so a candidate's ratio is at most its
+    numerator 1 + rho(z), also after rounding; a pair whose numerator is
+    at most max(num_sp, 1) cannot raise the result, and rho is evaluated
+    only on the other pairs.  rho is per point, so the values are the same
+    as with every pair evaluated.
+    """
     ys = np.atleast_2d(ys)
     ts = np.asarray(ts, dtype=float)
     out = np.empty(len(ts))
     cands = _v_candidates(S, m_range, n_dirs)
-    rho_c = S.rho(cands)
+    num_c = 1.0 + S.rho(cands)
     E = S.owner
     for t in np.unique(ts):
         mask = ts == t
@@ -560,11 +567,11 @@ def weight_v_many(
         moved = cands @ Mt.T  # (C, d)
         special = yy @ np.asarray(E.power(-float(t))).T
         num_sp = 1.0 + S.rho(special)
-        # denominators for all (sample, candidate) pairs
+        keep = num_c[None, :] > np.maximum(num_sp, 1.0)[:, None]
         diff = moved[None, :, :] - yy[:, None, :]
-        den = 1.0 + S.rho(diff.reshape(-1, E.d)).reshape(len(yy), -1)
-        ratios = (1.0 + rho_c)[None, :] / den
-        best = np.maximum(np.max(ratios, axis=1), num_sp)
+        den = np.full(keep.shape, np.inf)  # pruned pairs get ratio 0
+        den[keep] = 1.0 + S.rho(diff[keep])
+        best = np.maximum(np.max(num_c[None, :] / den, axis=1), num_sp)
         out[mask] = np.maximum(best, 1.0)
     return out
 

@@ -3,7 +3,7 @@ that evaluate norms count their truncation flags in the manifest."""
 
 import pytest
 
-from anisotl import experiments
+from anisotl import experiments, frames
 from anisotl.experiments import run_embedding, run_frames, run_translation_bounds
 from anisotl.norms import NormReport
 
@@ -43,6 +43,23 @@ def test_frames_verdict_includes_sequence_norm(monkeypatch):
     assert rows["sequence-norm"]["pass"] is False
     assert all(r["pass"] for r in result["rows"] if r["stage"] != "sequence-norm")
     assert result["pass"] is False
+
+
+def test_frames_evaluates_each_dual_molecule_once(monkeypatch):
+    # the envelope and the molecule check share one centered-coefficient
+    # pass per member of the separated set
+    calls = []
+    real = frames.centered_coefficients
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(frames, "centered_coefficients", counting)
+    result = run_frames(SMALL_FRAMES)
+    members = next(r["detail"] for r in result["rows"] if r["stage"] == "moments")
+    assert members > 0
+    assert len(calls) == members
 
 
 @pytest.mark.parametrize(

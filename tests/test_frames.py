@@ -13,6 +13,7 @@ from anisotl.frames import (
     dual_envelope,
     dual_reconstruct,
     frame_bounds,
+    member_coefficients,
     molecule_check,
     moment_problem,
     sample_index_set,
@@ -257,12 +258,16 @@ class TestMolecules:
         W = wavelet_transform(psi_spatial_field(vec, GRID), vec, HGRID)
         return GroupField(ggrid=HGRID, vals=(1.0 + margin) * np.abs(W.values))
 
+    def _system(self, vec, gamma_set, members, envelope):
+        coefs = member_coefficients(members, gamma_set, vec, HGRID, stride=4)
+        return MolecularSystem(
+            members=members, Gamma=gamma_set, envelope=envelope, coefficients=coefs, stride=4
+        )
+
     def test_atom_system_passes_with_self_envelope(self, vec, separated_gamma):
         members = self._atom_members(vec, separated_gamma)
-        system = MolecularSystem(
-            members=members, Gamma=separated_gamma, envelope=self._self_envelope(vec), vec=vec
-        )
-        rep = molecule_check(system, HGRID, stride=4)
+        system = self._system(vec, separated_gamma, members, self._self_envelope(vec))
+        rep = molecule_check(system)
         assert rep["violations"] == []
 
     def test_atom_covariance_route_consistency(self, vec, separated_gamma):
@@ -278,10 +283,8 @@ class TestMolecules:
     def test_spiked_atom_reported(self, vec, separated_gamma):
         members = self._atom_members(vec, separated_gamma)
         members[2] = members[2].scaled(10.0)
-        system = MolecularSystem(
-            members=members, Gamma=separated_gamma, envelope=self._self_envelope(vec), vec=vec
-        )
-        rep = molecule_check(system, HGRID, stride=4)
+        system = self._system(vec, separated_gamma, members, self._self_envelope(vec))
+        rep = molecule_check(system)
         assert len(rep["violations"]) == 1 and rep["violations"][0][0] == 2
 
     def test_centered_coefficients_match_slice_loop(self, vec, separated_gamma):
@@ -302,10 +305,43 @@ class TestMolecules:
         system = FrameSystem.build(vec, separated_gamma, GRID)
         c = np.zeros(len(separated_gamma))
         _, _, D = moment_problem(c, system)
-        env, members = dual_envelope(system, D, HGRID, stride=4)
-        mol = MolecularSystem(members=members, Gamma=separated_gamma, envelope=env, vec=vec)
-        rep = molecule_check(mol, HGRID, stride=4)
+        rep = molecule_check(dual_envelope(system, D, HGRID, stride=4))
         assert rep["violations"] == []
+
+    @pytest.mark.parametrize("stride", [3, 4])
+    def test_dual_envelope_matches_recomputing_loop(self, vec, separated_gamma, stride):
+        # reference: every member's centered coefficients evaluated once
+        # for the envelope and again for the check
+        system = FrameSystem.build(vec, separated_gamma, GRID)
+        _, _, D = moment_problem(np.zeros(len(separated_gamma)), system)
+        mol = dual_envelope(system, D, HGRID, stride=stride)
+
+        members, env = [], None
+        for g in range(D.shape[1]):
+            phi = system.synthesis(D[:, g])
+            members.append(phi)
+            gamma = group_point(separated_gamma.xs[g], separated_gamma.ss[g])
+            vals = np.abs(centered_coefficients(phi, gamma, vec, HGRID, stride=stride))
+            env = vals if env is None else np.maximum(env, vals)
+        full = np.repeat(env, stride, axis=1)[:, : GRID.size].reshape(mol.envelope.vals.shape)
+        assert np.array_equal(mol.envelope.vals, full)
+
+        strided = np.abs(mol.envelope.values).reshape(len(HGRID.s_values), -1)[:, ::stride]
+        floor = 1e-2 * float(np.max(strided))
+        violations, worst = [], 0.0
+        for g, member in enumerate(members):
+            gamma = group_point(separated_gamma.xs[g], separated_gamma.ss[g])
+            vals = np.abs(centered_coefficients(member, gamma, vec, HGRID, stride=stride))
+            over = vals > strided * (1.0 + 1e-9) + floor
+            worst = max(worst, float(np.max(vals - strided)))
+            if np.any(over):
+                violations.append((g, int(np.count_nonzero(over))))
+
+        rep = molecule_check(mol)
+        assert rep["violations"] == violations
+        assert rep["floor"] == floor
+        assert rep["worst_excess"] == worst
+        assert rep["checked"] == len(members)
 
 
 class TestSequenceNorm:

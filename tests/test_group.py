@@ -353,6 +353,67 @@ def test_inversions_match_masked_products(mat, monkeypatch):
     assert np.array_equal(seen[1], inv_y)
 
 
+
+def _weight_v_many_every_pair(S, ys, ts, m_range=12, n_dirs=32):
+    """weight_v_many with rho evaluated on every (sample, candidate) pair."""
+    ys = np.atleast_2d(ys)
+    ts = np.asarray(ts, dtype=float)
+    out = np.empty(len(ts))
+    cands = group_analysis._v_candidates(S, m_range, n_dirs)
+    rho_c = S.rho(cands)
+    E = S.owner
+    for t in np.unique(ts):
+        mask = ts == t
+        yy = ys[mask]
+        moved = cands @ np.asarray(E.power(float(t))).T
+        num_sp = 1.0 + S.rho(yy @ np.asarray(E.power(-float(t))).T)
+        diff = moved[None, :, :] - yy[:, None, :]
+        den = 1.0 + S.rho(diff.reshape(-1, E.d)).reshape(len(yy), -1)
+        ratios = (1.0 + rho_c)[None, :] / den
+        out[mask] = np.maximum(np.maximum(np.max(ratios, axis=1), num_sp), 1.0)
+    return out
+
+
+def _bound_samples(S, m_range, n_dirs, seed):
+    """Random samples at several radii, the origin, and points on and next
+    to the candidate shells moved by A^t, with t on the 1/8 grid."""
+    E = S.owner
+    rng = np.random.default_rng(seed)
+    cands = group_analysis._v_candidates(S, m_range, n_dirs)
+    ys, ts = [], []
+    for radius in (0.05, 1.0, 3.0, 40.0):
+        ys.append(rng.normal(size=(150, E.d)) * radius)
+        ts.append(np.round(rng.uniform(-3, 3, size=150) * 8) / 8)
+    ys.append(np.zeros((3, E.d)))
+    ts.append(np.array([0.0, -1.25, 2.5]))
+    for t in (-2.375, -0.5, 0.0, 0.125, 1.75):
+        picked = cands[rng.choice(len(cands), size=12, replace=False)]
+        on_shell = picked @ np.asarray(E.power(t)).T
+        for factor in (1.0, 1.0 - 1e-9, 1.0 + 1e-9, 0.999, 1.001):
+            ys.append(factor * on_shell)
+            ts.append(np.full(len(on_shell), t))
+    return np.concatenate(ys), np.concatenate(ts)
+
+
+@pytest.mark.parametrize("ranges", [(12, 32), (5, 9)], ids=["default", "m5-dirs9"])
+@pytest.mark.parametrize(
+    "mat", [[[2.0]], [[2.0, 0.0], [0.0, 4.0]], [[2.0, 1.0], [0.0, 2.0]]], ids=["line", "diag24", "shear"]
+)
+def test_weight_v_many_bound_is_exact(mat, ranges, monkeypatch):
+    # pairs whose numerator cannot beat max(num_sp, 1) are skipped; the
+    # values equal those with rho evaluated on every pair
+    S = build_ellipsoid(validate_expansive(mat))
+    m_range, n_dirs = ranges
+    ys, ts = _bound_samples(S, m_range, n_dirs, seed=len(mat) + m_range)
+    got = weight_v_many(S, ys, ts, m_range=m_range, n_dirs=n_dirs)
+    assert np.array_equal(got, _weight_v_many_every_pair(S, ys, ts, m_range, n_dirs))
+
+    if ranges == (12, 32):  # the control weight calls it with the defaults
+        w = ControlWeight(S, alpha=0.3, beta=1.0, q=2.0)
+        actual = w(ys, ts)
+        monkeypatch.setattr(group_analysis, "weight_v_many", _weight_v_many_every_pair)
+        assert np.array_equal(actual, w(ys, ts))
+
 class TestLocalMaximal:
     def test_degenerate_window(self, psi_vec, suite_field):
         W = wavelet_transform(suite_field, psi_vec, GGRID)
