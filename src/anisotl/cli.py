@@ -30,7 +30,12 @@ _GROUP_KINDS = {
     "translations": "translation-bounds",
 }
 
-def _load_config(path: str | None, overrides: list[str]) -> dict:
+def _load_config(
+    path: str | None, overrides: list[str], sections: tuple[str, ...] | None = None
+) -> dict:
+    """The config file with the --set overrides applied.  A subcommand that
+    reads only some top-level sections passes them, and an override of any
+    other key is a config failure rather than silently unused."""
     cfg: dict = {}
     if path:
         try:
@@ -46,6 +51,10 @@ def _load_config(path: str | None, overrides: list[str]) -> dict:
         key, _, value = item.partition("=")
         node = cfg
         parts = key.split(".")
+        if sections is not None and parts[0] not in sections:
+            raise SystemExit(_fail_config(
+                f"--set {item}: {parts[0]} is not read here, only {', '.join(sections)}"
+            ))
         for i, p in enumerate(parts[:-1]):
             node = node.setdefault(p, {})
             if not isinstance(node, dict):
@@ -114,10 +123,13 @@ def run(kind: str, config: dict, out_dir: str = "results") -> int:
     return 0 if result["pass"] else 1
 
 
+_VALIDATE_KINDS = ("quasinorm-axioms", "calderon", "admissibility")
+
+
 def _cmd_validate(args) -> int:
-    cfg = _load_config(args.config, args.set)
+    cfg = _load_config(args.config, args.set, _VALIDATE_KINDS + ("matrix",))
     worst = 0
-    for kind in ("quasinorm-axioms", "calderon", "admissibility"):
+    for kind in _VALIDATE_KINDS:
         code = run(kind, cfg.get(kind, {}), args.out)
         worst = max(worst, code)
     if args.diagnostics:
@@ -136,10 +148,11 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_norm(args) -> int:
-    cfg = _load_config(args.config, args.set)
+    kinds = ("norm-equivalence",) if args.field else ("norm-equivalence", "embedding")
+    cfg = _load_config(args.config, args.set, kinds)
     if not args.field:
         worst = 0
-        for kind in ("norm-equivalence", "embedding"):
+        for kind in kinds:
             worst = max(worst, run(kind, cfg.get(kind, {}), args.out))
         return worst
     reports = _execute("norm", _field_reports, args, cfg)
@@ -180,8 +193,8 @@ def _field_reports(args, cfg: dict) -> dict:
 
 
 def _cmd_group(args) -> int:
-    cfg = _load_config(args.config, args.set)
     kind = _GROUP_KINDS[args.what]
+    cfg = _load_config(args.config, args.set, (kind,))
     return run(kind, cfg.get(kind, {}), args.out)
 
 
@@ -195,7 +208,7 @@ _FRAME_STAGES = {
 
 
 def _cmd_frames(args) -> int:
-    cfg = _load_config(args.config, args.set)
+    cfg = _load_config(args.config, args.set, ("frames",))
     outcome = _execute("frames", _run_kind, "frames", cfg.get("frames", {}))
     if isinstance(outcome, int):
         return outcome

@@ -205,11 +205,18 @@ DEFAULTS: dict = {
 }
 
 
+# Keys a config may set although no default names them: the kind a `run`
+# config file selects, and suite fields that `_suite` reads with a
+# fallback.  Adding them to DEFAULTS would change every resolved config.
+_OPTIONAL_KEYS = {"experiment", "suite.kind", "suite.t_range"}
+
+
 def merged_config(kind: str, config: dict | None) -> dict:
     """The kind's defaults overridden by config; nested dicts merge key by
-    key at every depth, any other value (lists included) replaces.  An
-    override that puts an object where the default has none, or the other
-    way round, raises ValueError."""
+    key at every depth, any other value (lists included) replaces.  A key
+    the defaults do not have (outside ``_OPTIONAL_KEYS``), or an override
+    that puts an object where the default has none or the other way
+    round, raises ValueError."""
     config = {} if config is None else config
     if not isinstance(config, dict):
         raise ValueError(f"{kind} must be an object, got {config!r}")
@@ -219,6 +226,8 @@ def merged_config(kind: str, config: dict | None) -> dict:
 def _deep_merge(base: dict, over: dict, path: str) -> dict:
     out = dict(base)
     for key, value in over.items():
+        if key not in out and f"{path}{key}" not in _OPTIONAL_KEYS:
+            raise ValueError(f"unknown key {path}{key}")
         if key in out and isinstance(out[key], dict) != isinstance(value, dict):
             must = "must" if isinstance(out[key], dict) else "must not"
             raise ValueError(f"{path}{key} {must} be an object, got {value!r}")
@@ -754,8 +763,9 @@ def run_control_weight(config: dict | None = None) -> dict:
         sym_err = float(np.max(np.abs(lhs - rhs) / lhs))
 
         half = n // 2
-        rep_half = envelope_compare(w, ys[:half], ts[:half])
-        rep_full = envelope_compare(w, ys, ts)
+        # w is per sample, so the half sample's values are a prefix of lhs
+        rep_half = envelope_compare(w, ys[:half], ts[:half], lhs[:half])
+        rep_full = envelope_compare(w, ys, ts, lhs)
         drift_max = abs(rep_full["max_ratio"] - rep_half["max_ratio"]) / rep_half[
             "max_ratio"
         ]

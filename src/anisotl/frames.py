@@ -206,7 +206,7 @@ def atom_field(vec, gamma: GroupPoint, grid: GridSpec) -> SampledField:
     return field_from_spec(grid, spec.reshape(grid.shape), psi.gauge)
 
 
-@dataclass
+@dataclass(frozen=True)
 class FrameSystem:
     """Atoms of one index set with cached spectral data."""
 
@@ -221,10 +221,17 @@ class FrameSystem:
         atoms, active = atom_spectra(vec, Gamma, grid)
         return cls(vec=vec, Gamma=Gamma, grid=grid, atoms=atoms, active=active)
 
+    @functools.cached_property
+    def conj_atoms(self) -> np.ndarray:
+        """conj(atoms), computed once for every analysis call."""
+        conj = np.conj(self.atoms)
+        conj.flags.writeable = False
+        return conj
+
     def analysis(self, f: SampledField) -> np.ndarray:
         """c_gamma = <f, pi(gamma) psi>, exact on the torus pairing."""
         coef = f.spec.ravel()[self.active]
-        return self.grid.box_volume * (np.conj(self.atoms) @ coef)
+        return self.grid.box_volume * (self.conj_atoms @ coef)
 
     def synthesis(self, c: np.ndarray) -> SampledField:
         if len(c) != len(self.atoms):
@@ -237,14 +244,14 @@ class FrameSystem:
 
     def frame_operator_matrix(self) -> np.ndarray:
         """S on the active spectral coefficients (Hermitian PSD)."""
-        return self.grid.box_volume * (self.atoms.T @ self.atoms.conj())
+        return self.grid.box_volume * (self.atoms.T @ self.conj_atoms)
 
     def apply_frame_operator(self, f: SampledField) -> SampledField:
         return self.synthesis(self.analysis(f))
 
     def gramian(self) -> np.ndarray:
         """G[i, j] = <atom_j, atom_i>."""
-        return self.grid.box_volume * (np.conj(self.atoms) @ self.atoms.T)
+        return self.grid.box_volume * (self.conj_atoms @ self.atoms.T)
 
 
 def analysis(f: SampledField, vec, Gamma: IndexSet) -> np.ndarray:

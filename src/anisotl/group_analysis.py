@@ -694,11 +694,11 @@ def control_weight(S: QuasiNormStructure, alpha: float, beta: float, q: float) -
 
 
 def envelope_compare(
-    w: ControlWeight, ys: np.ndarray, ts: np.ndarray
+    w: ControlWeight, ys: np.ndarray, ts: np.ndarray, vals: np.ndarray
 ) -> dict:
-    """Sampled two-sided comparison of w against Xi_(sigma,0) + Xi_(kappa,-beta)."""
+    """Sampled two-sided comparison of the values vals = w(ys, ts) against
+    Xi_(sigma,0) + Xi_(kappa,-beta)."""
     xi_s, xi_k, upper = w.envelopes()
-    vals = w(ys, ts)
     env = xi_s(w.S, ys, ts) + xi_k(w.S, ys, ts)
     ratios = vals / env
     return {

@@ -68,12 +68,44 @@ class ExpansiveMatrix:
         return {"dim": self.d, "entries": [float(v) for v in self.A.ravel()]}
 
 
+def _triu_log(A: np.ndarray) -> np.ndarray:
+    """log A for an upper-triangular A with d <= 2 and a positive diagonal:
+    log of the diagonal, and the superdiagonal entry of Higham (2008),
+    eq. 11.28, with the far-apart test of scipy's ``_logm_superdiag_entry``
+    (real branches only; the unwinding number of a positive pair is 0)."""
+    B = np.zeros_like(A)
+    B[np.diag_indices(len(A))] = np.log(np.diag(A))
+    if len(A) == 2:
+        l1, l2, t12 = A[0, 0], A[1, 1], A[0, 1]
+        if l1 == l2:
+            B[0, 1] = t12 / l1
+        elif abs(l2 - l1) > abs(l1 + l2) / 2:
+            B[0, 1] = t12 * (np.log(l2) - np.log(l1)) / (l2 - l1)
+        else:
+            z = (l2 - l1) / (l2 + l1)
+            B[0, 1] = t12 * 2 * np.arctanh(z) / (l2 - l1)
+    return B
+
+
 def _real_log(A: np.ndarray) -> np.ndarray:
+    """The real logarithm B of A, checked by exp(B) = A to _LOG_REL_TOL.
+
+    For an upper-triangular A with d <= 2 and a positive diagonal, B is
+    computed in closed form by ``_triu_log``.  scipy's ``logm`` takes such
+    an input to its triangular branch (Al-Mohy & Higham, SISC 2012), runs
+    the Pade step and then overwrites the diagonal with log(a_ii) and the
+    first superdiagonal with Higham's eq. 11.28; for d <= 2 those are all
+    the entries, so the closed form is bit-equal to ``logm`` and skips
+    its Pade work and lazy import.  Every other input goes to ``logm``.
+    """
     eig = np.linalg.eigvals(A)
     on_negative_axis = (np.abs(eig.imag) <= 1e-12 * np.abs(eig)) & (eig.real < 0)
     if np.any(on_negative_axis):
         raise NotExponential("eigenvalue on the closed negative real axis")
-    B = logm(A)
+    closed_form = (
+        len(A) <= 2 and np.array_equal(A, np.triu(A)) and np.all(np.diag(A) > 0)
+    )
+    B = _triu_log(A) if closed_form else logm(A)
     scale = max(np.max(np.abs(B)), 1.0)
     if np.max(np.abs(B.imag)) > 1e-9 * scale:
         raise NotExponential("matrix logarithm is not real")

@@ -52,7 +52,7 @@ def test_criterion_03_admissibility():
 
 
 def test_criterion_04_isometry_and_reproducing():
-    _run("4 isometry/reproducing", run_wavelet_repro, budget=300.0)
+    _run("4 isometry/reproducing", run_wavelet_repro, budget=30.0)
 
 
 def test_criterion_05_maximal_characterization():
@@ -64,20 +64,20 @@ def test_criterion_05_maximal_characterization():
 
 
 def test_criterion_06_besov_identification():
-    result = _run("6 p=q=inf identification", run_embedding, budget=300.0)
+    result = _run("6 p=q=inf identification", run_embedding, budget=30.0)
     for row in result["rows"]:
         if row["grid"] == "base":
             assert row["inf_over_q_max"] <= 1.0 + 1e-9
 
 
 def test_criterion_07_translation_bounds():
-    result = _run("7 translation bounds", run_translation_bounds, budget=300.0)
+    result = _run("7 translation bounds", run_translation_bounds, budget=30.0)
     branches = {row["branch"] for row in result["rows"]}
     assert branches == {"positive", "nonpositive"}
 
 
 def test_criterion_08_control_weight():
-    result = _run("8 control weight", run_control_weight, budget=15.0)
+    result = _run("8 control weight", run_control_weight, budget=5.0)
     for row in result["rows"]:
         assert row["symmetry_error"] <= 1e-9
     assert {bool(r["upper_branch"]) for r in result["rows"]} == {True, False}

@@ -98,7 +98,10 @@ class TestCli:
         assert code == 2
 
     def test_determinism_byte_identical(self, tmp_path):
-        cfg = small_calderon_config(tmp_path)
+        # `run` reads the whole file as the kind's config, not a section of it
+        sections = json.loads(small_calderon_config(tmp_path).read_text())
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(sections["calderon"]))
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
         assert main(["--out", str(out1), "run", "--kind", "calderon", "--config", str(cfg), "--set", "label=det"]) in (0,)
         assert main(["--out", str(out2), "run", "--kind", "calderon", "--config", str(cfg), "--set", "label=det"]) in (0,)
@@ -161,6 +164,25 @@ class TestCli:
         assert str(exc.value) == message
 
     @pytest.mark.parametrize(
+        "kind, override, message",
+        [
+            ("frames", {"iteratons": 5}, "unknown key iteratons"),
+            ("frames", {"covering": {"densty": 0.25}}, "unknown key covering.densty"),
+            ("calderon", {"suite": {"count": 1}}, "unknown key suite"),
+            ("calderon", {"suite": {"kind": "mixed"}}, "unknown key suite"),
+        ],
+    )
+    def test_merged_config_rejects_unknown_keys(self, kind, override, message):
+        with pytest.raises(ValueError) as exc:
+            merged_config(kind, override)
+        assert str(exc.value) == message
+
+    def test_merged_config_keeps_optional_keys(self):
+        cfg = merged_config("suite", {"suite": {"t_range": [1.0, 2.0], "kind": "mixed"}})
+        assert cfg["suite"] == {"count": 8, "seed": 7, "t_range": [1.0, 2.0], "kind": "mixed"}
+        assert merged_config("calderon", {"experiment": "calderon"})["experiment"] == "calderon"
+
+    @pytest.mark.parametrize(
         "argv, message",
         [
             (
@@ -208,6 +230,33 @@ class TestCli:
                 ["frames", "--set", "frames.suite.count=0", "--set", "frames.grid.n=512",
                  "--set", "frames.s_range=[-2.5, 0.5]"],
                 "config error: frames: the config yields no error-curves rows",
+            ),
+            # a key no runner reads is a config failure, not silently unused
+            (
+                ["frames", "--set", "frames.iteratons=5"],
+                "config error: frames: unknown key iteratons",
+            ),
+            (
+                ["frames", "--set", "suite.count=0"],
+                "config error: --set suite.count=0: suite is not read here, only frames",
+            ),
+            (
+                ["validate", "--set", "frames.iterations=5"],
+                "config error: --set frames.iterations=5: frames is not read here, only "
+                "quasinorm-axioms, calderon, admissibility, matrix",
+            ),
+            (
+                ["group", "weights", "--set", "samples=10"],
+                "config error: --set samples=10: samples is not read here, only control-weight",
+            ),
+            (
+                ["norm", "--field", "f.bin", "--set", "embedding.alpha=1"],
+                "config error: --set embedding.alpha=1: embedding is not read here, only "
+                "norm-equivalence",
+            ),
+            (
+                ["run", "--kind", "calderon", "--set", "tolerence=1e-9"],
+                "config error: calderon: unknown key tolerence",
             ),
         ],
     )

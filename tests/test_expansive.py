@@ -1,13 +1,20 @@
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
-from scipy.linalg import expm
+from hypothesis import example, given, settings, strategies as st
+from scipy.linalg import expm, logm
 
+import anisotl
 from anisotl.errors import NotExpansive, NotExponential, Singular
 from anisotl.linalg_expansive import (
     SHELL_CLAMP,
+    _real_log,
     build_ellipsoid,
     fractional_power,
     matrix_from_json,
@@ -105,6 +112,62 @@ class TestMatrixLog:
         E = validate_expansive([[0.0, -2.0], [2.0, 0.0]])
         B = real_matrix_log(E)
         assert np.max(np.abs(expm_oracle(B) - E.A)) < 1e-9
+
+
+@st.composite
+def positive_triangular(draw):
+    """Upper-triangular d <= 2 matrices with a positive diagonal, weighted
+    towards each branch of the superdiagonal formula: equal diagonals, and
+    |l2 - l1| just below and just above |l1 + l2| / 2 (l2 = 3 l1)."""
+    l1 = draw(st.floats(0.1, 100.0))
+    if draw(st.booleans()):
+        return np.array([[l1]])
+    gap = draw(st.sampled_from(["equal", "below", "above", "free"]))
+    if gap == "equal":
+        l2 = l1
+    elif gap == "free":
+        l2 = draw(st.floats(0.1, 100.0))
+    else:
+        eps = draw(st.floats(1e-15, 1e-3))
+        l2 = 3.0 * l1 * (1.0 - eps if gap == "below" else 1.0 + eps)
+    if draw(st.booleans()):
+        l1, l2 = l2, l1
+    t12 = draw(st.floats(-100.0, 100.0))
+    return np.array([[l1, t12], [0.0, l2]])
+
+
+class TestClosedFormLog:
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(positive_triangular())
+    @example(np.array([[2.0]]))
+    @example(2.0 * np.eye(2))
+    @example(np.diag([2.0, 4.0]))
+    @example(np.array(JORDAN))
+    @example(np.array([[2.0, 3.0], [0.0, 4.0]]))
+    @example(np.array([[2.0, -1.0], [0.0, 6.0]]))
+    def test_bit_equal_to_logm(self, A):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            expected = np.real(logm(A))
+        assert np.array_equal(_real_log(A), expected)
+
+    def test_triangular_dilations_skip_logm_imports(self):
+        # logm's lazy import loads scipy.special and scipy.sparse
+        code = (
+            "import sys, anisotl\n"
+            "from anisotl.experiments import run_quasinorm_axioms\n"
+            "from anisotl.linalg_expansive import matrix_from_json\n"
+            "matrix_from_json({'dim': 2, 'entries': [2.0, 1.0, 0.0, 2.0]})\n"
+            "assert run_quasinorm_axioms()['pass']\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.split('.')[:2] in (['scipy', 'special'], ['scipy', 'sparse'])))\n"
+        )
+        src = str(Path(anisotl.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert out.stdout.strip() == "[]"
 
 
 class TestFractionalPower:

@@ -99,6 +99,18 @@ class TestIndexSets:
 
 
 class TestAnalysisSynthesis:
+    def test_kept_conjugate_rounds_as_a_fresh_one(self, covering_system, suite):
+        atoms, vol = covering_system.atoms, GRID.box_volume
+        coef = suite[0].spec.ravel()[covering_system.active]
+        assert np.array_equal(
+            covering_system.analysis(suite[0]), vol * (np.conj(atoms) @ coef)
+        )
+        assert np.array_equal(
+            covering_system.frame_operator_matrix(), vol * (atoms.T @ atoms.conj())
+        )
+        assert np.array_equal(covering_system.gramian(), vol * (np.conj(atoms) @ atoms.T))
+        assert not covering_system.conj_atoms.flags.writeable
+
     def test_atom_self_coefficient(self, vec, covering_gamma, covering_system):
         idx = len(covering_gamma) // 2
         gamma = group_point(covering_gamma.xs[idx], covering_gamma.ss[idx])

@@ -311,7 +311,7 @@ class TestControlWeight:
             rng = np.random.default_rng(10)
             ys = rng.normal(size=(200, 1)) * 3
             ts = rng.uniform(-3, 3, size=200)
-            rep = envelope_compare(w, ys, ts)
+            rep = envelope_compare(w, ys, ts, w(ys, ts))
             assert 0 < rep["min_ratio"] <= rep["max_ratio"] < np.inf
 
     def test_branches_differ(self):
@@ -351,6 +351,19 @@ def test_inversions_match_masked_products(mat, monkeypatch):
     ControlWeight(S, alpha=0.3, beta=1.0, q=2.0)(ys, ts)
     assert np.array_equal(seen[0], ys)
     assert np.array_equal(seen[1], inv_y)
+
+
+@pytest.mark.parametrize(
+    "mat", [[[2.0]], [[2.0, 0.0], [0.0, 4.0]], [[2.0, 1.0], [0.0, 2.0]]], ids=["line", "diag24", "shear"]
+)
+def test_control_weight_prefix_is_the_half_sample(mat):
+    # run_control_weight reads its half-sample values off the full sample's
+    E = validate_expansive(mat)
+    w = control_weight(build_ellipsoid(E), alpha=0.5, beta=1.0, q=2.0)
+    rng = np.random.default_rng(13)
+    ys = rng.normal(size=(400, E.d)) * 3.0
+    ts = np.round(rng.uniform(-3, 3, size=400) * 8) / 8
+    assert np.array_equal(w(ys, ts)[:200], w(ys[:200], ts[:200]))
 
 
 
