@@ -97,14 +97,31 @@ def freq_axis(grid: GridSpec) -> np.ndarray:
 
 
 def freq_points(grid: GridSpec) -> np.ndarray:
-    """All lattice frequencies as an (N, d) array in FFT order."""
+    """All lattice frequencies as an (N, d) array in FFT order.
+
+    The array is built once per grid and the grid is recorded beside it,
+    so lattice_grid can tell this exact object from an equal copy."""
 
     def build():
         ax = freq_axis(grid)
         mesh = np.meshgrid(*([ax] * grid.d), indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
+        pts = np.stack([m.ravel() for m in mesh], axis=-1)
+        # _CACHE keeps pts alive, so its id is never reused for another array
+        _CACHE[("lattice", id(pts))] = grid
+        return pts
 
     return cached(_CACHE, ("fp", grid), build)
+
+
+def lattice_grid(pts) -> GridSpec | None:
+    """The grid whose freq_points array is pts itself, else None.
+
+    Only the very object freq_points handed out counts; a copy, a view or
+    an equal array of the same frequencies gives None."""
+    grid = _CACHE.get(("lattice", id(pts)))
+    if grid is None or _CACHE.get(("fp", grid)) is not pts:
+        return None
+    return grid
 
 
 def spectral_phase(grid: GridSpec) -> np.ndarray:

@@ -19,7 +19,7 @@ from scipy.linalg import expm, logm, solve_continuous_lyapunov
 from scipy.linalg import eigh as generalized_eigh
 
 from .errors import NotExpansive, NotExponential, Singular
-from .grids import GridSpec, cached, freq_points
+from .grids import GridSpec, cached, freq_points, lattice_grid
 
 # Shell search range for the step quasi-norm; outside it the value
 # saturates at the boundary shell and the caller is handed a flag.
@@ -530,6 +530,20 @@ def measure_nu_constant(w: WeightNu, n: int = 4096, seed: int = 11) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _dot(a, b):
+    """sum_j a[j] * b[j] over the leading index, added in einsum's order:
+    (a0*b0 + a1*b1) + a2*b2 + ...
+
+    einsum starts each sum at 0.0, which differs only in turning a -0.0
+    sum into +0.0.  flow accumulates into +0.0 zeros and ||y||^2 adds
+    squares, so that sign reaches no result: with at most two terms the
+    values are bit-equal to einsum's."""
+    acc = a[0] * b[0]
+    for aj, bj in zip(a[1:], b[1:]):
+        acc += aj * bj
+    return acc
+
+
 class ScaleGauge:
     """Continuous anisotropic scale coordinate for an exponential dilation.
 
@@ -576,29 +590,39 @@ class ScaleGauge:
         for k in range(1, n_tab + 1):
             table[n_tab + k] = table[n_tab + k - 1] @ step_mat
             table[n_tab - k] = table[n_tab - k + 1] @ step_inv
-        self._table = table
+        # flow reads the contracted index first: _table[j, i, m] is entry
+        # (i, j) of table step m, _taylor[k, j, i, 0] that of (-B)^k / k!
+        self._table = np.ascontiguousarray(table.T)
         self._n_tab = n_tab
-        # Taylor coefficients of exp(-u B): powers (-B)^k / k!
         powers = [np.eye(self.d)]
         for k in range(1, self._TAYLOR_ORDER + 1):
             powers.append(powers[-1] @ (-B) / k)
-        self._taylor = np.stack(powers)
+        self._taylor = np.ascontiguousarray(np.stack(powers).transpose(0, 2, 1)[..., None])
         self._t_cache: dict = {}
 
     def flow(self, s: np.ndarray, pts: np.ndarray) -> np.ndarray:
-        """exp(-s_i B) @ pts_i for per-point scales s_i (table + Taylor)."""
+        """exp(-s_i B) @ pts_i for per-point scales s_i (table + Taylor).
+
+        Each per-point contraction (the table product and the Taylor
+        terms) is column arithmetic in einsum's own order, see _dot.  With
+        at most two terms such a sum has one rounding, so in d <= 2 the
+        result is bit-equal to np.einsum("nij,nj->ni", ...) and
+        np.einsum("ij,nj->ni", ...); in d >= 3 einsum may pair the terms
+        differently and the two agree to rounding.  One call is one Newton
+        step of t.
+        """
         s = np.asarray(s, dtype=float)
         idx = np.clip(
             np.rint(s / self._TABLE_STEP).astype(int), -self._n_tab, self._n_tab
         )
         u = s - idx * self._TABLE_STEP
-        base = np.einsum("nij,nj->ni", self._table[idx + self._n_tab], pts)
+        base = _dot(self._table[:, :, idx + self._n_tab], np.asarray(pts).T[:, None])
         out = np.zeros_like(base)
         upow = np.ones_like(s)
-        for k in range(self._TAYLOR_ORDER + 1):
-            out += upow[:, None] * np.einsum("ij,nj->ni", self._taylor[k], base)
+        for taylor in self._taylor:
+            out += upow * _dot(taylor, base)
             upow = upow * u
-        return out
+        return out.T.copy()
 
     def dilate(self, u: float) -> np.ndarray:
         """A^u as a matrix."""
@@ -612,7 +636,32 @@ class ScaleGauge:
         max |log G| < 1e-13 (at most 120 steps) and is then frozen; the other
         sets go on.  Every per-point operation is elementwise, so a stacked
         call is bit-identical to k separate calls.
+
+        Lattice rule: if pts is the very array freq_points(grid) handed out
+        (grids.lattice_grid), the lattice is solved once per gauge and the
+        cached read-only array of t_grid(grid) is returned.  Any other
+        array, an equal copy of a lattice included, is solved afresh; the
+        values are the same either way.
         """
+        grid = lattice_grid(pts)
+        if grid is None:
+            return self._solve(pts)
+        return cached(self._t_cache, grid, lambda: self._solve(pts))
+
+    def _log_g(self, s: np.ndarray, x: np.ndarray):
+        """log G(s) = log(y^T P y) at y = exp(-sB) x, and its |slope| bound.
+
+        g keeps the 3-operand einsum: its summation order depends on the
+        number of points (nested for n <= 2, flat for n >= 3), which column
+        arithmetic cannot follow bit for bit.  ||y||^2 has two terms in
+        d <= 2 and goes through _dot like flow.
+        """
+        y = self.flow(s, x)
+        g = np.einsum("ni,ij,nj->n", y, self.P, y)
+        return np.log(g), _dot(y.T, y.T) / g
+
+    def _solve(self, pts: np.ndarray) -> np.ndarray:
+        """The Newton solve behind t, with bisection inside a bracket."""
         pts = np.asarray(pts, dtype=float)
         stacked = pts.ndim == 3
         if not stacked:
@@ -628,12 +677,6 @@ class ScaleGauge:
         counts = counts[counts > 0]  # live points per unfinished set
         starts = np.cumsum(counts) - counts
 
-        def logG(s, x):
-            y = self.flow(s, x)
-            g = np.einsum("ni,ij,nj->n", y, self.P, y)
-            ynorm = np.einsum("ni,ni->n", y, y)
-            return np.log(g), ynorm / g  # value, |slope|
-
         # initial guess from the P-quadratic form at s = 0
         g0 = np.einsum("ni,ij,nj->n", x, self.P, x)
         lam_mid = 2.0 / (1.0 / self._lam_min + 1.0 / self._lam_max)
@@ -641,7 +684,7 @@ class ScaleGauge:
         lo = np.full(len(s), -np.inf)
         hi = np.full(len(s), np.inf)
         for _ in range(120):
-            val, slope = logG(s, x)
+            val, slope = self._log_g(s, x)
             # logG is strictly decreasing: val > 0 means the root is above s
             lo = np.where(val > 0, np.maximum(lo, s), lo)
             hi = np.where(val < 0, np.minimum(hi, s), hi)
@@ -673,8 +716,10 @@ class ScaleGauge:
         return out if stacked else out[0]
 
     def t_grid(self, grid: GridSpec) -> np.ndarray:
-        """t at every lattice frequency of grid, in FFT order (cached)."""
-        return cached(self._t_cache, grid, lambda: self.t(freq_points(grid)))
+        """t at every lattice frequency of grid, in FFT order: the cached
+        t(freq_points(grid)), solved through t on first use."""
+        hit = self._t_cache.get(grid)
+        return self.t(freq_points(grid)) if hit is None else hit
 
     def points_on_level(self, tau: float, n_dirs: int, seed: int = 3) -> np.ndarray:
         """Points on the level set {t = tau} via flowed sphere directions."""

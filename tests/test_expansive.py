@@ -12,8 +12,10 @@ from scipy.linalg import expm, logm
 
 import anisotl
 from anisotl.errors import NotExpansive, NotExponential, Singular
+from anisotl.grids import GridSpec, freq_points, lattice_grid
 from anisotl.linalg_expansive import (
     SHELL_CLAMP,
+    ScaleGauge,
     _real_log,
     build_ellipsoid,
     fractional_power,
@@ -31,6 +33,7 @@ from anisotl.linalg_expansive import (
     unit_ball_volume,
     WeightNu,
 )
+from anisotl.suite import SuiteSpec, suite_generate
 
 JORDAN = [[2.0, 1.0], [0.0, 2.0]]
 
@@ -392,6 +395,18 @@ class TestMetricBall:
             metric_ball(self.S, np.zeros(1), 0.0)
 
 
+def _count_flows(g):
+    """Replace g.flow by a wrapper; the returned list gets each step's set size."""
+    flow, steps = g.flow, []
+
+    def counted(s, pts):
+        steps.append(len(s))
+        return flow(s, pts)
+
+    g.flow = counted
+    return steps
+
+
 class TestScaleGauge:
     def test_line_gauge_closed_form(self):
         E = validate_expansive([[2.0]])
@@ -429,13 +444,7 @@ class TestScaleGauge:
     def test_stacked_solve_matches_separate_calls(self, mat):
         E = validate_expansive(mat)
         g = transpose_gauge(E)
-        flow, sizes = g.flow, []
-
-        def counted(s, pts):
-            sizes.append(len(s))
-            return flow(s, pts)
-
-        g.flow = counted
+        sizes = _count_flows(g)
         rng = np.random.default_rng(8)
         n = 16
         # far-out and near-origin sets take different numbers of steps
@@ -468,3 +477,112 @@ class TestScaleGauge:
         assert g.t(np.ones((5, 2))).shape == (5,)
         assert g.t(np.ones((1, 5, 2))).shape == (1, 5)
         assert g.t(np.zeros((3, 2))).shape == (3,)
+
+
+class _EinsumGauge(ScaleGauge):
+    """Reference Newton step: the einsum bodies that flow and the slope of
+    log G had before they became column arithmetic.  The stored tables are
+    indexed contracted-index first, hence the transposes."""
+
+    def flow(self, s, pts):
+        s = np.asarray(s, dtype=float)
+        idx = np.clip(np.rint(s / self._TABLE_STEP).astype(int), -self._n_tab, self._n_tab)
+        u = s - idx * self._TABLE_STEP
+        base = np.einsum("nij,nj->ni", self._table.T[idx + self._n_tab], pts)
+        out = np.zeros_like(base)
+        upow = np.ones_like(s)
+        for k in range(self._TAYLOR_ORDER + 1):
+            out += upow[:, None] * np.einsum("ij,nj->ni", self._taylor[k, :, :, 0].T, base)
+            upow = upow * u
+        return out
+
+    def _log_g(self, s, x):
+        y = self.flow(s, x)
+        g = np.einsum("ni,ij,nj->n", y, self.P, y)
+        ynorm = np.einsum("ni,ni->n", y, y)
+        return np.log(g), ynorm / g
+
+
+def _reference_pair(mat):
+    g = transpose_gauge(validate_expansive(mat))
+    return g, _EinsumGauge(g.A, g.B)
+
+
+def _gauge_points(rng, n, d):
+    """Points over 24 decades, some with zero coordinates as on the lattice."""
+    pts = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-12, 12, size=(n, 1))
+    pts[rng.random(size=(n, d)) < 0.2] = 0.0
+    return pts
+
+
+NEWTON_MATRICES = [
+    [[2.0]],
+    np.diag([2.0, 4.0]),
+    JORDAN,
+    [[1.0, -1.0], [1.0, 1.0]],
+    [[2.0, 3.0], [0.0, 4.0]],
+]
+NEWTON_IDS = ["line", "diag24", "shear", "rotation", "triu234"]
+
+
+@pytest.mark.parametrize("mat", NEWTON_MATRICES, ids=NEWTON_IDS)
+@pytest.mark.parametrize("n", [1, 2, 3, 1000])
+def test_newton_step_bit_equal_to_einsum(mat, n):
+    g, ref = _reference_pair(mat)
+    rng = np.random.default_rng(n)
+    for _ in range(5):
+        pts = _gauge_points(rng, n, g.d)
+        s = rng.uniform(-40.0, 40.0, size=n)
+        y, y_ref = g.flow(s, pts), ref.flow(s, pts)
+        assert np.array_equal(y, y_ref)
+        assert np.array_equal(np.signbit(y), np.signbit(y_ref))
+        assert np.array_equal(g.t(pts), ref.t(pts))
+    stack = np.stack([_gauge_points(rng, n, g.d) for _ in range(3)])
+    assert np.array_equal(g.t(stack), ref.t(stack))
+
+
+def test_newton_step_in_3d_agrees_to_rounding():
+    g, ref = _reference_pair([[2.0, 0.5, 0.3], [0.0, 3.0, 0.2], [0.0, 0.0, 2.5]])
+    rng = np.random.default_rng(3)
+    pts = rng.normal(size=(500, 3)) * 10.0 ** rng.uniform(-6, 6, size=(500, 1))
+    s = rng.uniform(-20.0, 20.0, size=500)
+    assert np.allclose(g.flow(s, pts), ref.flow(s, pts), rtol=1e-13, atol=0.0)
+    assert np.allclose(g.t(pts), ref.t(pts), rtol=1e-13, atol=0.0)
+
+
+LATTICE_CASES = [([[2.0]], GridSpec(d=1, extent=8.0, n=256)),
+                 (JORDAN, GridSpec(d=2, extent=2.0, n=16))]
+
+
+@pytest.mark.parametrize("mat, grid", LATTICE_CASES, ids=["line", "shear"])
+def test_lattice_is_solved_once_per_gauge(mat, grid):
+    g = transpose_gauge(validate_expansive(mat))
+    steps = _count_flows(g)
+    lattice = freq_points(grid)
+    assert lattice_grid(lattice) == grid
+    assert lattice_grid(lattice.copy()) is None
+    assert lattice_grid(lattice[:]) is None
+    t = g.t_grid(grid)
+    assert steps and not t.flags.writeable
+    steps.clear()
+    assert g.t(lattice) is t
+    assert g.t(np.atleast_2d(lattice)) is t
+    assert g.t_grid(grid) is t
+    assert steps == []
+    fresh = g.t(lattice.copy())
+    assert fresh is not t and fresh.flags.writeable
+    assert np.array_equal(fresh, t)
+    assert steps
+
+
+@pytest.mark.parametrize("mat, grid", LATTICE_CASES, ids=["line", "shear"])
+def test_suite_costs_one_lattice_solve(mat, grid):
+    E = validate_expansive(mat)
+    alone = transpose_gauge(E)
+    lattice_steps = _count_flows(alone)
+    alone.t_grid(grid)
+    g = transpose_gauge(E)
+    suite_steps = _count_flows(g)
+    fields = suite_generate(SuiteSpec(count=4, seed=7, t_range=(0.0, 1.5)), grid, g)
+    assert len(fields) == 4
+    assert len(suite_steps) == len(lattice_steps) > 0
