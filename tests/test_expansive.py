@@ -515,13 +515,7 @@ def _gauge_points(rng, n, d):
     return pts
 
 
-NEWTON_MATRICES = [
-    [[2.0]],
-    np.diag([2.0, 4.0]),
-    JORDAN,
-    [[1.0, -1.0], [1.0, 1.0]],
-    [[2.0, 3.0], [0.0, 4.0]],
-]
+NEWTON_MATRICES = SHELL_MATRICES + [[[2.0, 3.0], [0.0, 4.0]]]
 NEWTON_IDS = ["line", "diag24", "shear", "rotation", "triu234"]
 
 
