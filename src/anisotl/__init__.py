@@ -27,7 +27,6 @@ from .linalg_expansive import (
     fractional_power,
     matrix_from_json,
     metric_ball,
-    quasi_norm,
     real_matrix_log,
     spatial_gauge,
     transpose_gauge,
@@ -88,7 +87,6 @@ from .frames import (
     FrameSystem,
     IndexSet,
     MolecularSystem,
-    analysis,
     atom_field,
     dual_reconstruct,
     frame_bounds,

@@ -82,9 +82,6 @@ class SpectralProfile:
         t = self.t_grid(grid)
         return self.shape(t - s).reshape(grid.shape)
 
-    def samples(self, grid: GridSpec) -> np.ndarray:
-        return self.multiplier(grid, 0.0)
-
     def to_json(self) -> dict:
         if self.shape_fn is not None:
             raise ValueError("profiles with derived shapes are not serializable")
@@ -121,13 +118,12 @@ def make_covering_profile(
     grid: GridSpec,
     t_center: float = 1.0,
     t_halfwidth: float = 1.0,
-    coverage_threshold: float = 0.1,
 ) -> SpectralProfile:
     """Smooth shell bump whose (A^T)^j dilates cover all grid frequencies.
 
     Requires the grid to resolve the base shell (gauge radius in
     [1, |det A|]) with at least 16 samples, and certifies max_j
-    |g_hat((A^T)^j xi)| >= coverage_threshold for every grid xi != 0.
+    |g_hat((A^T)^j xi)| >= 0.1 for every grid xi != 0 (check_coverage).
     """
     gauge = transpose_gauge(E)
     profile = SpectralProfile(
@@ -140,11 +136,12 @@ def make_covering_profile(
         raise ValueError(
             f"grid resolves the base shell with only {base_shell} samples (< 16)"
         )
-    check_coverage(profile, t[finite], threshold=coverage_threshold)
+    check_coverage(profile, t[finite])
     return profile
 
 
-def check_coverage(profile: SpectralProfile, t_values: np.ndarray, threshold: float = 0.1) -> None:
+def check_coverage(profile: SpectralProfile, t_values: np.ndarray) -> None:
+    """Raise CoverageGap unless max_j |shape(t - j)| >= 0.1 at every t."""
     lo, hi = profile.t_support
     if t_values.size == 0:
         return
@@ -153,10 +150,10 @@ def check_coverage(profile: SpectralProfile, t_values: np.ndarray, threshold: fl
     best = np.zeros_like(t_values)
     for j in range(j_lo, j_hi + 1):
         np.maximum(best, np.abs(profile.shape(t_values - j)), out=best)
-    if np.min(best) < threshold:
+    if np.min(best) < 0.1:
         worst = float(t_values[np.argmin(best)])
         raise CoverageGap(
-            f"dilates reach only {np.min(best):.3g} < {threshold} at t = {worst:.3f}"
+            f"dilates reach only {np.min(best):.3g} < 0.1 at t = {worst:.3f}"
         )
 
 

@@ -17,9 +17,9 @@ from pathlib import Path
 
 from .analyzers import make_analyzing_pair
 from .errors import AnisoError
-from .experiments import RUNNERS, _setup, _suite, merged_config
+from .experiments import LINE_MATRIX, RUNNERS, _setup, _suite, merged_config
 from .linalg_expansive import build_ellipsoid, diagnostic_record, matrix_from_json
-from .norms import NormParams, besov_norm, tl_norm_inf, tl_norm_q
+from .norms import NormParams, embedding_check
 from .storage import ensure_dir, load_field, save_field, write_csv, write_json
 
 _GROUP_KINDS = {
@@ -128,23 +128,30 @@ _VALIDATE_KINDS = ("quasinorm-axioms", "calderon", "admissibility")
 
 def _cmd_validate(args) -> int:
     cfg = _load_config(args.config, args.set, _VALIDATE_KINDS + ("matrix",))
+    rec = None
+    if args.diagnostics:
+        # a bad matrix is a config failure before any experiment runs
+        rec = _execute("matrix", _ellipsoid_record, cfg.get("matrix", LINE_MATRIX))
+        if isinstance(rec, int):
+            return rec
     worst = 0
     for kind in _VALIDATE_KINDS:
         code = run(kind, cfg.get(kind, {}), args.out)
         worst = max(worst, code)
-    if args.diagnostics:
-        E = matrix_from_json(
-            cfg.get("matrix", {"dim": 1, "entries": [2.0]})
-        )
-        S = build_ellipsoid(E)
-        rec = diagnostic_record(
-            "build_ellipsoid",
-            E.to_json(),
-            {"c": S.c, "r": S.r, "quasi_triangle_c": S.quasi_triangle_c},
-            1e-14,
-        )
+    if rec is not None:
         print(json.dumps(rec, sort_keys=True))
     return worst
+
+
+def _ellipsoid_record(matrix: dict) -> dict:
+    E = matrix_from_json(matrix)
+    S = build_ellipsoid(E)
+    return diagnostic_record(
+        "build_ellipsoid",
+        E.to_json(),
+        {"c": S.c, "r": S.r, "quasi_triangle_c": S.quasi_triangle_c},
+        1e-14,
+    )
 
 
 def _cmd_norm(args) -> int:
@@ -185,11 +192,8 @@ def _field_reports(args, cfg: dict) -> dict:
         window=args.window,
         s_step=args.ds,
     )
-    return {
-        "tl_q": tl_norm_q(f, pair.phi, S, params).to_json(),
-        "tl_inf": tl_norm_inf(f, pair.phi, S, params).to_json(),
-        "besov": besov_norm(f, pair.phi, S, args.alpha, params).to_json(),
-    }
+    reports = embedding_check(f, pair.phi, S, params.alpha, params.q, params)
+    return {name: reports[name].to_json() for name in ("tl_q", "tl_inf", "besov")}
 
 
 def _cmd_group(args) -> int:

@@ -54,12 +54,13 @@ from .linalg_expansive import (
 )
 from .norms import (
     NormParams,
+    _continuous_scales,
+    _discrete_scales,
     _weighted_terms,
     band_arrays,
-    besov_norm,
+    embedding_check,
     peetre_arrays,
     sup_over_windows,
-    tl_norm_inf,
     tl_norm_q,
     tl_peetre_norm,
 )
@@ -289,6 +290,24 @@ def _count_flags(counts: dict, *flag_dicts: dict) -> None:
                 counts[key] = counts.get(key, 0) + 1
 
 
+def _resampled(fields: list, grid, gauge) -> list:
+    """The fields rebuilt on another grid from their spectral closures."""
+    return [field_from_closure(grid, gauge, f.spectrum_fn) for f in fields]
+
+
+def _pair_drift(rows: list[dict], key: str, drift_key: str, holds) -> None:
+    """rows are the base-grid rows followed by the refined-grid rows in the
+    same order.  Both rows of a pair get drift_key, the relative change of
+    key under refinement, then "pass" = holds(base row, drift)."""
+    half = len(rows) // 2
+    for b, f in zip(rows[:half], rows[half:]):
+        drift = abs(f[key] - b[key]) / b[key]
+        passed = holds(b, drift)
+        for r in (b, f):
+            r[drift_key] = drift
+            r["pass"] = passed
+
+
 # ---------------------------------------------------------------------------
 # 1. quasi-norm axioms
 # ---------------------------------------------------------------------------
@@ -477,8 +496,8 @@ def _norm_params(cfg, alpha: float, q: float) -> NormParams:
         ell_min=int(cfg["ell_range"][0]),
         ell_max=int(cfg["ell_range"][1]),
         window="cube",
-        s_step=float(cfg.get("ds", 0.125)),
-        search_shells=int(cfg.get("search_shells", 2)),
+        s_step=float(cfg["ds"]),
+        search_shells=int(cfg["search_shells"]),
     )
 
 
@@ -493,23 +512,19 @@ def _characterization_table(cfg, grid, profile, S, fields, flag_counts) -> list[
     qs = [_q_value(q) for q in cfg["qs"]]
     alphas = [float(a) for a in cfg["alphas"]]
     betas = sorted({_char_beta(q) for q in qs})
-    base_step = float(cfg.get("ds", 0.125))
 
-    ell_max = int(cfg["ell_range"][1])
-    j_min, j_max = -ell_max, int(cfg["scale_max"])
-    disc_scales = list(range(j_min, j_max + 1))
-    fine_step = min(base_step, 1.0 / 16.0)
-    n_fine = int(round((j_max - j_min) / fine_step))
-    cont_scales = j_min + fine_step * np.arange(n_fine + 1)
+    # the scale grids of q < 1, whose continuous step is the finest
+    fine = _norm_params(cfg, 0.0, 0.5)
+    disc_scales = _discrete_scales(fine)
+    fine_step = fine.effective_s_step
+    cont_scales = _continuous_scales(fine)
 
     # per field: plain bands once, maximal fields for every beta from one
     # sweep on the fine scale grid (coarser q-grids subsample it)
     table = {}
     for fi, f in enumerate(fields):
         bands = band_arrays(f, profile, disc_scales)
-        sweeps = peetre_arrays(
-            f, profile, S, cont_scales, betas, int(cfg.get("search_shells", 2))
-        )
+        sweeps = peetre_arrays(f, profile, S, cont_scales, betas, fine.search_shells)
         pmax = {beta: arr for beta, (arr, _) in sweeps.items()}
         for _, flag in sweeps.values():
             _count_flags(flag_counts, {"peetre_boundary": flag})
@@ -518,11 +533,10 @@ def _characterization_table(cfg, grid, profile, S, fields, flag_counts) -> list[
     rows = []
     for q in qs:
         beta = _char_beta(q)
-        step = fine_step if (not math.isinf(q) and q < 1.0) else base_step
-        stride = int(round(step / fine_step))
-        sel = cont_scales[::stride]
         for alpha in alphas:
             params = _norm_params(cfg, alpha, q)
+            step = params.effective_s_step
+            sel = cont_scales[:: int(round(step / fine_step))]
             ratios_d, ratios_c, factors = [], [], []
             for fi, f in enumerate(fields):
                 bands, pmax = table[fi]
@@ -571,13 +585,10 @@ def run_norm_equivalence(config: dict | None = None) -> dict:
     base_rows = _characterization_table(cfg, grid, pair.phi, S, fields, flag_counts)
 
     rows = []
-    if cfg.get("refine", True):
+    if cfg["refine"]:
         fine_grid = grid.refined()
-        fine_fields = [
-            field_from_closure(fine_grid, phi.gauge, f.spectrum_fn) for f in fields
-        ]
         fine_rows = _characterization_table(
-            cfg, fine_grid, pair.phi, S, fine_fields, flag_counts
+            cfg, fine_grid, pair.phi, S, _resampled(fields, fine_grid, phi.gauge), flag_counts
         )
     else:
         fine_rows = base_rows
@@ -619,11 +630,7 @@ def run_embedding(config: dict | None = None) -> dict:
     rows = []
     flag_counts: dict = {}
     for grid_now, tag in ((grid, "base"), (grid.refined(), "refined")):
-        flds = (
-            fields
-            if tag == "base"
-            else [field_from_closure(grid_now, phi.gauge, f.spectrum_fn) for f in fields]
-        )
+        flds = fields if tag == "base" else _resampled(fields, grid_now, phi.gauge)
         for q in cfg["qs"]:
             qv = _q_value(q)
             params = NormParams(
@@ -636,16 +643,11 @@ def run_embedding(config: dict | None = None) -> dict:
             besov_over_inf = []
             inf_over_q = []
             for f in flds:
-                reps = (
-                    tl_norm_q(f, pair.phi, S, params),
-                    tl_norm_inf(f, pair.phi, S, params),
-                    besov_norm(f, pair.phi, S, alpha, params),
-                )
-                _count_flags(flag_counts, *(rep.flags for rep in reps))
-                n_q, n_inf, n_b = (rep.value for rep in reps)
-                if n_q > 0 and n_inf > 0:
-                    besov_over_inf.append(n_b / n_inf)
-                    inf_over_q.append(n_inf / n_q)
+                rep = embedding_check(f, pair.phi, S, alpha, qv, params)
+                _count_flags(flag_counts, *(rep[k].flags for k in ("tl_q", "tl_inf", "besov")))
+                if not rep["skipped"]:
+                    besov_over_inf.append(rep["besov_over_inf"])
+                    inf_over_q.append(rep["inf_over_q"])
             rows.append(
                 {
                     "grid": tag,
@@ -656,21 +658,14 @@ def run_embedding(config: dict | None = None) -> dict:
                 }
             )
     tol = float(cfg["stability_tolerance"])
-    half = len(rows) // 2
-    for i in range(half):
-        b, f = rows[i], rows[half + i]
-        drift = abs(f["besov_over_inf_max"] - b["besov_over_inf_max"]) / b[
-            "besov_over_inf_max"
-        ]
-        passed = (
-            b["besov_over_inf_min"] >= 1.0 - 1e-9
-            and b["inf_over_q_max"] <= 1.0 + 1e-9
-            and drift <= tol
-        )
-        b["stability_drift"] = drift
-        b["pass"] = passed
-        f["stability_drift"] = drift
-        f["pass"] = passed
+    _pair_drift(
+        rows,
+        "besov_over_inf_max",
+        "stability_drift",
+        lambda b, drift: b["besov_over_inf_min"] >= 1.0 - 1e-9
+        and b["inf_over_q_max"] <= 1.0 + 1e-9
+        and drift <= tol,
+    )
     return _result(
         "embedding", rows, {"stability_tolerance": tol, "flag_counts": flag_counts}
     )
@@ -819,18 +814,15 @@ def run_coorbit(config: dict | None = None) -> dict:
     ds = float(cfg["ds"])
     fields = _suite(cfg["suite"], grid, phi.gauge, phi)
 
+    lo, hi = vec.psi.t_support
+    t_lo, t_hi = cfg["suite"]["t_range"]
+    s_min = math.floor((lo - t_hi) / ds) * ds - ds
+    s_max = math.ceil((hi - t_lo) / ds) * ds + ds
+
     rows = []
     flag_counts: dict = {}
     for grid_now, tag in ((grid, "base"), (grid.widened(2), "refined")):
-        flds = (
-            fields
-            if tag == "base"
-            else [field_from_closure(grid_now, phi.gauge, f.spectrum_fn) for f in fields]
-        )
-        lo, hi = vec.psi.t_support
-        t_lo, t_hi = cfg["suite"]["t_range"]
-        s_min = math.floor((lo - t_hi) / ds) * ds - ds
-        s_max = math.ceil((hi - t_lo) / ds) * ds + ds
+        flds = fields if tag == "base" else _resampled(fields, grid_now, phi.gauge)
         ggrid = GroupGrid(grid=grid_now, s_min=s_min, s_max=s_max, ds=ds)
         for q in cfg["qs"]:
             qv = _q_value(q)
@@ -854,11 +846,7 @@ def run_coorbit(config: dict | None = None) -> dict:
                 coeff_rep = pti_norm(W, S, pti_params)
                 coeff = coeff_rep.value
                 _count_flags(flag_counts, coeff_rep.flags)
-                plain = (
-                    tl_norm_q(f, vec.psi, S, tl_params).value
-                    if not math.isinf(qv)
-                    else tl_norm_inf(f, vec.psi, S, tl_params).value
-                )
+                plain = tl_norm_q(f, vec.psi, S, tl_params).value
                 if plain > 0:
                     ratios.append(coeff / plain)
                 peetre_cont = tl_peetre_norm(
@@ -879,18 +867,14 @@ def run_coorbit(config: dict | None = None) -> dict:
                 }
             )
     tol = float(cfg["stability_tolerance"])
-    half = len(rows) // 2
-    for i in range(half):
-        b, f = rows[i], rows[half + i]
-        drift = abs(f["ratio_max"] - b["ratio_max"]) / b["ratio_max"]
-        passed = (
-            b["ratio_min"] > 0
-            and drift <= tol
-            and 0.8 <= b["exactness_min"] <= b["exactness_max"] <= 1.25
-        )
-        for r in (b, f):
-            r["ratio_drift"] = drift
-            r["pass"] = passed
+    _pair_drift(
+        rows,
+        "ratio_max",
+        "ratio_drift",
+        lambda b, drift: b["ratio_min"] > 0
+        and drift <= tol
+        and 0.8 <= b["exactness_min"] <= b["exactness_max"] <= 1.25,
+    )
     return _result("coorbit", rows, {"stability_tolerance": tol, "flag_counts": flag_counts})
 
 
@@ -959,7 +943,7 @@ def run_frames(config: dict | None = None) -> dict:
     sep = sample_index_set(
         ggrid, E, U=tuple(cfg["separated"]["U"]), kind="separated",
         density_factor=float(cfg["separated"]["density"]),
-        core_fraction=float(cfg["separated"].get("core", 0.75)),
+        core_fraction=float(cfg["separated"]["core"]),
     )
     sep_system = FrameSystem.build(vec, sep, grid)
     manifest["separated_stats"] = sep.stats

@@ -207,8 +207,6 @@ def convolve_scale(f: SampledField, profile, s: float) -> ScaleBand:
 
 def scale_bank(f: SampledField, profile, scales: Sequence[float]) -> list[ScaleBand]:
     """One band per requested scale; scales are independent of each other."""
-    for s in scales:
-        check_aliasing(f, profile, s)
     return [convolve_scale(f, profile, s) for s in scales]
 
 

@@ -254,10 +254,6 @@ class FrameSystem:
         return self.grid.box_volume * (self.conj_atoms @ self.atoms.T)
 
 
-def analysis(f: SampledField, vec, Gamma: IndexSet) -> np.ndarray:
-    return FrameSystem.build(vec, Gamma, f.grid).analysis(f)
-
-
 def synthesis(c, atoms: list[SampledField], gauge) -> SampledField:
     """Weighted superposition of explicit atom fields."""
     if len(c) != len(atoms):
@@ -269,8 +265,8 @@ def synthesis(c, atoms: list[SampledField], gauge) -> SampledField:
     return field_from_spec(grid, spec, gauge)
 
 
-def frame_bounds(system: FrameSystem, suite: list[SampledField], power_iters: int = 40) -> tuple[float, float]:
-    """Rayleigh extremes over the suite plus power iteration for the top."""
+def frame_bounds(system: FrameSystem, suite: list[SampledField]) -> tuple[float, float]:
+    """Rayleigh extremes over the suite plus 40 power iterations for the top."""
     if len(system.atoms) == 0:
         return 0.0, 0.0
     lows, highs = [], []
@@ -288,7 +284,7 @@ def frame_bounds(system: FrameSystem, suite: list[SampledField], power_iters: in
     v = rng.normal(size=len(S)) + 1j * rng.normal(size=len(S))
     v /= np.linalg.norm(v)
     top = 0.0
-    for _ in range(power_iters):
+    for _ in range(40):
         v = S @ v
         top = float(np.linalg.norm(v))
         if top == 0:
@@ -301,10 +297,10 @@ def dual_reconstruct(
     f: SampledField,
     system: FrameSystem,
     iterations: int = 50,
-    relaxation: float | None = None,
     bounds: tuple[float, float] | None = None,
 ) -> tuple[SampledField, list[float]]:
-    """Frame-algorithm iteration f_(k+1) = f_k + lam (S f - S f_k).
+    """Frame-algorithm iteration f_(k+1) = f_k + lam (S f - S f_k) with
+    lam = 2 / (A + B) from the frame bounds.
 
     Returns the reconstruction and the per-iteration relative error curve;
     raises Diverged after three consecutive error increases.
@@ -317,7 +313,7 @@ def dual_reconstruct(
         a_lo, b_hi = bounds
     if a_lo <= 0:
         raise VerificationFailed("frame lower bound is not positive on this field")
-    lam = relaxation if relaxation is not None else 2.0 / (a_lo + b_hi)
+    lam = 2.0 / (a_lo + b_hi)
     target = system.apply_frame_operator(f)
     norm_f = f.l2_norm()
     cur = target.scaled(lam)
@@ -348,24 +344,21 @@ def _rel_err(g: SampledField, f: SampledField, norm_f: float) -> float:
 
 
 def moment_problem(
-    c: np.ndarray,
-    system: FrameSystem,
-    svd_cutoff: float = 1e-8,
-    cond_max: float = 1e10,
+    c: np.ndarray, system: FrameSystem
 ) -> tuple[SampledField, np.ndarray, np.ndarray]:
     """Solve <f, pi(gamma) psi> = c_gamma inside span{pi(gamma) psi}.
 
     Gramian-based biorthogonalization: f = sum_j b_j atom_j with
-    b = G^+ c; returns (f, residuals, dual coefficient matrix D) where
-    column gamma of D expresses the dual molecule phi_gamma.
+    b = G^+ c (singular values below 1e-8 of the largest cut); returns
+    (f, residuals, dual coefficient matrix D) where column gamma of D
+    expresses the dual molecule phi_gamma.  Raises IllConditioned when
+    the Gramian condition exceeds 1e10.
     """
     G = system.gramian()
     svals = np.linalg.svd(G, compute_uv=False)
-    if svals[0] > 0 and svals[0] / max(svals[-1], 1e-300) > cond_max:
-        raise IllConditioned(
-            f"Gramian condition {svals[0] / svals[-1]:.3e} exceeds {cond_max:.1e}"
-        )
-    D = np.linalg.pinv(G, rcond=svd_cutoff)
+    if svals[0] > 0 and svals[0] / max(svals[-1], 1e-300) > 1e10:
+        raise IllConditioned(f"Gramian condition {svals[0] / svals[-1]:.3e} exceeds 1.0e+10")
+    D = np.linalg.pinv(G, rcond=1e-8)
     b = D @ np.asarray(c, dtype=complex)
     f = system.synthesis(b)
     residuals = np.abs(system.analysis(f) - np.asarray(c, dtype=complex))
@@ -423,10 +416,8 @@ def member_coefficients(
     ]
 
 
-def molecule_check(
-    system: MolecularSystem, tol: float = 1e-9, floor_fraction: float = 1e-2
-) -> dict:
-    """Verify |W_psi phi_gamma (gamma h)| <= envelope(h) (1 + tol) on the
+def molecule_check(system: MolecularSystem) -> dict:
+    """Verify |W_psi phi_gamma (gamma h)| <= envelope(h) (1 + 1e-9) on the
     centered grid from the members' carried coefficients; reports
     violations per member.
 
@@ -435,17 +426,17 @@ def molecule_check(
     holds by construction and checks only the envelope's expansion to the
     full grid and back.
 
-    Coefficients below floor_fraction of the envelope peak sit where the
-    torus wrap of far-edge atoms dominates the true decay; the check is
-    audited down to that floor and the floor is reported.
+    Coefficients below 1% of the envelope peak sit where the torus wrap
+    of far-edge atoms dominates the true decay; the check is audited down
+    to that floor and the floor is reported.
     """
     env = np.abs(system.envelope.values)
     env = env.reshape(env.shape[0], -1)[:, :: system.stride]
-    floor = floor_fraction * float(np.max(env))
+    floor = 1e-2 * float(np.max(env))
     violations = []
     worst = 0.0
     for i, vals in enumerate(system.coefficients):
-        over = vals > env * (1.0 + tol) + floor
+        over = vals > env * (1.0 + 1e-9) + floor
         worst = max(worst, float(np.max(vals - env)))
         if np.any(over):
             violations.append((i, int(np.count_nonzero(over))))

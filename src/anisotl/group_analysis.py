@@ -31,7 +31,7 @@ from .field_engine import (
 )
 from .grids import GridSpec, cached, freq_points, offset_index_vectors, spatial_points
 from .linalg_expansive import ExpansiveMatrix, QuasiNormStructure, per_value_product
-from .norms import NormParams, NormReport, sup_over_windows
+from .norms import NormParams, NormReport, _weighted_terms, sup_over_windows
 from .peetre import offset_shells, weighted_sup_multi
 
 # ---------------------------------------------------------------------------
@@ -110,14 +110,12 @@ class GroupField:
 
     spec holds spectral coefficients per slice when the slices are
     lattice polynomials (wavelet transforms, right translates); vals is
-    always available through .values.  Wavelet transforms carry their
-    analyzer.
+    always available through .values.
     """
 
     ggrid: GroupGrid
     spec: np.ndarray | None = None
     vals: np.ndarray | None = None
-    analyzer: object = None
 
     @cached_property
     def values(self) -> np.ndarray:
@@ -176,7 +174,7 @@ def wavelet_transform(f: SampledField, vec, ggrid: GroupGrid) -> GroupField:
         * np.conj(shape_vals)
     )
     spec = coef.reshape((len(svals),) + grid.shape)
-    return GroupField(ggrid=ggrid, spec=spec, analyzer=vec)
+    return GroupField(ggrid=ggrid, spec=spec)
 
 
 def psi_spatial_field(vec, grid: GridSpec) -> SampledField:
@@ -340,27 +338,19 @@ def pti_norm(
     grid = F.ggrid.grid
     svals = F.ggrid.s_values
     ds = F.ggrid.ds
-    absvals = F.abs_values
-    terms = []
-    q = params.q
+    sups = {}
     flagged = False
-    for i, s in enumerate(svals):
-        arr = absvals[i]
-        if np.max(arr) == 0.0:
-            sup = arr.ravel()
-        else:
-            struct = offset_shells(grid, S, E.power(-float(s)), params.search_shells)
-            res = weighted_sup_multi(arr, struct, [params.beta], E.absdet)
-            vals, flag = res[params.beta]
+    for s, arr in zip(svals, F.abs_values):
+        s = float(s)
+        # a zero slice is its own maximal field and cannot reach the boundary
+        if np.max(arr) != 0.0:
+            struct = offset_shells(grid, S, E.power(-s), params.search_shells)
+            arr, flag = weighted_sup_multi(arr, struct, [params.beta], E.absdet)[params.beta]
             flagged = flagged or flag
-            sup = vals.ravel()
-        scaled = E.absdet ** (params.alpha * float(s)) * sup
-        if math.isinf(q):
-            terms.append((float(s), 1.0, scaled))
-        else:
-            terms.append(
-                (float(s), ds * E.absdet ** (-float(s)), scaled**q)
-            )
+        sups[s] = arr.ravel()
+    terms = _weighted_terms(
+        sups, params.alpha, params.q, E.absdet, lambda s: ds * E.absdet ** (-s)
+    )
     rep = sup_over_windows(grid, S, terms, params, coupling="group")
     rep.flags["peetre_boundary"] = flagged
     rep.flags["s_range"] = (float(svals[0]), float(svals[-1]))
@@ -714,10 +704,10 @@ def envelope_compare(
 
 
 def _unit_neighborhood_samples(
-    ggrid: GroupGrid, a: float, b: float, spatial_count: int, scale_count: int
+    ggrid: GroupGrid, a: float, b: float, spatial_count: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic sample of Q = [-a, a)^d x [-b, b): spatial corners plus
-    center, scale shifts aligned to the ds grid."""
+    center, and at most 3 scale shifts aligned to the ds grid plus 0."""
     d = ggrid.grid.d
     ax = np.unique(np.concatenate([np.linspace(-a, a, spatial_count, endpoint=False), [0.0]]))
     mesh = np.meshgrid(*([ax] * d), indexing="ij")
@@ -725,8 +715,8 @@ def _unit_neighborhood_samples(
     n_steps = max(1, int(math.floor(b / ggrid.ds)))
     steps = np.arange(-n_steps, n_steps) * ggrid.ds
     ss = steps[np.abs(steps) < b]
-    if len(ss) > scale_count:
-        pick = np.unique(np.linspace(0, len(ss) - 1, scale_count).astype(int))
+    if len(ss) > 3:
+        pick = np.unique(np.linspace(0, len(ss) - 1, 3).astype(int))
         ss = ss[pick]
     if 0.0 not in ss:
         ss = np.sort(np.concatenate([ss, [0.0]]))
@@ -750,7 +740,6 @@ def local_maximal(
     b: float = 1.0,
     side: str = "left",
     spatial_count: int = 3,
-    scale_count: int = 3,
 ) -> GroupField:
     """Windowed supremum over the group-translated unit neighborhood
     Q = [-a, a)^d x [-b, b).
@@ -765,7 +754,7 @@ def local_maximal(
     grid = ggrid.grid
     pts = spatial_points(grid)
     svals = ggrid.s_values
-    xs, ss = _unit_neighborhood_samples(ggrid, a, b, spatial_count, scale_count)
+    xs, ss = _unit_neighborhood_samples(ggrid, a, b, spatial_count)
     abs_flat = F.abs_values.reshape(len(svals), -1)
     out = np.zeros((len(svals), grid.size))
     for i, s in enumerate(svals):
@@ -798,17 +787,11 @@ def local_maximal(
     return GroupField(ggrid=ggrid, vals=out.reshape((len(svals),) + grid.shape))
 
 
-def wiener_amalgam_norm(
-    F: GroupField,
-    w: ControlWeight,
-    r: float,
-    side: str = "two",
-    a: float = 1.0,
-    b: float = 1.0,
-) -> float:
-    """||M_Q F||_(L^r_w) by Haar-weighted quadrature on the group grid."""
+def wiener_amalgam_norm(F: GroupField, w: ControlWeight, r: float) -> float:
+    """||M_Q F||_(L^r_w) by Haar-weighted quadrature on the group grid, with
+    the two-sided local maximal function over Q = [-1, 1)^d x [-1, 1)."""
     E = w.S.owner
-    mq = local_maximal(F, E, a=a, b=b, side=side)
+    mq = local_maximal(F, E, side="two")
     grid = F.ggrid.grid
     svals = F.ggrid.s_values
     haar = F.ggrid.haar_weights(E.absdet)

@@ -175,9 +175,13 @@ def fractional_power(E: ExpansiveMatrix, s: float) -> np.ndarray:
 
 
 def matrix_from_json(obj: dict) -> ExpansiveMatrix:
-    """Parse {"dim": d, "entries": row-major list} and validate."""
-    d = int(obj["dim"])
-    entries = np.asarray(obj["entries"], dtype=float).reshape(d, d)
+    """Parse {"dim": d, "entries": row-major list} and validate.  A value
+    of the wrong type raises ValueError, like a wrong value."""
+    try:
+        d = int(obj["dim"])
+        entries = np.asarray(obj["entries"], dtype=float).reshape(d, d)
+    except TypeError as exc:
+        raise ValueError(f"expected a matrix {{dim, entries}}, got {obj!r}: {exc}") from None
     return validate_expansive(entries)
 
 
@@ -284,7 +288,8 @@ class QuasiNormStructure:
         return shell, saturated
 
     def rho(self, pts: np.ndarray) -> np.ndarray:
-        """Step homogeneous quasi-norm rho_A, vectorized over points."""
+        """Step homogeneous quasi-norm rho_A, vectorized over points:
+        |det A|^j on the shell A^(j+1)Omega \\ A^j Omega, 0 at 0."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         shell, _ = self.shell_index(pts)
         clipped = np.clip(shell, -SHELL_CLAMP, SHELL_CLAMP + 1)
@@ -293,17 +298,15 @@ class QuasiNormStructure:
         return vals
 
 
-def build_ellipsoid(E: ExpansiveMatrix, max_condition: float = 1e12) -> QuasiNormStructure:
+def build_ellipsoid(E: ExpansiveMatrix) -> QuasiNormStructure:
     """Canonical ellipsoid for the step quasi-norm.
 
     Q is the Lyapunov series sum_{j>=0} (A^-j)^T A^-j truncated at term
     norm 1e-14, then c is set from the closed-form ellipsoid volume so
     that m(Omega) = 1.  The expansion gap r is the generalized-eigenvalue
     bound certified on 256*d boundary samples, with the gap above 1
-    shrunk by 1%.
-
-    max_condition guards against nearly degenerate Lyapunov ellipsoids for
-    strongly anisotropic dilations (configurable, see module notes).
+    shrunk by 1%.  A Lyapunov ellipsoid with condition above 1e12 (a
+    strongly anisotropic dilation) raises ValueError.
     """
     d = E.d
     A_inv = np.linalg.inv(E.A)
@@ -316,10 +319,8 @@ def build_ellipsoid(E: ExpansiveMatrix, max_condition: float = 1e12) -> QuasiNor
             break
     Q = 0.5 * (Q + Q.T)
     cond = np.linalg.cond(Q)
-    if cond > max_condition:
-        raise ValueError(
-            f"Lyapunov ellipsoid condition {cond:.3e} exceeds {max_condition:.1e}"
-        )
+    if cond > 1e12:
+        raise ValueError(f"Lyapunov ellipsoid condition {cond:.3e} exceeds 1.0e+12")
     # m({x^T Q x < c}) = c^(d/2) * V_d / sqrt(det Q) = 1
     detQ = np.linalg.det(Q)
     c = (math.sqrt(detQ) / unit_ball_volume(d)) ** (2.0 / d)
@@ -402,14 +403,6 @@ def _det_powers(absdet: float) -> np.ndarray:
         out[SHELL_CLAMP - k - 1] = out[SHELL_CLAMP - k] / absdet
     out.flags.writeable = False
     return out
-
-
-def quasi_norm(S: QuasiNormStructure, x) -> float | np.ndarray:
-    """rho_A(x): |det A|^j on the shell A^(j+1)Omega \\ A^j Omega, 0 at 0."""
-    arr = np.asarray(x, dtype=float)
-    single = arr.ndim == 1
-    vals = S.rho(arr)
-    return float(vals[0]) if single else vals
 
 
 @dataclass(frozen=True)
@@ -624,18 +617,19 @@ class ScaleGauge:
             upow = upow * u
         return out.T.copy()
 
-    def dilate(self, u: float) -> np.ndarray:
-        """A^u as a matrix."""
-        return expm(float(u) * self.B)
-
     def t(self, pts: np.ndarray) -> np.ndarray:
         """Solve the gauge equation per point; -inf at the origin.
 
         pts is one point set (n, d), giving (n,), or a stack of independent
         sets (k, n, d), giving (k, n).  Each set iterates until its own
         max |log G| < 1e-13 (at most 120 steps) and is then frozen; the other
-        sets go on.  Every per-point operation is elementwise, so a stacked
-        call is bit-identical to k separate calls.
+        sets go on.  flow and ||y||^2 are elementwise, but y^T P y is an
+        einsum whose summation order depends on how many live points share
+        the call (nested for at most 2, flat for 3 or more), so a point's
+        g can move by an ulp with the other points.  A stacked call is
+        therefore bit-identical to k separate calls when every set has at
+        least 3 nonzero points, and agrees to rounding otherwise (t up to a
+        few 1e-15 apart for sets of 1 or 2 points).
 
         Lattice rule: if pts is the very array freq_points(grid) handed out
         (grids.lattice_grid), the lattice is solved once per gauge and the

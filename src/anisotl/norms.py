@@ -50,7 +50,6 @@ class NormParams:
     window: str = "cube"
     s_step: float = 0.125
     search_shells: int = 2
-    center_stride: int = 1
 
     def __post_init__(self):
         if self.q <= 0:
@@ -150,7 +149,7 @@ class _BallWindows:
         return tuple(float(v) for v in spatial_points(grid)[row])
 
 
-def ball_windows(grid: GridSpec, S: QuasiNormStructure, ell: int, stride: int = 1) -> _BallWindows:
+def ball_windows(grid: GridSpec, S: QuasiNormStructure, ell: int) -> _BallWindows:
     def build():
         offs = offset_index_vectors(grid)
         z = offs * grid.h
@@ -169,20 +168,16 @@ def ball_windows(grid: GridSpec, S: QuasiNormStructure, ell: int, stride: int = 
         ext = np.max(np.abs(z[inside]), axis=0)
         pts = spatial_points(grid)
         admissible = np.all(np.abs(pts) <= grid.extent - ext - grid.h, axis=1)
-        if stride > 1:
-            keep = np.zeros(grid.shape, dtype=bool)
-            keep[(slice(None, None, stride),) * grid.d] = True
-            admissible &= keep.ravel()
         return _BallWindows(kernel_fft=kernel_fft, admissible=admissible, count=count)
 
-    return cached(_WINDOW_CACHE, ("ball", grid, S.value_key, ell, stride), build)
+    return cached(_WINDOW_CACHE, ("ball", grid, S.value_key, ell), build)
 
 
 def _windows(grid: GridSpec, S: QuasiNormStructure, ell: int, params: NormParams):
     """The window table of level ell for params.window."""
     if params.window == "cube":
         return cube_windows(grid, S, ell)
-    return ball_windows(grid, S, ell, params.center_stride)
+    return ball_windows(grid, S, ell)
 
 
 # ---------------------------------------------------------------------------
@@ -431,20 +426,16 @@ def window_equivalence_check(
 def embedding_check(
     f: SampledField, profile, S: QuasiNormStructure, alpha: float, q: float, params: NormParams
 ) -> dict:
-    """Besov versus localized-norm comparisons for one field."""
-    if math.isinf(q):
-        raise ValueError("embedding check needs q < inf")
+    """Besov versus localized-norm comparisons for one field: the three
+    reports, and their ratios unless a localized norm is zero (skipped).
+    At q = inf tl_q is tl_inf, so inf_over_q is 1."""
     p = replace(params, alpha=alpha, q=q)
-    n_q = tl_norm_q(f, profile, S, p)
-    n_inf = tl_norm_inf(f, profile, S, p)
-    n_b = besov_norm(f, profile, S, alpha, p)
-    if n_q.value == 0.0 or n_inf.value == 0.0:
-        return {"skipped": True}
-    return {
-        "skipped": False,
-        "inf_over_q": n_inf.value / n_q.value,
-        "besov_over_inf": n_b.value / n_inf.value,
-        "tl_q": n_q,
-        "tl_inf": n_inf,
-        "besov": n_b,
+    out = {
+        "tl_q": tl_norm_q(f, profile, S, p),
+        "tl_inf": tl_norm_inf(f, profile, S, p),
+        "besov": besov_norm(f, profile, S, alpha, p),
     }
+    n_q, n_inf, n_b = (rep.value for rep in out.values())
+    if not (n_q > 0 and n_inf > 0):
+        return {"skipped": True, **out}
+    return {"skipped": False, "inf_over_q": n_inf / n_q, "besov_over_inf": n_b / n_inf, **out}

@@ -195,20 +195,14 @@ def peetre_maximal(
     S: QuasiNormStructure,
     beta: float,
     search_radius_shells: int = 2,
-    scale_matrix: np.ndarray | None = None,
 ) -> PeetreField:
-    """sup_z |(f * phi_s)(x+z)| / (1 + rho(A^s z))^beta on the grid.
-
-    scale_matrix overrides A^s (the group-side variant passes A^-s).
-    """
+    """sup_z |(f * phi_s)(x+z)| / (1 + rho(A^s z))^beta on the grid."""
     if beta <= 0:
         raise ValueError("beta must be positive")
     if search_radius_shells < 1:
         raise ValueError("searchRadiusShells must be >= 1")
     E = S.owner
-    if scale_matrix is None:
-        scale_matrix = E.power(band.scale)
-    struct = offset_shells(band.grid, S, scale_matrix, search_radius_shells)
+    struct = offset_shells(band.grid, S, E.power(band.scale), search_radius_shells)
     res = weighted_sup_multi(band.abs_values, struct, [beta], E.absdet)
     values, flag = res[beta]
     return PeetreField(scale=band.scale, beta=beta, values=values, boundary_flag=flag)

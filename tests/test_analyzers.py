@@ -76,7 +76,7 @@ class TestCoveringProfile:
 
     def test_anisotropic_profile_vanishes_outside_annulus(self):
         phi = make_covering_profile(E2, GRID2)
-        vals = np.abs(phi.samples(GRID2)).ravel()
+        vals = np.abs(phi.multiplier(GRID2, 0.0)).ravel()
         radii = E2.absdet ** phi.t_grid(GRID2)
         inner, outer = phi.annulus
         outside = (radii < inner) | (radii > outer)

@@ -258,6 +258,24 @@ class TestCli:
                 ["run", "--kind", "calderon", "--set", "tolerence=1e-9"],
                 "config error: calderon: unknown key tolerence",
             ),
+            # validate --diagnostics builds its matrix before any experiment runs
+            (
+                ["validate", "--diagnostics", "--set", "matrix.dim=abc"],
+                "config error: matrix: invalid literal for int() with base 10: 'abc'",
+            ),
+            (
+                ["validate", "--diagnostics", "--set", "matrix=3"],
+                "config error: matrix: expected a matrix {dim, entries}, got 3: "
+                "'int' object is not subscriptable",
+            ),
+            (
+                ["validate", "--diagnostics", "--set", "matrix.entries=[0.5]"],
+                "config error: matrix: missing key 'dim'",
+            ),
+            (
+                ["validate", "--diagnostics", "--set", "matrix.dim=1", "--set", "matrix.entries=[0.5]"],
+                "experiment failed to run: eigenvalue modulus 0.5 <= 1; not expansive",
+            ),
         ],
     )
     def test_bad_config_value_exit_two(self, tmp_path, capsys, argv, message):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
-from anisotl import group_analysis
+from anisotl import group_analysis, peetre
 from anisotl.analyzers import bump, make_admissible, make_covering_profile
 from anisotl.field_engine import convolve_scale, field_from_closure
 from anisotl.grids import GridSpec, spatial_points
@@ -201,6 +201,19 @@ class TestPtiNorm:
             GGRID,
         )
         assert pti_norm(W, S1, PTI_PARAMS).value == 0.0
+
+    def test_zero_slices_leave_the_boundary_flag_unset(self):
+        ggrid = GroupGrid(grid=GRID, s_min=-5.0, s_max=-4.0, ds=0.25)
+        F = GroupField(ggrid=ggrid, vals=np.zeros((len(ggrid.s_values),) + GRID.shape))
+        beta = PTI_PARAMS.beta
+        for s, arr in zip(ggrid.s_values, F.abs_values):
+            struct = peetre.offset_shells(GRID, S1, E1.power(-s), PTI_PARAMS.search_shells)
+            assert struct.truncated
+            # swept, a zero slice would flag: every shell ties the maximum 0
+            assert peetre.weighted_sup_multi(arr, struct, [beta], E1.absdet)[beta][1]
+        rep = pti_norm(F, S1, PTI_PARAMS)
+        assert rep.value == 0.0
+        assert rep.flags["peetre_boundary"] is False
 
     def test_left_translate_bound_example(self, psi_vec, suite_field):
         W = wavelet_transform(suite_field, psi_vec, GGRID)

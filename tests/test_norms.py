@@ -211,6 +211,20 @@ class TestEmbedding:
         rep = embedding_check(zero_field(pair), pair.phi, S1, 0.0, 2.0, PARAMS)
         assert rep["skipped"]
 
+    def test_zero_field_keeps_the_three_reports(self, pair):
+        rep = embedding_check(zero_field(pair), pair.phi, S1, 0.0, 2.0, PARAMS)
+        assert rep["skipped"] and "inf_over_q" not in rep
+        assert [rep[k].value for k in ("tl_q", "tl_inf", "besov")] == [0.0, 0.0, 0.0]
+        assert set(rep["tl_q"].flags) == set(rep["tl_inf"].flags) == {"ell_saturated", "scale_tail"}
+        assert set(rep["besov"].flags) == {"scale_saturated"}
+
+    def test_q_inf_gives_ratio_one(self, pair):
+        f = make_field(seed=50, t0=3.2, width=0.4)
+        rep = embedding_check(f, pair.phi, S1, 0.0, math.inf, PARAMS)
+        assert not rep["skipped"]
+        assert rep["inf_over_q"] == 1.0
+        assert rep["tl_q"].value == rep["tl_inf"].value > 0
+
     def test_single_band_besov_ratio(self, pair):
         f = make_field(seed=50, t0=3.2, width=0.4)
         rep = embedding_check(f, pair.phi, S1, 0.0, 2.0, PARAMS)
