@@ -21,7 +21,7 @@ from scipy.linalg import expm
 
 from .errors import CoverageGap, DivisionUnderflow
 from .grids import GridSpec
-from .linalg_expansive import ExpansiveMatrix, ScaleGauge, transpose_gauge, validate_expansive
+from .linalg_expansive import ExpansiveMatrix, ScaleGauge, matrix_from_json, transpose_gauge
 
 _SUPPORT_TOL = 1e-12
 
@@ -53,10 +53,6 @@ class SpectralProfile:
     amplitude: float = 1.0
     shape_kind: str = "log-shell-bump"
     shape_fn: Callable[[np.ndarray], np.ndarray] | None = None
-
-    @property
-    def d(self) -> int:
-        return self.matrix.d
 
     @property
     def t_support(self) -> tuple[float, float]:
@@ -97,11 +93,7 @@ class SpectralProfile:
 
 
 def profile_from_json(obj: dict) -> SpectralProfile:
-    E = validate_expansive(
-        np.asarray(obj["matrix"]["entries"], dtype=float).reshape(
-            obj["matrix"]["dim"], obj["matrix"]["dim"]
-        )
-    )
+    E = matrix_from_json(obj["matrix"])
     p = obj["params"]
     return SpectralProfile(
         matrix=E,
@@ -116,10 +108,9 @@ def profile_from_json(obj: dict) -> SpectralProfile:
 def make_covering_profile(
     E: ExpansiveMatrix,
     grid: GridSpec,
-    t_center: float = 1.0,
     t_halfwidth: float = 1.0,
 ) -> SpectralProfile:
-    """Smooth shell bump whose (A^T)^j dilates cover all grid frequencies.
+    """Smooth shell bump at t = 1 whose (A^T)^j dilates cover all grid frequencies.
 
     Requires the grid to resolve the base shell (gauge radius in
     [1, |det A|]) with at least 16 samples, and certifies max_j
@@ -127,7 +118,7 @@ def make_covering_profile(
     """
     gauge = transpose_gauge(E)
     profile = SpectralProfile(
-        matrix=E, gauge=gauge, t_center=t_center, t_halfwidth=t_halfwidth
+        matrix=E, gauge=gauge, t_center=1.0, t_halfwidth=t_halfwidth
     )
     t = profile.t_grid(grid)
     finite = np.isfinite(t)
@@ -141,15 +132,11 @@ def make_covering_profile(
 
 
 def check_coverage(profile: SpectralProfile, t_values: np.ndarray) -> None:
-    """Raise CoverageGap unless max_j |shape(t - j)| >= 0.1 at every t."""
-    lo, hi = profile.t_support
+    """Raise CoverageGap unless max_k |shape(t + k)| >= 0.1 at every t."""
     if t_values.size == 0:
         return
-    j_lo = math.floor(np.min(t_values) - hi)
-    j_hi = math.ceil(np.max(t_values) - lo)
-    best = np.zeros_like(t_values)
-    for j in range(j_lo, j_hi + 1):
-        np.maximum(best, np.abs(profile.shape(t_values - j)), out=best)
+    k_range = _overlap_range(t_values, *profile.t_support)
+    best = _overlap_sum(lambda u: np.abs(profile.shape(u)), t_values, k_range, np.maximum)
     if np.min(best) < 0.1:
         worst = float(t_values[np.argmin(best)])
         raise CoverageGap(
@@ -157,23 +144,26 @@ def check_coverage(profile: SpectralProfile, t_values: np.ndarray) -> None:
         )
 
 
-def _overlap_sum(shape: Callable[[np.ndarray], np.ndarray], t: np.ndarray, lo: float, hi: float, fn) -> np.ndarray:
-    """Sum (or fold) of shape(t + k) over all integer k with overlap."""
-    t = np.asarray(t, dtype=float)
-    k_lo = math.floor(lo - np.max(t)) if t.size else 0
-    k_hi = math.ceil(hi - np.min(t)) if t.size else 0
+def _overlap_range(t: np.ndarray, lo: float, hi: float) -> tuple[int, int]:
+    """The k with t + k in [lo, hi] for some t in t; (0, 0) when t is empty."""
+    if t.size == 0:
+        return 0, 0
+    return math.floor(lo - np.max(t)), math.ceil(hi - np.min(t))
+
+
+def _overlap_sum(shape, t: np.ndarray, k_range: tuple[int, int], fold=np.add) -> np.ndarray:
+    """fold(acc, shape(t + k)) from acc = 0 over the integers k in k_range."""
     acc = np.zeros_like(t)
-    for k in range(k_lo, k_hi + 1):
-        acc = fn(acc, shape(t + k))
+    for k in range(k_range[0], k_range[1] + 1):
+        acc = fold(acc, shape(t + k))
     return acc
 
 
 def periodized_energy(profile: SpectralProfile, t: np.ndarray) -> np.ndarray:
     """D(t) = sum_k |shape(t + k)|^2 (1-periodic)."""
-    lo, hi = profile.t_support
-    return _overlap_sum(
-        profile.shape, t, lo, hi, lambda acc, v: acc + np.abs(v) ** 2
-    )
+    t = np.asarray(t, dtype=float)
+    k_range = _overlap_range(t, *profile.t_support)
+    return _overlap_sum(lambda u: np.abs(profile.shape(u)) ** 2, t, k_range)
 
 
 @dataclass(frozen=True)
@@ -190,31 +180,20 @@ class AnalyzingPair:
     psi: SpectralProfile
     overlap_n: int
 
-    @property
-    def matrix(self) -> ExpansiveMatrix:
-        return self.phi.matrix
+    def _product(self, t: np.ndarray) -> np.ndarray:
+        return self.phi.shape(t) * self.psi.shape(t)
 
     def window_shape(self, t: np.ndarray) -> np.ndarray:
         """Phi_hat window: sum_{|k| <= N} phi(t+k) psi(t+k); equals 1 on supp phi."""
         t = np.asarray(t, dtype=float)
-        acc = np.zeros_like(t)
-        for k in range(-self.overlap_n, self.overlap_n + 1):
-            acc = acc + self.phi.shape(t + k) * self.psi.shape(t + k)
-        return acc
+        return _overlap_sum(self._product, t, (-self.overlap_n, self.overlap_n))
 
     def calderon_sum(self, t: np.ndarray, j_range: tuple[int, int] | None = None) -> np.ndarray:
         """sum_j phi_hat((A^T)^j xi) psi_hat((A^T)^j xi) evaluated in t."""
         t = np.asarray(t, dtype=float)
         if j_range is None:
-            lo, hi = self.phi.t_support
-            j_lo = math.floor(lo - np.max(t)) if t.size else 0
-            j_hi = math.ceil(hi - np.min(t)) if t.size else 0
-        else:
-            j_lo, j_hi = j_range
-        acc = np.zeros_like(t)
-        for j in range(j_lo, j_hi + 1):
-            acc = acc + self.phi.shape(t + j) * self.psi.shape(t + j)
-        return acc
+            j_range = _overlap_range(t, *self.phi.t_support)
+        return _overlap_sum(self._product, t, j_range)
 
 
 def make_analyzing_pair(phi: SpectralProfile, check_grid: GridSpec | None = None) -> AnalyzingPair:
@@ -258,7 +237,7 @@ class AdmissibleVector:
     """Wavelet psi with integral_R |psi_hat((A^T)^s xi)|^2 ds = 1.
 
     The normalization reduces to the 1-D energy of the shape in t,
-    computed by composite quadrature with step s_step (<= 1/32).
+    computed by composite quadrature with step s_step = 1/64.
     """
 
     psi: SpectralProfile
@@ -279,10 +258,9 @@ def shape_energy(profile: SpectralProfile, step: float) -> float:
     return float(np.trapezoid(vals, t))
 
 
-def make_admissible(g: SpectralProfile, s_step: float = 1.0 / 64.0) -> AdmissibleVector:
+def make_admissible(g: SpectralProfile) -> AdmissibleVector:
     """Normalize a covering profile into an admissible vector."""
-    if s_step > 1.0 / 32.0:
-        raise ValueError("admissibility quadrature step must be <= 1/32")
+    s_step = 1.0 / 64.0
     energy = shape_energy(g, s_step)
     if energy <= 0.0:
         raise CoverageGap("profile carries no scale energy")

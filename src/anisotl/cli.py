@@ -18,7 +18,7 @@ from pathlib import Path
 from .analyzers import make_analyzing_pair
 from .errors import AnisoError
 from .experiments import LINE_MATRIX, RUNNERS, _setup, _suite, merged_config
-from .linalg_expansive import build_ellipsoid, diagnostic_record, matrix_from_json
+from .linalg_expansive import build_ellipsoid, matrix_from_json
 from .norms import NormParams, embedding_check
 from .storage import ensure_dir, load_field, save_field, write_csv, write_json
 
@@ -74,13 +74,14 @@ def _fail_config(msg: str) -> int:
 
 def _execute(what: str, build, *args):
     """build(*args), or exit code 2 if it could not run: a toolkit error, a
-    missing input file, or a config with a missing key or a bad value."""
+    missing input file, or a config with a missing key, a bad value or a
+    value of the wrong type."""
     try:
         return build(*args)
     except AnisoError as exc:
         print(f"experiment failed to run: {exc}", file=sys.stderr)
         return 2
-    except (KeyError, ValueError, OSError) as exc:
+    except (KeyError, ValueError, TypeError, OSError) as exc:
         msg = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
         return _fail_config(f"{what}: " + " ".join(msg.split()))
 
@@ -146,12 +147,12 @@ def _cmd_validate(args) -> int:
 def _ellipsoid_record(matrix: dict) -> dict:
     E = matrix_from_json(matrix)
     S = build_ellipsoid(E)
-    return diagnostic_record(
-        "build_ellipsoid",
-        E.to_json(),
-        {"c": S.c, "r": S.r, "quasi_triangle_c": S.quasi_triangle_c},
-        1e-14,
-    )
+    return {
+        "op": "build_ellipsoid",
+        "input": E.to_json(),
+        "output": {"c": S.c, "r": S.r, "quasi_triangle_c": S.quasi_triangle_c},
+        "tolerance": 1e-14,
+    }
 
 
 def _cmd_norm(args) -> int:

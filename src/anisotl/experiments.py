@@ -201,15 +201,15 @@ DEFAULTS: dict = {
     "suite": {
         "matrix": LINE_MATRIX,
         "grid": {"extent": 8.0, "n": 1024},
-        "suite": {"count": 8, "seed": 7},
+        "suite": {"count": 8, "seed": 7, "t_range": [1.8, 3.2]},
     },
 }
 
 
 # Keys a config may set although no default names them: the kind a `run`
-# config file selects, and suite fields that `_suite` reads with a
+# config file selects, and the suite kind that `_suite` reads with a
 # fallback.  Adding them to DEFAULTS would change every resolved config.
-_OPTIONAL_KEYS = {"experiment", "suite.kind", "suite.t_range"}
+_OPTIONAL_KEYS = {"experiment", "suite.kind"}
 
 
 def merged_config(kind: str, config: dict | None) -> dict:
@@ -249,10 +249,16 @@ def _suite(cfg_suite: dict, grid, gauge, profile=None):
     spec = SuiteSpec(
         count=int(cfg_suite["count"]),
         seed=int(cfg_suite["seed"]),
-        t_range=tuple(cfg_suite.get("t_range", (1.8, 3.2))),
+        t_range=tuple(cfg_suite["t_range"]),
         kind=cfg_suite.get("kind", "random"),
     )
     return suite_generate(spec, grid, gauge, profile)
+
+
+def _group_grid(cfg: dict, grid) -> GroupGrid:
+    """The group grid of a runner's s_range and ds over grid."""
+    s_min, s_max = cfg["s_range"]
+    return GroupGrid(grid=grid, s_min=float(s_min), s_max=float(s_max), ds=float(cfg["ds"]))
 
 
 def _q_value(q) -> float:
@@ -439,18 +445,14 @@ def run_wavelet_repro(config: dict | None = None) -> dict:
     vec = make_admissible(phi)
     # a genuinely different receiving analyzer exercises the general identity
     phi_vec = make_admissible(make_covering_profile(E, grid, t_halfwidth=0.9))
-    ggrid = GroupGrid(
-        grid=grid, s_min=float(cfg["s_range"][0]), s_max=float(cfg["s_range"][1]),
-        ds=float(cfg["ds"]),
-    )
+    ggrid = _group_grid(cfg, grid)
     fields = _suite(cfg["suite"], grid, phi.gauge, phi)
     rows = []
     fine = ggrid.refined()
-    for i, f in enumerate(fields):
+    for i, (f, f2) in enumerate(zip(fields, _resampled(fields, fine.grid, phi.gauge))):
         W = wavelet_transform(f, vec, ggrid)
         iso = abs(W.l2_norm(E.absdet) - f.l2_norm()) / f.l2_norm()
         rep = reproducing_check(f, phi_vec, vec, ggrid)
-        f2 = field_from_closure(fine.grid, phi.gauge, f.spectrum_fn)
         rep2 = reproducing_check(f2, phi_vec, vec, fine)
         improved = rep2["rel_l2"] <= cfg["refine_factor"] * max(rep["rel_l2"], 1e-12)
         passed = (
@@ -518,6 +520,9 @@ def _characterization_table(cfg, grid, profile, S, fields, flag_counts) -> list[
     disc_scales = _discrete_scales(fine)
     fine_step = fine.effective_s_step
     cont_scales = _continuous_scales(fine)
+    stride = float(cfg["ds"]) / fine_step  # q >= 1 takes every stride-th fine scale
+    if abs(stride - round(stride)) > 1e-9:
+        raise ValueError(f"ds = {cfg['ds']} is not a whole multiple of {fine_step:g}")
 
     # per field: plain bands once, maximal fields for every beta from one
     # sweep on the fine scale grid (coarser q-grids subsample it)
@@ -681,10 +686,7 @@ def run_translation_bounds(config: dict | None = None) -> dict:
     E, grid, phi = _setup(cfg["matrix"], cfg["grid"])
     vec = make_admissible(phi)
     S = build_ellipsoid(E)
-    ggrid = GroupGrid(
-        grid=grid, s_min=float(cfg["s_range"][0]), s_max=float(cfg["s_range"][1]),
-        ds=float(cfg["ds"]),
-    )
+    ggrid = _group_grid(cfg, grid)
     fields = _suite(cfg["suite"], grid, phi.gauge, phi)
     params = NormParams(
         alpha=float(cfg["alpha"]),
@@ -896,10 +898,7 @@ def run_frames(config: dict | None = None) -> dict:
     E, grid, phi = _setup(cfg["matrix"], cfg["grid"])
     vec = make_admissible(phi)
     S = build_ellipsoid(E)
-    ggrid = GroupGrid(
-        grid=grid, s_min=float(cfg["s_range"][0]), s_max=float(cfg["s_range"][1]),
-        ds=float(cfg["ds"]),
-    )
+    ggrid = _group_grid(cfg, grid)
     fields = _suite(cfg["suite"], grid, phi.gauge, phi)
 
     rows = []

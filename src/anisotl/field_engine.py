@@ -7,8 +7,8 @@ band-limited analyzer is then an exact diagonal multiplication: the
 dilation (A^T)^-s is applied analytically through the profile's scale
 coordinate, never by spatial resampling.
 
-SampledField and ScaleBand are immutable; bank computations are
-independent per scale and safe to run in parallel.
+SampledField and ScaleBand share LatticeSpectrum and are immutable; bank
+computations are independent per scale and safe to run in parallel.
 """
 
 from __future__ import annotations
@@ -59,7 +59,33 @@ def evaluate_spectrum(grid: GridSpec, spec: np.ndarray, points: np.ndarray) -> n
 
 
 @dataclass(frozen=True)
-class SampledField:
+class LatticeSpectrum:
+    """Trigonometric polynomial on a grid, stored as spectral coefficients."""
+
+    grid: GridSpec
+    spec: np.ndarray
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        v = spec_to_values(self.grid, self.spec)
+        v.flags.writeable = False
+        return v
+
+    @cached_property
+    def abs_values(self) -> np.ndarray:
+        a = np.abs(self.values)
+        a.flags.writeable = False
+        return a
+
+    def l2_norm(self) -> float:
+        return float(np.sqrt(self.grid.box_volume * np.sum(np.abs(self.spec) ** 2)))
+
+    def at_points(self, points: np.ndarray) -> np.ndarray:
+        return evaluate_spectrum(self.grid, self.spec, points)
+
+
+@dataclass(frozen=True)
+class SampledField(LatticeSpectrum):
     """Band-limited function on a grid, represented spectrally.
 
     band_t is the scale-coordinate range of the spectral support measured
@@ -68,22 +94,9 @@ class SampledField:
     lattice (used by dilation and group-covariance checks).
     """
 
-    grid: GridSpec
-    spec: np.ndarray
     band_t: tuple[float, float]
     band_limit: float
     spectrum_fn: Callable[[np.ndarray], np.ndarray] | None = None
-
-    @cached_property
-    def values(self) -> np.ndarray:
-        v = spec_to_values(self.grid, self.spec)
-        v.flags.writeable = False
-        return v
-
-    def l2_norm(self) -> float:
-        return float(
-            np.sqrt(self.grid.box_volume * np.sum(np.abs(self.spec) ** 2))
-        )
 
     def __add__(self, other: "SampledField") -> "SampledField":
         lo = min(self.band_t[0], other.band_t[0])
@@ -105,9 +118,6 @@ class SampledField:
             if self.spectrum_fn is None
             else (lambda xi, f=self.spectrum_fn: c * f(xi)),
         )
-
-    def at_points(self, points: np.ndarray) -> np.ndarray:
-        return evaluate_spectrum(self.grid, self.spec, points)
 
 
 def field_from_spec(
@@ -150,30 +160,17 @@ def field_from_closure(grid: GridSpec, gauge, spectrum_fn) -> SampledField:
 
 
 @dataclass(frozen=True)
-class ScaleBand:
+class ScaleBand(LatticeSpectrum):
     """Samples of f * phi_s at one scale."""
 
     scale: float
-    spec: np.ndarray
-    grid: GridSpec
 
-    @cached_property
-    def values(self) -> np.ndarray:
-        v = spec_to_values(self.grid, self.spec)
-        v.flags.writeable = False
-        return v
 
-    @cached_property
-    def abs_values(self) -> np.ndarray:
-        a = np.abs(self.values)
-        a.flags.writeable = False
-        return a
-
-    def l2_norm(self) -> float:
-        return float(np.sqrt(self.grid.box_volume * np.sum(np.abs(self.spec) ** 2)))
-
-    def at_points(self, points: np.ndarray) -> np.ndarray:
-        return evaluate_spectrum(self.grid, self.spec, points)
+def check_nyquist(gauge, t_top: float, grid: GridSpec, what: str) -> None:
+    """Raise Aliasing when {t <= t_top} of gauge leaves the Nyquist box."""
+    extent = gauge.region_extent(t_top)
+    if extent > grid.nyquist * (1.0 - 1e-9):
+        raise Aliasing(f"{what} reach |xi| = {extent:.4g}, Nyquist is {grid.nyquist:.4g}")
 
 
 def check_aliasing(f: SampledField, profile, s: float) -> None:
@@ -183,12 +180,7 @@ def check_aliasing(f: SampledField, profile, s: float) -> None:
     t_top = min(hi + s, f.band_t[1])
     if t_top <= max(lo + s, f.band_t[0]) and not _supports_touch(f, profile, s):
         return  # disjoint supports: nothing to alias
-    extent = profile.gauge.region_extent(t_top)
-    if extent > f.grid.nyquist * (1.0 - 1e-9):
-        raise Aliasing(
-            f"scale {s:g}: dilated support reaches |xi| = {extent:.4g}, "
-            f"Nyquist is {f.grid.nyquist:.4g}"
-        )
+    check_nyquist(profile.gauge, t_top, f.grid, f"scale {s:g}: dilated supports")
 
 
 def _supports_touch(f: SampledField, profile, s: float) -> bool:
@@ -202,7 +194,7 @@ def convolve_scale(f: SampledField, profile, s: float) -> ScaleBand:
     mult = profile.multiplier(f.grid, s)
     out = f.spec * mult
     out.flags.writeable = False
-    return ScaleBand(scale=float(s), spec=out, grid=f.grid)
+    return ScaleBand(grid=f.grid, spec=out, scale=float(s))
 
 
 def scale_bank(f: SampledField, profile, scales: Sequence[float]) -> list[ScaleBand]:

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Aliasing, Diverged, IllConditioned, VerificationFailed
-from .field_engine import SampledField, evaluate_spectrum, field_from_spec
+from .errors import Diverged, IllConditioned, VerificationFailed
+from .field_engine import SampledField, check_nyquist, evaluate_spectrum, field_from_spec
 from .grids import GridSpec, freq_points, spatial_points
 from .group_analysis import GroupField, GroupGrid, GroupPoint, group_point, pti_norm, wavelet_transform
 from .linalg_expansive import QuasiNormStructure
@@ -149,13 +149,20 @@ def _covering_stats(ggrid, E, xs, ss, U, core) -> tuple[float, int]:
 
 def _check_atom_band(vec, s_min: float, grid: GridSpec) -> None:
     """Atoms at the deepest scale must still fit inside the Nyquist box."""
-    lo, hi = vec.psi.t_support
-    extent = vec.psi.gauge.region_extent(hi - s_min)
-    if extent > grid.nyquist * (1.0 - 1e-9):
-        raise Aliasing(
-            f"atoms at scale {s_min:g} reach |xi| = {extent:.4g}, "
-            f"Nyquist is {grid.nyquist:.4g}"
-        )
+    hi = vec.psi.t_support[1]
+    check_nyquist(vec.psi.gauge, hi - s_min, grid, f"atoms at scale {s_min:g}")
+
+
+def _atom_row(vec, grid: GridSpec, x0, s0: float, xi: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Lattice coefficients of the periodized atom pi(x0, s0) psi at the
+    frequencies xi, whose scale coordinates are t."""
+    psi = vec.psi
+    return (
+        (1.0 / grid.box_volume)
+        * psi.matrix.absdet ** (s0 / 2.0)
+        * np.exp(-2j * np.pi * (xi @ x0))
+        * psi.shape(t + s0)
+    )
 
 
 def atom_spectra(vec, Gamma: IndexSet, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -174,36 +181,21 @@ def atom_spectra(vec, Gamma: IndexSet, grid: GridSpec) -> tuple[np.ndarray, np.n
     xi = freq_points(grid)[active]
     t_act = t[active]
     out = np.empty((len(Gamma.ss), len(active)), dtype=complex)
-    det = psi.matrix.absdet
-    scale = 1.0 / grid.box_volume
     for i in range(len(Gamma.ss)):
-        s0 = float(Gamma.ss[i])
-        x0 = Gamma.xs[i]
-        out[i] = (
-            scale
-            * det ** (s0 / 2.0)
-            * np.exp(-2j * np.pi * (xi @ x0))
-            * psi.shape(t_act + s0)
-        )
+        out[i] = _atom_row(vec, grid, Gamma.xs[i], float(Gamma.ss[i]), xi, t_act)
     return out, active
 
 
 def atom_field(vec, gamma: GroupPoint, grid: GridSpec) -> SampledField:
     """Single periodized atom as a sampled field."""
-    psi = vec.psi
     _check_atom_band(vec, gamma.s, grid)
-    t = psi.t_grid(grid)
+    t = vec.psi.t_grid(grid)
     spec = np.zeros(grid.size, dtype=complex)
     finite = np.isfinite(t)
-    xi = freq_points(grid)[finite]
-    det = psi.matrix.absdet
-    spec[finite] = (
-        det ** (gamma.s / 2.0)
-        * np.exp(-2j * np.pi * (xi @ gamma.x))
-        * psi.shape(t[finite] + gamma.s)
-        / grid.box_volume
+    spec[finite] = _atom_row(
+        vec, grid, gamma.x, gamma.s, freq_points(grid)[finite], t[finite]
     )
-    return field_from_spec(grid, spec.reshape(grid.shape), psi.gauge)
+    return field_from_spec(grid, spec.reshape(grid.shape), vec.psi.gauge)
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from .field_engine import (
     spec_to_values,
 )
 from .grids import GridSpec, cached, freq_points, offset_index_vectors, spatial_points
-from .linalg_expansive import ExpansiveMatrix, QuasiNormStructure, per_value_product
+from .linalg_expansive import ExpansiveMatrix, QuasiNormStructure, per_value_product, real_matrix_log
 from .norms import NormParams, NormReport, _weighted_terms, sup_over_windows
 from .peetre import offset_shells, weighted_sup_multi
 
@@ -43,10 +43,6 @@ from .peetre import offset_shells, weighted_sup_multi
 class GroupPoint:
     x: np.ndarray
     s: float
-
-    def __iter__(self):
-        yield self.x
-        yield self.s
 
 
 def group_point(x, s: float) -> GroupPoint:
@@ -93,12 +89,16 @@ class GroupGrid:
             absdet ** (-self.s_values) * self.grid.cell_volume * self.ds
         )
 
-    def s_index(self, s: float) -> int:
-        idx = (s - self.s_min) / self.ds
+    def steps(self, t: float) -> int:
+        """t in steps of ds; ValueError when t is off the ds grid."""
+        idx = t / self.ds
         r = int(round(idx))
         if abs(idx - r) > 1e-9:
-            raise ValueError(f"scale {s} is not on the ds = {self.ds} grid")
+            raise ValueError(f"scale shift {t} is not on the ds = {self.ds} grid")
         return r
+
+    def s_index(self, s: float) -> int:
+        return self.steps(s - self.s_min)
 
     def refined(self) -> "GroupGrid":
         return GroupGrid(self.grid.widened(2), self.s_min, self.s_max, self.ds / 2.0)
@@ -134,10 +134,13 @@ class GroupField:
         a.flags.writeable = False
         return a
 
-    def slice_at_points(self, s_idx: int, points: np.ndarray) -> np.ndarray:
+    def _spectral_slices(self) -> np.ndarray:
         if self.spec is None:
             raise ValueError("slice evaluation needs spectral slices")
-        return evaluate_spectrum(self.ggrid.grid, self.spec[s_idx], points)
+        return self.spec
+
+    def slice_at_points(self, s_idx: int, points: np.ndarray) -> np.ndarray:
+        return evaluate_spectrum(self.ggrid.grid, self._spectral_slices()[s_idx], points)
 
     def l2_norm(self, absdet: float) -> float:
         svals = self.ggrid.s_values
@@ -279,12 +282,6 @@ def group_convolve(F: GroupField, G: GroupField, E: ExpansiveMatrix) -> GroupFie
     return GroupField(ggrid=F.ggrid, spec=out.reshape(F.spec.shape))
 
 
-def _log_of(E: ExpansiveMatrix) -> np.ndarray:
-    if E.log is None:
-        raise ValueError("group operations need an exponential dilation")
-    return E.log
-
-
 def reproducing_check(
     f: SampledField, phi_vec, psi_vec, ggrid: GroupGrid
 ) -> dict:
@@ -369,21 +366,17 @@ def left_translate(F: GroupField, g: GroupPoint, E: ExpansiveMatrix) -> GroupFie
     output carries values only.
     """
     ggrid = F.ggrid
-    t_steps = g.s / ggrid.ds
-    if abs(t_steps - round(t_steps)) > 1e-9:
-        raise ValueError("left translation needs a grid-compatible scale shift")
-    shift = int(round(t_steps))
+    shift = ggrid.steps(g.s)
+    spec = F._spectral_slices()
     grid = ggrid.grid
     pts = (spatial_points(grid) - np.asarray(g.x)) @ expm(
-        -float(g.s) * _log_of(E)
+        -float(g.s) * real_matrix_log(E)
     ).T
     n_s = len(ggrid.s_values)
     out = np.zeros((n_s,) + grid.shape, dtype=complex)
     lo, hi = max(0, -shift), min(n_s, n_s - shift)  # source slices kept
     if lo < hi:
-        if F.spec is None:
-            raise ValueError("slice evaluation needs spectral slices")
-        vals = evaluate_spectrum(grid, F.spec[lo:hi], pts)
+        vals = evaluate_spectrum(grid, spec[lo:hi], pts)
         out[lo + shift : hi + shift] = vals.reshape((hi - lo,) + grid.shape)
     return GroupField(ggrid=ggrid, vals=out)
 
@@ -391,10 +384,8 @@ def left_translate(F: GroupField, g: GroupPoint, E: ExpansiveMatrix) -> GroupFie
 def right_translate(F: GroupField, g: GroupPoint, E: ExpansiveMatrix) -> GroupField:
     """R_g F (x, s) = F(x + A^s y, s + t), exact via spectral phase ramps."""
     ggrid = F.ggrid
-    t_steps = g.s / ggrid.ds
-    if abs(t_steps - round(t_steps)) > 1e-9:
-        raise ValueError("right translation needs a grid-compatible scale shift")
-    shift = int(round(t_steps))
+    shift = ggrid.steps(g.s)
+    spec = F._spectral_slices()
     grid = ggrid.grid
     xi = freq_points(grid)
     svals = ggrid.s_values
@@ -404,18 +395,19 @@ def right_translate(F: GroupField, g: GroupPoint, E: ExpansiveMatrix) -> GroupFi
         if 0 <= src < len(svals):
             offset = np.asarray(g.x) @ np.asarray(E.power(float(s))).T
             ramp = np.exp(2j * np.pi * (xi @ offset)).reshape(grid.shape)
-            out[i] = F.spec[src] * ramp
+            out[i] = spec[src] * ramp
     return GroupField(ggrid=ggrid, spec=out)
 
 
-def translation_overlap_n(S: QuasiNormStructure, t_samples: int = 33) -> int:
-    """Smallest N with A^-t Omega inside A^N Omega for all t in [0, 1)."""
+def translation_overlap_n(S: QuasiNormStructure) -> int:
+    """Smallest N with A^-t Omega inside A^N Omega for all t in [0, 1),
+    checked at 33 values of t and 64 boundary points."""
     E = S.owner
+    bnd = S.boundary_points(64)
     for n in range(0, 16):
         ok = True
-        for t in np.linspace(0.0, 1.0, t_samples, endpoint=False):
+        for t in np.linspace(0.0, 1.0, 33, endpoint=False):
             M = np.asarray(E.power(-n - t))
-            bnd = S.boundary_points(64)
             if not np.all(S.contains(bnd @ M.T)):
                 ok = False
                 break

@@ -185,11 +185,6 @@ def matrix_from_json(obj: dict) -> ExpansiveMatrix:
     return validate_expansive(entries)
 
 
-def diagnostic_record(op: str, inp, out, tolerance: float | None) -> dict:
-    """Uniform JSON diagnostic record used by the validate CLI."""
-    return {"op": op, "input": inp, "output": out, "tolerance": tolerance}
-
-
 # ---------------------------------------------------------------------------
 # Lyapunov ellipsoid and step homogeneous quasi-norm
 # ---------------------------------------------------------------------------
@@ -722,11 +717,6 @@ class ScaleGauge:
         u /= np.linalg.norm(u, axis=1, keepdims=True)
         base = u @ self._inv_sqrtP.T  # t = 0 level set
         return base @ expm(tau * self.B).T
-
-    def level_extent(self, tau: float, n_dirs: int = 256) -> float:
-        """Max coordinate magnitude on the level set {t = tau}."""
-        pts = self.points_on_level(tau, n_dirs)
-        return float(np.max(np.abs(pts)))
 
     def region_extent(self, tau: float) -> float:
         """Max coordinate magnitude over {t <= tau} = A^tau {x : x^T P x <= 1},

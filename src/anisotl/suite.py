@@ -21,23 +21,20 @@ class SuiteSpec:
     count: int
     seed: int
     t_range: tuple[float, float] = (1.8, 3.2)
-    center_fraction: float = 0.1  # centers within this fraction of the box
-    max_atoms: int = 3
     kind: str = "random"  # "random" | "mixed" (adds deterministic fixtures)
 
 
 def _random_field(grid: GridSpec, gauge, rng, spec: SuiteSpec) -> SampledField:
     spec_lo, spec_hi = spec.t_range
-    n_atoms = int(rng.integers(1, spec.max_atoms + 1))
+    n_atoms = int(rng.integers(1, 4))  # 1 to 3 bumps
     params = []
     w_hi = min(0.6, 0.5 * (spec_hi - spec_lo) - 0.01)
     for _ in range(n_atoms):
         width = rng.uniform(min(0.25, 0.8 * w_hi), w_hi)
         t0 = rng.uniform(spec_lo + width, spec_hi - width)
         amp = rng.normal() + 1j * rng.normal()
-        center = rng.uniform(-1.0, 1.0, size=grid.d) * (
-            spec.center_fraction * grid.extent
-        )
+        # centers within a tenth of the box
+        center = rng.uniform(-1.0, 1.0, size=grid.d) * (0.1 * grid.extent)
         params.append((amp, t0, width, center))
 
     def spectrum(xi, params=tuple(params)):

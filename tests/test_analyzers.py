@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from anisotl import analyzers
 from anisotl.analyzers import (
     AdmissibleVector,
     SpectralProfile,
@@ -161,6 +162,85 @@ class TestAnalyzingPair:
         assert np.max(np.abs(pair.calderon_sum(t) - 1.0)) <= 1e-10
 
 
+def _plain_loop(term, t, lo, hi, fold=np.add):
+    """Reference: fold term(t + k) over every k with overlap, written out."""
+    acc = np.zeros_like(t)
+    k_lo = math.floor(lo - np.max(t)) if t.size else 0
+    k_hi = math.ceil(hi - np.min(t)) if t.size else 0
+    for k in range(k_lo, k_hi + 1):
+        acc = fold(acc, term(t + k))
+    return acc
+
+
+class TestOverlapLoop:
+    """Every overlap sum goes through analyzers._overlap_sum; each must give
+    the bits of a plain loop over its own range."""
+
+    T_CASES = {
+        "random": np.random.default_rng(3).uniform(-4.0, 6.0, 257),
+        "integers": np.arange(-3.0, 4.0),
+        "single": np.array([0.4375]),
+        "empty": np.zeros(0),
+    }
+
+    @pytest.mark.parametrize("case", sorted(T_CASES))
+    def test_calderon_window_and_energy_match_plain_loops(self, pair1, case):
+        t = self.T_CASES[case]
+        phi, psi = pair1.phi, pair1.psi
+        lo, hi = phi.t_support
+        prod = lambda u: phi.shape(u) * psi.shape(u)
+        assert np.array_equal(pair1.calderon_sum(t), _plain_loop(prod, t, lo, hi))
+        ref = np.zeros_like(t)
+        for j in range(-2, 4):
+            ref = ref + phi.shape(t + j) * psi.shape(t + j)
+        assert np.array_equal(pair1.calderon_sum(t, j_range=(-2, 3)), ref)
+        n = pair1.overlap_n
+        ref = np.zeros_like(t)
+        for k in range(-n, n + 1):
+            ref = ref + phi.shape(t + k) * psi.shape(t + k)
+        assert np.array_equal(pair1.window_shape(t), ref)
+        energy = _plain_loop(lambda u: np.abs(phi.shape(u)) ** 2, t, lo, hi)
+        assert np.array_equal(periodized_energy(phi, t), energy)
+
+    @pytest.mark.parametrize(
+        "halfwidth, case, gap",
+        [
+            (1.0, "random", False),
+            (1.0, "integers", False),
+            (1.0, "empty", False),
+            (0.3, "random", True),
+            (0.3, "integers", False),
+            (0.3, "single", True),
+            (0.3, "empty", False),
+        ],
+    )
+    def test_coverage_maximum_matches_plain_loop(self, phi1, monkeypatch, halfwidth, case, gap):
+        t = self.T_CASES[case]
+        prof = replace(phi1, t_halfwidth=halfwidth)
+        lo, hi = prof.t_support
+        # the former loop: max over j of |shape(t - j)|
+        best = np.zeros_like(t)
+        j_lo = math.floor(np.min(t) - hi) if t.size else 0
+        j_hi = math.ceil(np.max(t) - lo) if t.size else 0
+        for j in range(j_lo, j_hi + 1):
+            np.maximum(best, np.abs(prof.shape(t - j)), out=best)
+        seen = []
+        real = analyzers._overlap_sum
+
+        def spy(*args):
+            seen.append(real(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(analyzers, "_overlap_sum", spy)
+        if gap:
+            with pytest.raises(CoverageGap):
+                check_coverage(prof, t)
+        else:
+            check_coverage(prof, t)
+        assert len(seen) == (1 if t.size else 0)
+        assert all(np.array_equal(got, best) for got in seen)
+
+
 class TestAdmissible:
     def test_normalization_integral(self, phi1):
         vec = make_admissible(phi1)
@@ -218,10 +298,6 @@ class TestAdmissible:
         assert np.array_equal(vals, reference)
         flowed = admissibility_integral(vec, xi, s_step=step, independent=False)
         assert np.allclose(flowed, reference, rtol=0.0, atol=1e-9)
-
-    def test_step_guard(self, phi1):
-        with pytest.raises(ValueError):
-            make_admissible(phi1, s_step=0.1)
 
     def test_shape_energy_matches_closed_quadrature(self, phi1):
         vec = make_admissible(phi1)

@@ -276,6 +276,23 @@ class TestCli:
                 ["validate", "--diagnostics", "--set", "matrix.dim=1", "--set", "matrix.entries=[0.5]"],
                 "experiment failed to run: eigenvalue modulus 0.5 <= 1; not expansive",
             ),
+            # a value of the wrong type is a config failure, not a traceback
+            (
+                ["run", "--kind", "embedding", "--set", "grid.n=null"],
+                "config error: embedding: int() argument must be a string, a bytes-like "
+                "object or a real number, not 'NoneType'",
+            ),
+            (
+                ["run", "--kind", "embedding", "--set", "qs=[null]"],
+                "config error: embedding: float() argument must be a string or a real "
+                "number, not 'NoneType'",
+            ),
+            # the q >= 1 scale grids subsample the 1/16 sweep, so ds must be a multiple
+            (
+                ["run", "--kind", "norm-equivalence", "--set", "ds=0.1", "--set", "grid.n=256",
+                 "--set", "suite.count=2"],
+                "config error: norm-equivalence: ds = 0.1 is not a whole multiple of 0.0625",
+            ),
         ],
     )
     def test_bad_config_value_exit_two(self, tmp_path, capsys, argv, message):

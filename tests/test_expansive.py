@@ -437,7 +437,7 @@ class TestScaleGauge:
         g = transpose_gauge(E)
         pts = g.points_on_level(1.5, 64)
         assert np.allclose(g.t(pts), 1.5, atol=1e-9)
-        assert g.level_extent(2.0) > g.level_extent(0.0)
+        assert g.region_extent(2.0) > g.region_extent(0.0)
 
     @pytest.mark.parametrize("mat", [[[2.0]], np.diag([2.0, 4.0]), JORDAN])
     def test_stacked_solve_matches_separate_calls(self, mat):

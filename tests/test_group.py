@@ -166,6 +166,16 @@ class TestWaveletTransform:
         assert abs(total_l - total) <= 1e-8 * scale
 
 
+@pytest.mark.parametrize("translate", [left_translate, right_translate])
+def test_translations_check_the_field_and_the_shift_alike(psi_vec, suite_field, translate):
+    values_only = GroupField(ggrid=GGRID, vals=np.ones((len(GGRID.s_values),) + GRID.shape))
+    with pytest.raises(ValueError, match="slice evaluation needs spectral slices"):
+        translate(values_only, group_point([0.5], -1.0), E1)
+    W = wavelet_transform(suite_field, psi_vec, GGRID)
+    with pytest.raises(ValueError, match="scale shift 0.1 is not on the ds = 0.25 grid"):
+        translate(W, group_point([0.5], 0.1), E1)
+
+
 class TestReproducing:
     def test_self_reproducing(self, psi_vec):
         psi_f = psi_spatial_field(psi_vec, GRID)

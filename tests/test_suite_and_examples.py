@@ -41,8 +41,8 @@ class TestSuite:
     def test_interleaved_suites_match_solo_runs(self, phi):
         # suite b is generated while the first field of suite a is being
         # evaluated; each suite must read only its own spec
-        a = SuiteSpec(count=3, seed=4, t_range=(1.8, 3.2), center_fraction=0.05, max_atoms=1)
-        b = SuiteSpec(count=3, seed=4, t_range=(2.2, 3.6), center_fraction=0.2, max_atoms=3)
+        a = SuiteSpec(count=3, seed=4, t_range=(1.8, 3.2))
+        b = SuiteSpec(count=3, seed=4, t_range=(2.2, 3.6))
 
         class NestingGauge:
             def __init__(self, gauge):
