@@ -18,7 +18,6 @@ from .errors import (
 )
 from .grids import GridSpec
 from .linalg_expansive import (
-    BallDescriptor,
     ExpansiveMatrix,
     QuasiNormStructure,
     ScaleGauge,
@@ -26,9 +25,7 @@ from .linalg_expansive import (
     build_ellipsoid,
     fractional_power,
     matrix_from_json,
-    metric_ball,
     real_matrix_log,
-    spatial_gauge,
     transpose_gauge,
     validate_expansive,
 )
@@ -49,7 +46,6 @@ from .field_engine import (
     field_from_closure,
     field_from_spec,
     reconstruct,
-    scale_bank,
 )
 from .peetre import MaximalField, PeetreField, check_submeanvalue, hl_maximal, peetre_maximal
 from .norms import (
@@ -60,7 +56,6 @@ from .norms import (
     tl_norm_inf,
     tl_norm_q,
     tl_peetre_norm,
-    window_equivalence_check,
 )
 from .group_analysis import (
     ControlWeight,
@@ -68,7 +63,6 @@ from .group_analysis import (
     GroupField,
     GroupGrid,
     GroupPoint,
-    control_weight,
     envelope_compare,
     group_inv,
     group_mul,

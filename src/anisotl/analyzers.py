@@ -21,7 +21,7 @@ from scipy.linalg import expm
 
 from .errors import CoverageGap, DivisionUnderflow
 from .grids import GridSpec
-from .linalg_expansive import ExpansiveMatrix, ScaleGauge, matrix_from_json, transpose_gauge
+from .linalg_expansive import ExpansiveMatrix, ScaleGauge, transpose_gauge
 
 _SUPPORT_TOL = 1e-12
 
@@ -51,7 +51,6 @@ class SpectralProfile:
     t_center: float
     t_halfwidth: float
     amplitude: float = 1.0
-    shape_kind: str = "log-shell-bump"
     shape_fn: Callable[[np.ndarray], np.ndarray] | None = None
 
     @property
@@ -77,32 +76,6 @@ class SpectralProfile:
         """Samples of g_hat((A^T)^-s xi) = shape(t(xi) - s), FFT layout."""
         t = self.t_grid(grid)
         return self.shape(t - s).reshape(grid.shape)
-
-    def to_json(self) -> dict:
-        if self.shape_fn is not None:
-            raise ValueError("profiles with derived shapes are not serializable")
-        return {
-            "shape": self.shape_kind,
-            "params": {
-                "t_center": self.t_center,
-                "t_halfwidth": self.t_halfwidth,
-                "amplitude": self.amplitude,
-            },
-            "matrix": self.matrix.to_json(),
-        }
-
-
-def profile_from_json(obj: dict) -> SpectralProfile:
-    E = matrix_from_json(obj["matrix"])
-    p = obj["params"]
-    return SpectralProfile(
-        matrix=E,
-        gauge=transpose_gauge(E),
-        t_center=float(p["t_center"]),
-        t_halfwidth=float(p["t_halfwidth"]),
-        amplitude=float(p.get("amplitude", 1.0)),
-        shape_kind=obj.get("shape", "log-shell-bump"),
-    )
 
 
 def make_covering_profile(
@@ -228,7 +201,7 @@ def make_analyzing_pair(phi: SpectralProfile, check_grid: GridSpec | None = None
 
     inner, outer = phi.annulus
     n = math.ceil(math.log(outer / inner) / math.log(phi.matrix.absdet) - 1e-12)
-    psi = replace(phi, shape_fn=psi_shape, amplitude=1.0, shape_kind="calderon-partner")
+    psi = replace(phi, shape_fn=psi_shape, amplitude=1.0)
     return AnalyzingPair(phi=phi, psi=psi, overlap_n=n)
 
 

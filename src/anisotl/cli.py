@@ -186,14 +186,12 @@ def _field_reports(args, cfg: dict) -> dict:
     params = NormParams(
         alpha=args.alpha,
         q=math.inf if args.q == "inf" else float(args.q),
-        beta=args.beta,
         scale_max=args.J,
         ell_min=-args.L,
         ell_max=args.L,
         window=args.window,
-        s_step=args.ds,
     )
-    reports = embedding_check(f, pair.phi, S, params.alpha, params.q, params)
+    reports = embedding_check(f, pair.phi, S, params)
     return {name: reports[name].to_json() for name in ("tl_q", "tl_inf", "besov")}
 
 
@@ -279,11 +277,9 @@ def main(argv=None) -> int:
     p.add_argument("--field", default=None, help="stored field container")
     p.add_argument("--alpha", type=float, default=0.0)
     p.add_argument("--q", default="2")
-    p.add_argument("--beta", type=float, default=1.0)
     p.add_argument("--J", type=int, default=5)
     p.add_argument("--L", type=int, default=2)
     p.add_argument("--window", choices=["cube", "ball"], default="cube")
-    p.add_argument("--ds", type=float, default=0.125)
     p.set_defaults(fn=_cmd_norm)
 
     p = sub.add_parser("group", parents=[common], help="group-side experiments")

@@ -33,8 +33,8 @@ from .frames import (
 )
 from .grids import GridSpec
 from .group_analysis import (
+    ControlWeight,
     GroupGrid,
-    control_weight,
     envelope_compare,
     group_point,
     pti_norm,
@@ -648,7 +648,7 @@ def run_embedding(config: dict | None = None) -> dict:
             besov_over_inf = []
             inf_over_q = []
             for f in flds:
-                rep = embedding_check(f, pair.phi, S, alpha, qv, params)
+                rep = embedding_check(f, pair.phi, S, params)
                 _count_flags(flag_counts, *(rep[k].flags for k in ("tl_q", "tl_inf", "besov")))
                 if not rep["skipped"]:
                     besov_over_inf.append(rep["besov_over_inf"])
@@ -746,7 +746,7 @@ def run_control_weight(config: dict | None = None) -> dict:
     rng = np.random.default_rng(int(cfg["seed"]))
     rows = []
     for branch_cfg in cfg["branches"]:
-        w = control_weight(
+        w = ControlWeight(
             S,
             alpha=float(branch_cfg["alpha"]),
             beta=float(branch_cfg["beta"]),
@@ -823,7 +823,7 @@ def run_coorbit(config: dict | None = None) -> dict:
 
     rows = []
     flag_counts: dict = {}
-    for grid_now, tag in ((grid, "base"), (grid.widened(2), "refined")):
+    for grid_now, tag in ((grid, "base"), (grid.widened(), "refined")):
         flds = fields if tag == "base" else _resampled(fields, grid_now, phi.gauge)
         ggrid = GroupGrid(grid=grid_now, s_min=s_min, s_max=s_max, ds=ds)
         for q in cfg["qs"]:
@@ -957,9 +957,9 @@ def run_frames(config: dict | None = None) -> dict:
     )
 
     hgrid = GroupGrid(grid=grid, s_min=-2.0, s_max=2.0, ds=float(cfg["ds"]))
-    mol = dual_envelope(sep_system, D, hgrid, stride=4)
+    mol = dual_envelope(sep_system, D, hgrid)
     rep = molecule_check(mol)
-    w = control_weight(S, alpha=0.0, beta=1.0, q=2.0)
+    w = ControlWeight(S, alpha=0.0, beta=1.0, q=2.0)
     wnorm = wiener_amalgam_norm(mol.envelope, w, r=1.0)
     mol_ok = rep["violations"] == [] and np.isfinite(wnorm) and wnorm > 0
     rows.append(

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -195,11 +195,6 @@ def convolve_scale(f: SampledField, profile, s: float) -> ScaleBand:
     out = f.spec * mult
     out.flags.writeable = False
     return ScaleBand(grid=f.grid, spec=out, scale=float(s))
-
-
-def scale_bank(f: SampledField, profile, scales: Sequence[float]) -> list[ScaleBand]:
-    """One band per requested scale; scales are independent of each other."""
-    return [convolve_scale(f, profile, s) for s in scales]
 
 
 def reconstruct(f: SampledField, pair, j_range: tuple[int, int]) -> SampledField:

@@ -27,6 +27,9 @@ from .group_analysis import GroupField, GroupGrid, GroupPoint, group_point, pti_
 from .linalg_expansive import QuasiNormStructure
 from .norms import NormParams, NormReport
 
+# Centered coefficients are probed at every _STRIDE-th grid point.
+_STRIDE = 4
+
 
 @dataclass(frozen=True)
 class IndexSet:
@@ -359,31 +362,29 @@ def moment_problem(
 
 @dataclass
 class MolecularSystem:
-    """Members with a common centered envelope on a check grid.
+    """Members' centered coefficients with a common envelope on a check grid.
 
-    coefficients[i] holds |W_psi members[i] (gamma_i h)| over the
-    envelope's grid h, its spatial probes strided by stride, as
-    member_coefficients computes them.
+    coefficients[i] holds |W_psi phi_i (gamma_i h)| for the i-th member
+    phi_i over the envelope's grid h, its spatial probes strided by
+    _STRIDE, as member_coefficients computes them.
     """
 
-    members: list[SampledField]
     Gamma: IndexSet
     envelope: GroupField
     coefficients: list[np.ndarray]
-    stride: int
 
 
 def centered_coefficients(
-    member: SampledField, gamma: GroupPoint, vec, hgrid: GroupGrid, stride: int = 1
+    member: SampledField, gamma: GroupPoint, vec, hgrid: GroupGrid
 ) -> np.ndarray:
     """W_psi(member) evaluated at gamma . h over the centered grid h.
 
-    Exact spectral evaluation at the warped points; stride decimates the
-    spatial probe grid.
+    Exact spectral evaluation at the warped points, on every _STRIDE-th
+    spatial probe.
     """
     W = wavelet_transform(member, vec, _shifted_ggrid(hgrid, gamma.s))
     grid = hgrid.grid
-    pts = spatial_points(grid)[::stride]
+    pts = spatial_points(grid)[::_STRIDE]
     M = np.asarray(vec.matrix.power(gamma.s))
     probe = gamma.x + pts @ M.T
     return evaluate_spectrum(grid, W.spec, probe)
@@ -399,11 +400,11 @@ def _shifted_ggrid(hgrid: GroupGrid, s0: float) -> GroupGrid:
 
 
 def member_coefficients(
-    members: list[SampledField], Gamma: IndexSet, vec, hgrid: GroupGrid, stride: int = 2
+    members: list[SampledField], Gamma: IndexSet, vec, hgrid: GroupGrid
 ) -> list[np.ndarray]:
     """|centered_coefficients| of each member at its own point of Gamma."""
     return [
-        np.abs(centered_coefficients(member, gamma, vec, hgrid, stride=stride))
+        np.abs(centered_coefficients(member, gamma, vec, hgrid))
         for member, gamma in zip(members, Gamma.points())
     ]
 
@@ -423,7 +424,7 @@ def molecule_check(system: MolecularSystem) -> dict:
     to that floor and the floor is reported.
     """
     env = np.abs(system.envelope.values)
-    env = env.reshape(env.shape[0], -1)[:, :: system.stride]
+    env = env.reshape(env.shape[0], -1)[:, ::_STRIDE]
     floor = 1e-2 * float(np.max(env))
     violations = []
     worst = 0.0
@@ -440,23 +441,19 @@ def molecule_check(system: MolecularSystem) -> dict:
     }
 
 
-def dual_envelope(
-    system: FrameSystem, D: np.ndarray, hgrid: GroupGrid, stride: int = 2
-) -> MolecularSystem:
+def dual_envelope(system: FrameSystem, D: np.ndarray, hgrid: GroupGrid) -> MolecularSystem:
     """Members phi_gamma = sum_j D[j, gamma] atom_j, their centered
     coefficients and the tight envelope max_gamma |W_psi phi_gamma (gamma .)|,
     expanded from the strided probes to the full grid by nearest fill."""
     members = [system.synthesis(D[:, g]) for g in range(D.shape[1])]
-    coefs = member_coefficients(members, system.Gamma, system.vec, hgrid, stride)
+    coefs = member_coefficients(members, system.Gamma, system.vec, hgrid)
     env = functools.reduce(np.maximum, coefs)
-    full_flat = np.repeat(env, stride, axis=1)[:, : hgrid.grid.size]
+    full_flat = np.repeat(env, _STRIDE, axis=1)[:, : hgrid.grid.size]
     full = full_flat.reshape((len(hgrid.s_values),) + hgrid.grid.shape)
     return MolecularSystem(
-        members=members,
         Gamma=system.Gamma,
         envelope=GroupField(ggrid=hgrid, vals=full),
         coefficients=coefs,
-        stride=stride,
     )
 
 

@@ -49,13 +49,13 @@ class GridSpec:
     def shape(self) -> tuple[int, ...]:
         return (self.n,) * self.d
 
-    def refined(self, factor: int = 2) -> "GridSpec":
-        """Same box, factor-times more samples per axis."""
-        return GridSpec(self.d, self.extent, self.n * factor)
+    def refined(self) -> "GridSpec":
+        """Same box, twice the samples per axis."""
+        return GridSpec(self.d, self.extent, self.n * 2)
 
-    def widened(self, factor: int = 2) -> "GridSpec":
-        """Same step, factor-times wider box."""
-        return GridSpec(self.d, self.extent * factor, self.n * factor)
+    def widened(self) -> "GridSpec":
+        """Same step, twice as wide a box."""
+        return GridSpec(self.d, self.extent * 2, self.n * 2)
 
 
 _CACHE: dict = {}

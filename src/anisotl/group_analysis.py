@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import expm
 
 from .field_engine import (
     SampledField,
@@ -30,9 +29,15 @@ from .field_engine import (
     spec_to_values,
 )
 from .grids import GridSpec, cached, freq_points, offset_index_vectors, spatial_points
-from .linalg_expansive import ExpansiveMatrix, QuasiNormStructure, per_value_product, real_matrix_log
+from .linalg_expansive import ExpansiveMatrix, QuasiNormStructure, per_value_product
 from .norms import NormParams, NormReport, _weighted_terms, sup_over_windows
 from .peetre import offset_shells, weighted_sup_multi
+
+# weight_v's candidates sit on the shells A^m Omega, |m| <= _V_SHELLS, in
+# _V_DIRECTIONS boundary directions.
+_V_SHELLS = 12
+_V_DIRECTIONS = 32
+
 
 # ---------------------------------------------------------------------------
 # Group law
@@ -101,7 +106,7 @@ class GroupGrid:
         return self.steps(s - self.s_min)
 
     def refined(self) -> "GroupGrid":
-        return GroupGrid(self.grid.widened(2), self.s_min, self.s_max, self.ds / 2.0)
+        return GroupGrid(self.grid.widened(), self.s_min, self.s_max, self.ds / 2.0)
 
 
 @dataclass
@@ -369,9 +374,7 @@ def left_translate(F: GroupField, g: GroupPoint, E: ExpansiveMatrix) -> GroupFie
     shift = ggrid.steps(g.s)
     spec = F._spectral_slices()
     grid = ggrid.grid
-    pts = (spatial_points(grid) - np.asarray(g.x)) @ expm(
-        -float(g.s) * real_matrix_log(E)
-    ).T
+    pts = (spatial_points(grid) - np.asarray(g.x)) @ np.asarray(E.power(-g.s)).T
     n_s = len(ggrid.s_values)
     out = np.zeros((n_s,) + grid.shape, dtype=complex)
     lo, hi = max(0, -shift), min(n_s, n_s - shift)  # source slices kept
@@ -478,31 +481,25 @@ def translation_bound_check(
 # ---------------------------------------------------------------------------
 
 
-def _v_candidates(S: QuasiNormStructure, m_range: int, n_dirs: int) -> np.ndarray:
+def _v_candidates(S: QuasiNormStructure) -> np.ndarray:
     def build():
         E = S.owner
-        dirs = np.unique(np.round(S.boundary_points(n_dirs), 12), axis=0)
+        dirs = np.unique(np.round(S.boundary_points(_V_DIRECTIONS), 12), axis=0)
         etas = np.array([1.05, 1.4])
         pts = [np.zeros((1, E.d))]
-        for m in range(-m_range, m_range + 1):
+        for m in range(-_V_SHELLS, _V_SHELLS + 1):
             M = np.asarray(E.power(m)).T
             for eta in etas:
                 pts.append((eta * dirs) @ M)
         return np.concatenate(pts, axis=0)
 
-    return cached(_V_CACHE, ("vcand", S.value_key, m_range, n_dirs), build)
+    return cached(_V_CACHE, ("vcand", S.value_key), build)
 
 
 _V_CACHE: dict = {}
 
 
-def weight_v(
-    S: QuasiNormStructure,
-    y,
-    t: float,
-    m_range: int = 12,
-    n_dirs: int = 32,
-) -> tuple[float, bool]:
+def weight_v(S: QuasiNormStructure, y, t: float) -> tuple[float, bool]:
     """v(y, t) = sup_z (1 + rho(z)) / (1 + rho(A^t z - y)).
 
     The supremum over the full group orbit collapses to a d-dimensional
@@ -512,7 +509,7 @@ def weight_v(
     """
     E = S.owner
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    cands = _v_candidates(S, m_range, n_dirs)
+    cands = _v_candidates(S)
     special = (y @ np.asarray(E.power(-float(t))).T)[None, :]
     zs = np.concatenate([cands, special], axis=0)
     num = 1.0 + S.rho(zs)
@@ -521,13 +518,11 @@ def weight_v(
     best = int(np.argmax(ratios))
     val = float(ratios[best])
     # saturation: best candidate sits on the outermost sampled shell
-    sat = bool(num[best] >= 1.0 + E.absdet ** (m_range - 1))
+    sat = bool(num[best] >= 1.0 + E.absdet ** (_V_SHELLS - 1))
     return max(val, 1.0), sat
 
 
-def weight_v_many(
-    S: QuasiNormStructure, ys: np.ndarray, ts: np.ndarray, m_range: int = 12, n_dirs: int = 32
-) -> np.ndarray:
+def weight_v_many(S: QuasiNormStructure, ys: np.ndarray, ts: np.ndarray) -> np.ndarray:
     """Vectorized weight_v over samples grouped by the scale component.
 
     A denominator is at least 1, so a candidate's ratio is at most its
@@ -539,7 +534,7 @@ def weight_v_many(
     ys = np.atleast_2d(ys)
     ts = np.asarray(ts, dtype=float)
     out = np.empty(len(ts))
-    cands = _v_candidates(S, m_range, n_dirs)
+    cands = _v_candidates(S)
     num_c = 1.0 + S.rho(cands)
     E = S.owner
     for t in np.unique(ts):
@@ -669,10 +664,6 @@ class ControlWeight:
             self.alpha, self.beta, self.q, self.S.owner.absdet
         )
         return EnvelopeSpec(sigma, 0.0), EnvelopeSpec(kappa, -self.beta), upper
-
-
-def control_weight(S: QuasiNormStructure, alpha: float, beta: float, q: float) -> ControlWeight:
-    return ControlWeight(S=S, alpha=alpha, beta=beta, q=q)
 
 
 def envelope_compare(

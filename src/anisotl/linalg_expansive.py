@@ -27,6 +27,9 @@ SHELL_CLAMP = 64
 
 _LOG_REL_TOL = 1e-10
 
+# sample_points draws its radial exponents uniformly from these shells.
+_SAMPLE_SHELLS = (-8, 8)
+
 
 def unit_ball_volume(d: int) -> float:
     """Volume of the Euclidean unit ball in dimension d."""
@@ -400,29 +403,6 @@ def _det_powers(absdet: float) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class BallDescriptor:
-    """Metric ball B(y, radius) = A^level * Omega + y."""
-
-    center: np.ndarray
-    level: int
-    radius: float
-
-
-def metric_ball(S: QuasiNormStructure, y, radius: float) -> BallDescriptor:
-    """Shell level l with |det A|^(l-1) < radius <= |det A|^l."""
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    b = S.owner.absdet
-    level = math.ceil(math.log(radius) / math.log(b))
-    # fix rounding at exact powers
-    while b ** (level - 1) >= radius:
-        level -= 1
-    while b ** level < radius:
-        level += 1
-    return BallDescriptor(center=np.asarray(y, dtype=float), level=level, radius=radius)
-
-
 def per_value_product(keys: np.ndarray, rows: np.ndarray, matrix) -> np.ndarray:
     """rows[i] @ matrix(keys[i]).T for every i, with one product per distinct key.
 
@@ -445,28 +425,27 @@ def per_value_product(keys: np.ndarray, rows: np.ndarray, matrix) -> np.ndarray:
     return out
 
 
-def sample_points(S: QuasiNormStructure, n: int, seed: int, shell_range: tuple[int, int] = (-8, 8)) -> np.ndarray:
+def sample_points(S: QuasiNormStructure, n: int, seed: int) -> np.ndarray:
     """Random points with log-uniform quasi-norm magnitudes.
 
     Directions uniform on the Omega boundary; radial factor A^u with u
-    uniform over shell_range, so all shells are exercised evenly.  For an
-    exponential A, u snaps to the half-step-shifted 1/16 grid and A^u is
-    read from a table of expm(v log A) over the grid values of shell_range,
-    built once per (log A, range); otherwise u rounds to an integer power.
+    uniform over _SAMPLE_SHELLS, so all shells are exercised evenly.  For
+    an exponential A, u snaps to the half-step-shifted 1/16 grid and A^u
+    is read from a table of expm(v log A) over its grid values, built once
+    per log A; otherwise u rounds to an integer power.
     The points are grouped by their value with one stable sort
     (per_value_product), and each block is one product that equals the
     product over the points masked by that value.
     """
     rng = np.random.default_rng(seed)
     dirs = S.boundary_points(n, rng=rng)
-    u = rng.uniform(shell_range[0], shell_range[1], size=n)
+    u = rng.uniform(_SAMPLE_SHELLS[0], _SAMPLE_SHELLS[1], size=n)
     E = S.owner
     if E.log is not None:
         # the half-step offset of the 1/16 grid keeps flowed boundary
         # directions off the exact shell boundaries
-        k_lo, k_hi = round(16 * shell_range[0]), round(16 * shell_range[1])
-        steps = _flow_steps(E, k_lo, k_hi)
-        idx = np.round(u * 16).astype(int) - k_lo
+        idx = np.round(u * 16).astype(int) - 16 * _SAMPLE_SHELLS[0]
+        steps = _flow_steps(E)
         return per_value_product(idx, dirs, lambda i: steps[i])
     k = np.round(u).astype(int)
     jitter = rng.uniform(1.02, 1.35, size=(n, 1))
@@ -476,13 +455,15 @@ def sample_points(S: QuasiNormStructure, n: int, seed: int, shell_range: tuple[i
 _FLOW_CACHE: dict = {}
 
 
-def _flow_steps(E: ExpansiveMatrix, k_lo: int, k_hi: int) -> np.ndarray:
-    """expm(v B) for v = (k + 0.5) / 16, k = k_lo .. k_hi (cached by value)."""
+def _flow_steps(E: ExpansiveMatrix) -> np.ndarray:
+    """expm(v B) for v = (k + 0.5) / 16, 16 lo <= k <= 16 hi with
+    (lo, hi) = _SAMPLE_SHELLS (cached by the value of B)."""
 
     def build():
-        return np.stack([expm((k + 0.5) / 16 * E.log) for k in np.arange(k_lo, k_hi + 1.0)])
+        ks = np.arange(16 * _SAMPLE_SHELLS[0], 16 * _SAMPLE_SHELLS[1] + 1.0)
+        return np.stack([expm((k + 0.5) / 16 * E.log) for k in ks])
 
-    return cached(_FLOW_CACHE, (E.log.tobytes(), k_lo, k_hi), build)
+    return cached(_FLOW_CACHE, E.log.tobytes(), build)
 
 
 def measure_quasi_triangle(S: QuasiNormStructure, n: int = 4096, seed: int = 7) -> float:
@@ -710,9 +691,9 @@ class ScaleGauge:
         hit = self._t_cache.get(grid)
         return self.t(freq_points(grid)) if hit is None else hit
 
-    def points_on_level(self, tau: float, n_dirs: int, seed: int = 3) -> np.ndarray:
+    def points_on_level(self, tau: float, n_dirs: int) -> np.ndarray:
         """Points on the level set {t = tau} via flowed sphere directions."""
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(3)
         u = rng.normal(size=(n_dirs, self.d))
         u /= np.linalg.norm(u, axis=1, keepdims=True)
         base = u @ self._inv_sqrtP.T  # t = 0 level set
@@ -731,6 +712,3 @@ def transpose_gauge(E: ExpansiveMatrix) -> ScaleGauge:
     B = real_matrix_log(E)
     return ScaleGauge(E.A.T, B.T)
 
-
-def spatial_gauge(E: ExpansiveMatrix) -> ScaleGauge:
-    return ScaleGauge(E.A, real_matrix_log(E))

@@ -348,9 +348,8 @@ def _continuous_scales(params: NormParams) -> np.ndarray:
 
 
 def tl_norm_q(f: SampledField, profile, S: QuasiNormStructure, params: NormParams) -> NormReport:
-    """Localized small-scale norm with the l^q sum inside the window average."""
-    if math.isinf(params.q):
-        return tl_norm_inf(f, profile, S, params)
+    """Localized small-scale norm with the l^q sum inside the window average
+    (for q = inf, the sup over scales outside it)."""
     arrays = band_arrays(f, profile, _discrete_scales(params))
     terms = _weighted_terms(arrays, params.alpha, params.q, S.owner.absdet, lambda s: 1.0)
     return sup_over_windows(f.grid, S, terms, params, coupling="fine")
@@ -358,19 +357,16 @@ def tl_norm_q(f: SampledField, profile, S: QuasiNormStructure, params: NormParam
 
 def tl_norm_inf(f: SampledField, profile, S: QuasiNormStructure, params: NormParams) -> NormReport:
     """Variant with the sup over scales outside the window average."""
-    arrays = band_arrays(f, profile, _discrete_scales(params))
-    p = replace(params, q=math.inf)
-    terms = _weighted_terms(arrays, params.alpha, math.inf, S.owner.absdet, lambda s: 1.0)
-    return sup_over_windows(f.grid, S, terms, p, coupling="fine")
+    return tl_norm_q(f, profile, S, replace(params, q=math.inf))
 
 
-def besov_norm(f: SampledField, profile, S: QuasiNormStructure, alpha: float, params: NormParams) -> NormReport:
+def besov_norm(f: SampledField, profile, S: QuasiNormStructure, params: NormParams) -> NormReport:
     """sup_j |det A|^(alpha j) max_x |f * phi_j|."""
     arrays = band_arrays(f, profile, _discrete_scales(params))
     absdet = S.owner.absdet
     best, arg = 0.0, None
     for s, arr in arrays.items():
-        v = absdet ** (alpha * s) * float(np.max(arr))
+        v = absdet ** (params.alpha * s) * float(np.max(arr))
         if v > best:
             best, arg = v, int(s)
     return NormReport(
@@ -406,34 +402,14 @@ def tl_peetre_norm(
     return rep
 
 
-def window_equivalence_check(
-    arrays: dict[float, np.ndarray] | np.ndarray,
-    S: QuasiNormStructure,
-    grid: GridSpec,
-    params: NormParams,
-) -> dict:
-    """Cube-window versus ball-window suprema for the same data."""
-    if isinstance(arrays, np.ndarray):
-        arrays = {0.0: np.asarray(arrays, dtype=float).ravel()}
-    p_inf = replace(params, q=math.inf)
-    terms = [(s, 1.0, arr) for s, arr in arrays.items()]
-    cube = sup_over_windows(grid, S, terms, replace(p_inf, window="cube"), "fine")
-    ball = sup_over_windows(grid, S, terms, replace(p_inf, window="ball"), "fine")
-    ratio = cube.value / ball.value if ball.value > 0 else math.nan
-    return {"cube": cube, "ball": ball, "ratio": ratio}
-
-
-def embedding_check(
-    f: SampledField, profile, S: QuasiNormStructure, alpha: float, q: float, params: NormParams
-) -> dict:
-    """Besov versus localized-norm comparisons for one field: the three
-    reports, and their ratios unless a localized norm is zero (skipped).
-    At q = inf tl_q is tl_inf, so inf_over_q is 1."""
-    p = replace(params, alpha=alpha, q=q)
+def embedding_check(f: SampledField, profile, S: QuasiNormStructure, params: NormParams) -> dict:
+    """Besov versus localized-norm comparisons for one field at params'
+    alpha and q: the three reports, and their ratios unless a localized
+    norm is zero (skipped).  At q = inf tl_q is tl_inf, so inf_over_q is 1."""
     out = {
-        "tl_q": tl_norm_q(f, profile, S, p),
-        "tl_inf": tl_norm_inf(f, profile, S, p),
-        "besov": besov_norm(f, profile, S, alpha, p),
+        "tl_q": tl_norm_q(f, profile, S, params),
+        "tl_inf": tl_norm_inf(f, profile, S, params),
+        "besov": besov_norm(f, profile, S, params),
     }
     n_q, n_inf, n_b = (rep.value for rep in out.values())
     if not (n_q > 0 and n_inf > 0):

@@ -15,7 +15,6 @@ from anisotl.analyzers import (
     make_analyzing_pair,
     make_covering_profile,
     periodized_energy,
-    profile_from_json,
     shape_energy,
 )
 from anisotl.errors import CoverageGap, DivisionUnderflow
@@ -82,11 +81,6 @@ class TestCoveringProfile:
         inner, outer = phi.annulus
         outside = (radii < inner) | (radii > outer)
         assert np.all(vals[outside] < 1e-12)
-
-    def test_json_round_trip(self, phi1):
-        back = profile_from_json(phi1.to_json())
-        xs = np.linspace(-3, 3, 101)[:, None]
-        assert np.allclose(back.shape(back.gauge.t(xs)), phi1.shape(phi1.gauge.t(xs)))
 
 
 class TestAnalyzingPair:

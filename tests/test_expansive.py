@@ -15,6 +15,7 @@ from anisotl.errors import NotExpansive, NotExponential, Singular
 from anisotl.grids import GridSpec, freq_points, lattice_grid
 from anisotl.linalg_expansive import (
     SHELL_CLAMP,
+    _SAMPLE_SHELLS,
     ScaleGauge,
     _real_log,
     build_ellipsoid,
@@ -22,11 +23,9 @@ from anisotl.linalg_expansive import (
     matrix_from_json,
     measure_nu_constant,
     measure_quasi_triangle,
-    metric_ball,
     per_value_product,
     real_matrix_log,
     sample_points,
-    spatial_gauge,
     transpose_gauge,
     validate_expansive,
     unit_ball_volume,
@@ -327,7 +326,7 @@ def test_shell_index_matches_full_range_bisection(mat):
     assert np.array_equal(sat, saturated)
 
 
-@pytest.mark.parametrize("shell_range", [(-8, 8), (-3, 5)])
+@pytest.mark.parametrize("shell_range", [_SAMPLE_SHELLS])
 @pytest.mark.parametrize("mat", SHELL_MATRICES, ids=["line", "diag24", "shear", "rotation"])
 def test_sample_points_match_per_value_exponentials(mat, shell_range):
     E = validate_expansive(mat)
@@ -339,7 +338,7 @@ def test_sample_points_match_per_value_exponentials(mat, shell_range):
     for val in np.unique(grid):
         mask = grid == val
         expected[mask] = dirs[mask] @ expm(val * E.log).T
-    assert np.array_equal(sample_points(S, 3000, seed=4, shell_range=shell_range), expected)
+    assert np.array_equal(sample_points(S, 3000, seed=4), expected)
 
 
 @pytest.mark.parametrize(
@@ -380,20 +379,6 @@ def test_sample_points_empty(mat):
     assert sample_points(S, 0, seed=1).shape == (0, 2)
 
 
-class TestMetricBall:
-    def setup_method(self):
-        self.S = build_ellipsoid(validate_expansive([[2.0]]))
-
-    @pytest.mark.parametrize("radius,level", [(1.0, 0), (2.0, 1), (3.0, 2), (0.5, -1)])
-    def test_levels(self, radius, level):
-        ball = metric_ball(self.S, np.zeros(1), radius)
-        assert ball.level == level
-
-    def test_bad_radius(self):
-        with pytest.raises(ValueError):
-            metric_ball(self.S, np.zeros(1), 0.0)
-
-
 def _count_flows(g):
     """Replace g.flow by a wrapper; the returned list gets each step's set size."""
     flow, steps = g.flow, []
@@ -409,7 +394,7 @@ def _count_flows(g):
 class TestScaleGauge:
     def test_line_gauge_closed_form(self):
         E = validate_expansive([[2.0]])
-        g = spatial_gauge(E)
+        g = transpose_gauge(E)
         xs = np.array([[0.5], [1.0], [2.0], [-3.0], [0.1]])
         expected = np.log2(2.0 * np.abs(xs[:, 0]))
         assert np.allclose(g.t(xs), expected, atol=1e-10)
@@ -417,7 +402,7 @@ class TestScaleGauge:
     @pytest.mark.parametrize("mat", [np.diag([2.0, 4.0]), JORDAN])
     def test_cocycle(self, mat):
         E = validate_expansive(mat)
-        g = spatial_gauge(E)
+        g = transpose_gauge(E)
         rng = np.random.default_rng(2)
         pts = rng.normal(size=(200, 2)) * 10 ** rng.uniform(-2, 2, size=(200, 1))
         for u in (1.0, -2.0, 0.375):

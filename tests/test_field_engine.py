@@ -10,12 +10,12 @@ from anisotl.field_engine import (
     field_from_closure,
     field_from_spec,
     reconstruct,
-    scale_bank,
     spec_to_values,
     values_to_spec,
 )
 from anisotl.grids import GridSpec, freq_points, spatial_points
 from anisotl.linalg_expansive import validate_expansive
+from anisotl.norms import band_arrays
 
 E1 = validate_expansive([[2.0]])
 GRID1 = GridSpec(d=1, extent=8.0, n=1024)
@@ -99,7 +99,7 @@ class TestConvolveScale:
 class TestScaleBank:
     def test_empty(self, phi):
         f = field_from_closure(GRID1, phi.gauge, band_field(phi.gauge, seed=8))
-        assert scale_bank(f, phi, []) == []
+        assert band_arrays(f, phi, []) == {}
 
     def test_single_shell_band_count(self, pair, phi):
         # field living inside one analyzer shell: at most 2N+1 bands survive
@@ -108,7 +108,7 @@ class TestScaleBank:
             phi.gauge,
             lambda xi: phi.shape(phi.gauge.t(np.atleast_2d(xi)) - 2.0),
         )
-        bank = scale_bank(f, phi, range(-2, 7))
+        bank = [convolve_scale(f, phi, s) for s in range(-2, 7)]
         alive = [b for b in bank if np.max(b.abs_values) > 1e-12]
         assert 0 < len(alive) <= 2 * pair.overlap_n + 1
 
@@ -117,7 +117,7 @@ class TestScaleBank:
         noise = rng.normal(size=GRID1.shape) + 1j * rng.normal(size=GRID1.shape)
         spec = noise * phi.multiplier(GRID1, 2.0)
         f = field_from_spec(GRID1, spec, phi.gauge)
-        bank = scale_bank(f, phi, range(-1, 7))
+        bank = [convolve_scale(f, phi, s) for s in range(-1, 7)]
         for band in bank:
             if abs(band.scale - 2.0) > pair.overlap_n:
                 assert band.l2_norm() <= 1e-12
@@ -206,7 +206,7 @@ class TestStackedEvaluation:
         rng = np.random.default_rng(8)
         spec = rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
         f = field_from_spec(grid, spec, phi2.gauge)
-        stack = np.stack([b.spec for b in scale_bank(f, phi2, [-3, -2, -1, 0])])
+        stack = np.stack([convolve_scale(f, phi2, s).spec for s in [-3, -2, -1, 0]])
         pts = spatial_points(grid)[::7] + rng.uniform(-0.05, 0.05, size=(1, 2))
         got = evaluate_spectrum(grid, stack, pts)
         ref = np.stack([_evaluate_one(grid, sl, pts) for sl in stack])

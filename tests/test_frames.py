@@ -8,6 +8,7 @@ from anisotl.frames import (
     FrameSystem,
     IndexSet,
     MolecularSystem,
+    _STRIDE,
     atom_field,
     centered_coefficients,
     dual_envelope,
@@ -271,10 +272,8 @@ class TestMolecules:
         return GroupField(ggrid=HGRID, vals=(1.0 + margin) * np.abs(W.values))
 
     def _system(self, vec, gamma_set, members, envelope):
-        coefs = member_coefficients(members, gamma_set, vec, HGRID, stride=4)
-        return MolecularSystem(
-            members=members, Gamma=gamma_set, envelope=envelope, coefficients=coefs, stride=4
-        )
+        coefs = member_coefficients(members, gamma_set, vec, HGRID)
+        return MolecularSystem(Gamma=gamma_set, envelope=envelope, coefficients=coefs)
 
     def test_atom_system_passes_with_self_envelope(self, vec, separated_gamma):
         members = self._atom_members(vec, separated_gamma)
@@ -287,9 +286,9 @@ class TestMolecules:
         i = len(separated_gamma) // 2
         gamma = group_point(separated_gamma.xs[i], separated_gamma.ss[i])
         member = atom_field(vec, gamma, GRID)
-        vals = np.abs(centered_coefficients(member, gamma, vec, HGRID, stride=4))
+        vals = np.abs(centered_coefficients(member, gamma, vec, HGRID))
         W = wavelet_transform(psi_spatial_field(vec, GRID), vec, HGRID)
-        ref = np.abs(W.values)[:, ::4]
+        ref = np.abs(W.values)[:, ::_STRIDE]
         assert np.max(np.abs(vals - ref)) <= 5e-3 * np.max(ref)
 
     def test_spiked_atom_reported(self, vec, separated_gamma):
@@ -305,11 +304,11 @@ class TestMolecules:
         for i in (0, len(separated_gamma) // 2):
             member = system.synthesis(D[:, i])
             gamma = group_point(separated_gamma.xs[i], separated_gamma.ss[i])
-            got = centered_coefficients(member, gamma, vec, HGRID, stride=4)
+            got = centered_coefficients(member, gamma, vec, HGRID)
             # one single-slice evaluation per scale of the centered grid
             shifted = GroupGrid(GRID, HGRID.s_min + gamma.s, HGRID.s_max + gamma.s, HGRID.ds)
             W = wavelet_transform(member, vec, shifted)
-            probe = gamma.x + spatial_points(GRID)[::4] @ np.asarray(E1.power(gamma.s)).T
+            probe = gamma.x + spatial_points(GRID)[::_STRIDE] @ np.asarray(E1.power(gamma.s)).T
             ref = np.stack([W.slice_at_points(k, probe) for k in range(len(HGRID.s_values))])
             assert np.array_equal(got, ref)
 
@@ -317,23 +316,23 @@ class TestMolecules:
         system = FrameSystem.build(vec, separated_gamma, GRID)
         c = np.zeros(len(separated_gamma))
         _, _, D = moment_problem(c, system)
-        rep = molecule_check(dual_envelope(system, D, HGRID, stride=4))
+        rep = molecule_check(dual_envelope(system, D, HGRID))
         assert rep["violations"] == []
 
-    @pytest.mark.parametrize("stride", [3, 4])
+    @pytest.mark.parametrize("stride", [_STRIDE])
     def test_dual_envelope_matches_recomputing_loop(self, vec, separated_gamma, stride):
         # reference: every member's centered coefficients evaluated once
         # for the envelope and again for the check
         system = FrameSystem.build(vec, separated_gamma, GRID)
         _, _, D = moment_problem(np.zeros(len(separated_gamma)), system)
-        mol = dual_envelope(system, D, HGRID, stride=stride)
+        mol = dual_envelope(system, D, HGRID)
 
         members, env = [], None
         for g in range(D.shape[1]):
             phi = system.synthesis(D[:, g])
             members.append(phi)
             gamma = group_point(separated_gamma.xs[g], separated_gamma.ss[g])
-            vals = np.abs(centered_coefficients(phi, gamma, vec, HGRID, stride=stride))
+            vals = np.abs(centered_coefficients(phi, gamma, vec, HGRID))
             env = vals if env is None else np.maximum(env, vals)
         full = np.repeat(env, stride, axis=1)[:, : GRID.size].reshape(mol.envelope.vals.shape)
         assert np.array_equal(mol.envelope.vals, full)
@@ -343,7 +342,7 @@ class TestMolecules:
         violations, worst = [], 0.0
         for g, member in enumerate(members):
             gamma = group_point(separated_gamma.xs[g], separated_gamma.ss[g])
-            vals = np.abs(centered_coefficients(member, gamma, vec, HGRID, stride=stride))
+            vals = np.abs(centered_coefficients(member, gamma, vec, HGRID))
             over = vals > strided * (1.0 + 1e-9) + floor
             worst = max(worst, float(np.max(vals - strided)))
             if np.any(over):

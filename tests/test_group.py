@@ -14,7 +14,6 @@ from anisotl.group_analysis import (
     EnvelopeSpec,
     GroupField,
     GroupGrid,
-    control_weight,
     envelope_compare,
     group_convolve,
     group_inv,
@@ -310,7 +309,7 @@ class TestControlWeight:
         assert sigma[1] == pytest.approx(2.0 ** (-0.7))
 
     def test_symmetry_identity(self):
-        w = control_weight(S1, alpha=0.3, beta=1.0, q=2.0)
+        w = ControlWeight(S1, alpha=0.3, beta=1.0, q=2.0)
         rng = np.random.default_rng(8)
         ys = rng.normal(size=(200, 1)) * 3
         ts = np.round(rng.uniform(-3, 3, size=200) * 8) / 8
@@ -322,7 +321,7 @@ class TestControlWeight:
         assert np.max(np.abs(lhs - rhs) / lhs) <= 1e-9
 
     def test_w_at_least_one(self):
-        w = control_weight(S1, alpha=-0.5, beta=1.5, q=0.5)
+        w = ControlWeight(S1, alpha=-0.5, beta=1.5, q=0.5)
         rng = np.random.default_rng(9)
         ys = rng.normal(size=(50, 1)) * 4
         ts = rng.uniform(-2, 2, size=50)
@@ -330,7 +329,7 @@ class TestControlWeight:
 
     def test_envelope_comparison_bounded(self):
         for alpha in (0.5, -3.0):  # both kappa branches
-            w = control_weight(S1, alpha=alpha, beta=1.0, q=2.0)
+            w = ControlWeight(S1, alpha=alpha, beta=1.0, q=2.0)
             rng = np.random.default_rng(10)
             ys = rng.normal(size=(200, 1)) * 3
             ts = rng.uniform(-3, 3, size=200)
@@ -382,7 +381,7 @@ def test_inversions_match_masked_products(mat, monkeypatch):
 def test_control_weight_prefix_is_the_half_sample(mat):
     # run_control_weight reads its half-sample values off the full sample's
     E = validate_expansive(mat)
-    w = control_weight(build_ellipsoid(E), alpha=0.5, beta=1.0, q=2.0)
+    w = ControlWeight(build_ellipsoid(E), alpha=0.5, beta=1.0, q=2.0)
     rng = np.random.default_rng(13)
     ys = rng.normal(size=(400, E.d)) * 3.0
     ts = np.round(rng.uniform(-3, 3, size=400) * 8) / 8
@@ -390,12 +389,12 @@ def test_control_weight_prefix_is_the_half_sample(mat):
 
 
 
-def _weight_v_many_every_pair(S, ys, ts, m_range=12, n_dirs=32):
+def _weight_v_many_every_pair(S, ys, ts):
     """weight_v_many with rho evaluated on every (sample, candidate) pair."""
     ys = np.atleast_2d(ys)
     ts = np.asarray(ts, dtype=float)
     out = np.empty(len(ts))
-    cands = group_analysis._v_candidates(S, m_range, n_dirs)
+    cands = group_analysis._v_candidates(S)
     rho_c = S.rho(cands)
     E = S.owner
     for t in np.unique(ts):
@@ -410,12 +409,12 @@ def _weight_v_many_every_pair(S, ys, ts, m_range=12, n_dirs=32):
     return out
 
 
-def _bound_samples(S, m_range, n_dirs, seed):
+def _bound_samples(S, seed):
     """Random samples at several radii, the origin, and points on and next
     to the candidate shells moved by A^t, with t on the 1/8 grid."""
     E = S.owner
     rng = np.random.default_rng(seed)
-    cands = group_analysis._v_candidates(S, m_range, n_dirs)
+    cands = group_analysis._v_candidates(S)
     ys, ts = [], []
     for radius in (0.05, 1.0, 3.0, 40.0):
         ys.append(rng.normal(size=(150, E.d)) * radius)
@@ -431,24 +430,25 @@ def _bound_samples(S, m_range, n_dirs, seed):
     return np.concatenate(ys), np.concatenate(ts)
 
 
-@pytest.mark.parametrize("ranges", [(12, 32), (5, 9)], ids=["default", "m5-dirs9"])
+@pytest.mark.parametrize(
+    "ranges", [(group_analysis._V_SHELLS, group_analysis._V_DIRECTIONS)], ids=["default"]
+)
 @pytest.mark.parametrize(
     "mat", [[[2.0]], [[2.0, 0.0], [0.0, 4.0]], [[2.0, 1.0], [0.0, 2.0]]], ids=["line", "diag24", "shear"]
 )
 def test_weight_v_many_bound_is_exact(mat, ranges, monkeypatch):
     # pairs whose numerator cannot beat max(num_sp, 1) are skipped; the
-    # values equal those with rho evaluated on every pair
+    # values equal those with rho evaluated on every pair, also inside the
+    # control weight
     S = build_ellipsoid(validate_expansive(mat))
-    m_range, n_dirs = ranges
-    ys, ts = _bound_samples(S, m_range, n_dirs, seed=len(mat) + m_range)
-    got = weight_v_many(S, ys, ts, m_range=m_range, n_dirs=n_dirs)
-    assert np.array_equal(got, _weight_v_many_every_pair(S, ys, ts, m_range, n_dirs))
+    ys, ts = _bound_samples(S, seed=len(mat) + ranges[0])
+    got = weight_v_many(S, ys, ts)
+    assert np.array_equal(got, _weight_v_many_every_pair(S, ys, ts))
 
-    if ranges == (12, 32):  # the control weight calls it with the defaults
-        w = ControlWeight(S, alpha=0.3, beta=1.0, q=2.0)
-        actual = w(ys, ts)
-        monkeypatch.setattr(group_analysis, "weight_v_many", _weight_v_many_every_pair)
-        assert np.array_equal(actual, w(ys, ts))
+    w = ControlWeight(S, alpha=0.3, beta=1.0, q=2.0)
+    actual = w(ys, ts)
+    monkeypatch.setattr(group_analysis, "weight_v_many", _weight_v_many_every_pair)
+    assert np.array_equal(actual, w(ys, ts))
 
 class TestLocalMaximal:
     def test_degenerate_window(self, psi_vec, suite_field):
@@ -484,12 +484,12 @@ class TestWienerNorm:
             GRID, psi_vec.psi.gauge, lambda xi: np.zeros(len(np.atleast_2d(xi)), complex)
         )
         W = wavelet_transform(zero, psi_vec, GGRID)
-        w = control_weight(S1, alpha=0.0, beta=1.0, q=2.0)
+        w = ControlWeight(S1, alpha=0.0, beta=1.0, q=2.0)
         assert wiener_amalgam_norm(W, w, r=1.0) == 0.0
 
     def test_self_coefficients_finite(self, psi_vec):
         psi_f = psi_spatial_field(psi_vec, GRID)
         W = wavelet_transform(psi_f, psi_vec, GGRID)
-        w = control_weight(S1, alpha=0.0, beta=1.0, q=2.0)
+        w = ControlWeight(S1, alpha=0.0, beta=1.0, q=2.0)
         val = wiener_amalgam_norm(W, w, r=1.0)
         assert 0 < val < np.inf

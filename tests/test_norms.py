@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from anisotl.norms import (
     tl_norm_inf,
     tl_norm_q,
     tl_peetre_norm,
-    window_equivalence_check,
 )
 
 E1 = validate_expansive([[2.0]])
@@ -64,7 +64,7 @@ class TestBasics:
         z = zero_field(pair)
         assert tl_norm_q(z, pair.phi, S1, PARAMS).value == 0.0
         assert tl_norm_inf(z, pair.phi, S1, PARAMS).value == 0.0
-        assert besov_norm(z, pair.phi, S1, 0.0, PARAMS).value == 0.0
+        assert besov_norm(z, pair.phi, S1, PARAMS).value == 0.0
 
     def test_profile_argument_keeps_pair_values(self, pair):
         # the values tl_norm_q gave when it took the pair and read pair.phi
@@ -160,7 +160,7 @@ class TestStructuralInequalities:
         for seed in range(4):
             f = make_field(seed=20 + seed)
             n_inf = tl_norm_inf(f, pair.phi, S1, PARAMS).value
-            n_b = besov_norm(f, pair.phi, S1, 0.0, PARAMS).value
+            n_b = besov_norm(f, pair.phi, S1, PARAMS).value
             assert n_inf <= n_b * (1 + 1e-12)
 
     def test_tl_inf_below_tl_q(self, pair):
@@ -181,11 +181,20 @@ class TestStructuralInequalities:
         assert charac >= plain * (1 - 1e-12)
 
 
+def window_equivalence(arr, params):
+    """Cube-window and ball-window suprema of one array at scale 0, and
+    their ratio."""
+    terms = [(0.0, 1.0, np.asarray(arr, dtype=float).ravel())]
+    cube = sup_over_windows(GRID, S1, terms, replace(params, window="cube"))
+    ball = sup_over_windows(GRID, S1, terms, replace(params, window="ball"))
+    return {"cube": cube, "ball": ball, "ratio": cube.value / ball.value}
+
+
 class TestWindowEquivalence:
     def test_constant_field(self):
         ones = np.ones(GRID.size)
         p = NormParams(alpha=0.0, q=math.inf, ell_min=-2, ell_max=1)
-        rep = window_equivalence_check(ones, S1, GRID, p)
+        rep = window_equivalence(ones, p)
         assert rep["cube"].value == pytest.approx(1.0, abs=1e-12)
         assert rep["ball"].value == pytest.approx(1.0, abs=1e-9)
 
@@ -193,7 +202,7 @@ class TestWindowEquivalence:
         xs = spatial_points(GRID)[:, 0]
         ind = ((xs >= 0.0) & (xs < 1.0)).astype(float)
         p = NormParams(alpha=0.0, q=math.inf, ell_min=-2, ell_max=2)
-        rep = window_equivalence_check(ind, S1, GRID, p)
+        rep = window_equivalence(ind, p)
         assert 0.2 <= rep["ratio"] <= 5.0
 
     def test_random_suite_stable_under_wider_levels(self, pair):
@@ -201,18 +210,18 @@ class TestWindowEquivalence:
         field = np.abs(rng.normal(size=GRID.size))
         narrow = NormParams(alpha=0.0, q=math.inf, ell_min=-2, ell_max=1)
         wide = NormParams(alpha=0.0, q=math.inf, ell_min=-3, ell_max=2)
-        r1 = window_equivalence_check(field, S1, GRID, narrow)["ratio"]
-        r2 = window_equivalence_check(field, S1, GRID, wide)["ratio"]
+        r1 = window_equivalence(field, narrow)["ratio"]
+        r2 = window_equivalence(field, wide)["ratio"]
         assert abs(r2 - r1) <= 0.5 * r1
 
 
 class TestEmbedding:
     def test_zero_skipped(self, pair):
-        rep = embedding_check(zero_field(pair), pair.phi, S1, 0.0, 2.0, PARAMS)
+        rep = embedding_check(zero_field(pair), pair.phi, S1, PARAMS)
         assert rep["skipped"]
 
     def test_zero_field_keeps_the_three_reports(self, pair):
-        rep = embedding_check(zero_field(pair), pair.phi, S1, 0.0, 2.0, PARAMS)
+        rep = embedding_check(zero_field(pair), pair.phi, S1, PARAMS)
         assert rep["skipped"] and "inf_over_q" not in rep
         assert [rep[k].value for k in ("tl_q", "tl_inf", "besov")] == [0.0, 0.0, 0.0]
         assert set(rep["tl_q"].flags) == set(rep["tl_inf"].flags) == {"ell_saturated", "scale_tail"}
@@ -220,14 +229,14 @@ class TestEmbedding:
 
     def test_q_inf_gives_ratio_one(self, pair):
         f = make_field(seed=50, t0=3.2, width=0.4)
-        rep = embedding_check(f, pair.phi, S1, 0.0, math.inf, PARAMS)
+        rep = embedding_check(f, pair.phi, S1, replace(PARAMS, q=math.inf))
         assert not rep["skipped"]
         assert rep["inf_over_q"] == 1.0
         assert rep["tl_q"].value == rep["tl_inf"].value > 0
 
     def test_single_band_besov_ratio(self, pair):
         f = make_field(seed=50, t0=3.2, width=0.4)
-        rep = embedding_check(f, pair.phi, S1, 0.0, 2.0, PARAMS)
+        rep = embedding_check(f, pair.phi, S1, PARAMS)
         assert not rep["skipped"]
         assert rep["besov_over_inf"] >= 1.0 - 1e-12
 
@@ -247,17 +256,17 @@ class TestValueKeyedCaches:
         M = np.array([[1.0]])
         cube_windows(GRID, S1, 1)
         ball_windows(GRID, S1, 1)
-        group_analysis._v_candidates(S1, 2, 8)
+        group_analysis._v_candidates(S1)
         peetre.offset_shells(GRID, S1, M, 2)
         cube = cube_windows(GRID, S3, 1)
         ball = ball_windows(GRID, S3, 1)
-        cand = group_analysis._v_candidates(S3, 2, 8)
+        cand = group_analysis._v_candidates(S3)
         shells = peetre.offset_shells(GRID, S3, M, 2)
         for cache in (norms._WINDOW_CACHE, group_analysis._V_CACHE, peetre._SHELL_CACHE):
             cache.clear()
         assert np.array_equal(cube.labels, cube_windows(GRID, S3, 1).labels)
         assert ball.count == ball_windows(GRID, S3, 1).count
-        assert np.array_equal(cand, group_analysis._v_candidates(S3, 2, 8))
+        assert np.array_equal(cand, group_analysis._v_candidates(S3))
         assert shells.shells == peetre.offset_shells(GRID, S3, M, 2).shells
 
     @pytest.mark.parametrize(
@@ -266,7 +275,7 @@ class TestValueKeyedCaches:
             (norms, "_WINDOW_CACHE", lambda S: cube_windows(GRID, S, 0)),
             (norms, "_WINDOW_CACHE", lambda S: ball_windows(GRID, S, 0)),
             (peetre, "_SHELL_CACHE", lambda S: peetre.offset_shells(GRID, S, np.eye(1), 2)),
-            (group_analysis, "_V_CACHE", lambda S: group_analysis._v_candidates(S, 2, 8)),
+            (group_analysis, "_V_CACHE", lambda S: group_analysis._v_candidates(S)),
         ],
         ids=["cube_windows", "ball_windows", "offset_shells", "v_candidates"],
     )
@@ -290,7 +299,7 @@ def test_derived_tables_are_read_only(pair):
         grids.freq_points(GRID),
         grids.spectral_phase(GRID),
         grids.offset_index_vectors(GRID),
-        group_analysis._v_candidates(S1, 2, 8),
+        group_analysis._v_candidates(S1),
         pair.phi.gauge.t_grid(GRID),
         cube_windows(GRID, S1, 0).labels,
         ball_windows(GRID, S1, 0).kernel_fft,

@@ -41,7 +41,7 @@ def _expansive(B):
 def test_rho_homogeneity_and_symmetry(B):
     E = _expansive(B)
     S = build_ellipsoid(E)
-    pts = sample_points(S, 2000, seed=1, shell_range=(-4, 4))
+    pts = sample_points(S, 2000, seed=1)
     _, sat = S.shell_index(pts)
     _, sat_a = S.shell_index(pts @ E.A.T)
     pts = pts[~(sat | sat_a)]

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from anisotl.analyzers import make_admissible, make_analyzing_pair, make_covering_profile
-from anisotl.field_engine import dilate_field, field_from_closure, scale_bank
+from anisotl.field_engine import convolve_scale, dilate_field, field_from_closure
 from anisotl.frames import FrameSystem, IndexSet, dual_reconstruct, frame_bounds, sample_index_set
 from anisotl.grids import GridSpec
-from anisotl.group_analysis import GroupField, GroupGrid, control_weight, wavelet_transform, wiener_amalgam_norm
+from anisotl.group_analysis import ControlWeight, GroupField, GroupGrid, wavelet_transform, wiener_amalgam_norm
 from anisotl.linalg_expansive import build_ellipsoid, validate_expansive
 from anisotl.norms import NormParams, besov_norm, tl_norm_inf, tl_norm_q
 from anisotl.suite import SuiteSpec, single_band_field, suite_generate
@@ -66,7 +66,7 @@ class TestSuite:
 
     def test_single_band_fixture_band_count(self, phi, pair):
         f = single_band_field(GRID, phi.gauge, j0=2, profile=phi)
-        bank = scale_bank(f, phi, range(-1, 6))
+        bank = [convolve_scale(f, phi, s) for s in range(-1, 6)]
         alive = [b for b in bank if np.max(b.abs_values) > 1e-12]
         assert 0 < len(alive) <= 2 * pair.overlap_n + 1
 
@@ -86,8 +86,8 @@ class TestNormExamples:
         g = dilate_field(f, E1, phi.gauge)
         alpha = 0.5
         params = NormParams(alpha=alpha, q=2.0, scale_max=5, ell_min=-2, ell_max=2)
-        b_f = besov_norm(f, pair.phi, S1, alpha, params)
-        b_g = besov_norm(g, pair.phi, S1, alpha, params)
+        b_f = besov_norm(f, pair.phi, S1, params)
+        b_g = besov_norm(g, pair.phi, S1, params)
         assert b_g.value == pytest.approx(
             E1.absdet ** (1.0 + alpha) * b_f.value, rel=1e-10
         )
@@ -101,8 +101,8 @@ class TestWienerIndicator:
         vals = np.zeros((len(svals), 256))
         vals[len(svals) // 2, 120:136] = 1.0
         F = GroupField(ggrid=ggrid, vals=vals)
-        w_small = control_weight(S1, alpha=0.0, beta=1.0, q=2.0)
-        w_big = control_weight(S1, alpha=2.0, beta=2.0, q=2.0)
+        w_small = ControlWeight(S1, alpha=0.0, beta=1.0, q=2.0)
+        w_big = ControlWeight(S1, alpha=2.0, beta=2.0, q=2.0)
         n_small = wiener_amalgam_norm(F, w_small, r=1.0)
         n_big = wiener_amalgam_norm(F, w_big, r=1.0)
         assert 0 < n_small < np.inf
