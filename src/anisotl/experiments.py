@@ -215,9 +215,10 @@ _OPTIONAL_KEYS = {"experiment", "suite.kind"}
 def merged_config(kind: str, config: dict | None) -> dict:
     """The kind's defaults overridden by config; nested dicts merge key by
     key at every depth, any other value (lists included) replaces.  A key
-    the defaults do not have (outside ``_OPTIONAL_KEYS``), or an override
+    the defaults do not have (outside ``_OPTIONAL_KEYS``), an override
     that puts an object where the default has none or the other way
-    round, raises ValueError."""
+    round, or one that breaks the default's integer or boolean type (see
+    _check_type) raises ValueError."""
     config = {} if config is None else config
     if not isinstance(config, dict):
         raise ValueError(f"{kind} must be an object, got {config!r}")
@@ -234,8 +235,28 @@ def _deep_merge(base: dict, over: dict, path: str) -> dict:
             raise ValueError(f"{path}{key} {must} be an object, got {value!r}")
         if isinstance(value, dict) and key in out:
             value = _deep_merge(out[key], value, f"{path}{key}.")
+        elif key in out:
+            _check_type(f"{path}{key}", out[key], value)
         out[key] = value
     return out
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_type(key: str, default, value) -> None:
+    """Where the default is an integer only a JSON integer may replace it,
+    where it is a boolean only true or false, and where it is a list of
+    integers only a list of integers; runners call int() and test truth on
+    these, which would run a config other than the one recorded."""
+    if isinstance(default, bool) and not isinstance(value, bool):
+        raise ValueError(f"{key} must be true or false, got {value!r}")
+    if _is_int(default) and not _is_int(value):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    if isinstance(default, list) and default and all(map(_is_int, default)):
+        if not (isinstance(value, list) and all(map(_is_int, value))):
+            raise ValueError(f"{key} must be a list of integers, got {value!r}")
 
 
 def _setup(matrix_json: dict, grid_json: dict):

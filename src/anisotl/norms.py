@@ -198,7 +198,10 @@ def sup_over_windows(
     already alpha-weighted and q-powered for finite q.  coupling "fine"
     admits scale s into window level ell when s >= -ell; "group" when
     s <= ell.  For q = inf the weight entries are ignored and the sup
-    over admitted scales of window means is taken instead.
+    over admitted scales of window means is taken instead.  A level whose
+    table holds no admissible window is skipped and sets the
+    window_level_missing flag; WindowOutOfDomain is raised when no level
+    has one.
     """
     q = params.q
     terms = sorted(terms, key=lambda it: it[0], reverse=(coupling == "fine"))
@@ -206,6 +209,7 @@ def sup_over_windows(
     best = -1.0
     best_ell = best_row = best_window = None
     any_window = False
+    level_missing = False
     tail_flag = False
     running: np.ndarray | None = None
     idx = 0
@@ -236,6 +240,7 @@ def sup_over_windows(
         table = _windows(grid, S, ell, params)
         rows = np.flatnonzero(table.admissible)
         if not rows.size:
+            level_missing = True
             continue
         any_window = True
         means = None
@@ -272,6 +277,7 @@ def sup_over_windows(
     flags = {
         "ell_saturated": best_ell in (params.ell_min, params.ell_max),
         "scale_tail": tail_flag,
+        "window_level_missing": level_missing,
     }
     return NormReport(value=best, arg_ell=best_ell, arg_window=best_window, flags=flags)
 

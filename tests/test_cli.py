@@ -191,7 +191,7 @@ class TestCli:
             ),
             (
                 ["frames", "moments", "--set", "frames.grid.n=abc"],
-                "config error: frames: invalid literal for int() with base 10: 'abc'",
+                "config error: frames: grid.n must be an integer, got 'abc'",
             ),
             (
                 ["run", "--kind", "translation-bounds", "--set", "suite=3"],
@@ -211,7 +211,7 @@ class TestCli:
             ),
             (
                 ["suite", "--set", "grid.n=abc"],
-                "config error: suite: invalid literal for int() with base 10: 'abc'",
+                "config error: suite: grid.n must be an integer, got 'abc'",
             ),
             (
                 ["norm", "--field", "/nonexistent"],
@@ -279,8 +279,7 @@ class TestCli:
             # a value of the wrong type is a config failure, not a traceback
             (
                 ["run", "--kind", "embedding", "--set", "grid.n=null"],
-                "config error: embedding: int() argument must be a string, a bytes-like "
-                "object or a real number, not 'NoneType'",
+                "config error: embedding: grid.n must be an integer, got None",
             ),
             (
                 ["run", "--kind", "embedding", "--set", "qs=[null]"],
@@ -292,6 +291,27 @@ class TestCli:
                 ["run", "--kind", "norm-equivalence", "--set", "ds=0.1", "--set", "grid.n=256",
                  "--set", "suite.count=2"],
                 "config error: norm-equivalence: ds = 0.1 is not a whole multiple of 0.0625",
+            ),
+            # an integer or boolean setting is not coerced into one
+            (
+                ["run", "--kind", "quasinorm-axioms", "--set", "points=100.7"],
+                "config error: quasinorm-axioms: points must be an integer, got 100.7",
+            ),
+            (
+                ["run", "--kind", "quasinorm-axioms", "--set", "seed=true"],
+                "config error: quasinorm-axioms: seed must be an integer, got True",
+            ),
+            (
+                ["run", "--kind", "quasinorm-axioms", "--set", 'points="100"'],
+                "config error: quasinorm-axioms: points must be an integer, got '100'",
+            ),
+            (
+                ["run", "--kind", "norm-equivalence", "--set", "refine=no"],
+                "config error: norm-equivalence: refine must be true or false, got 'no'",
+            ),
+            (
+                ["run", "--kind", "embedding", "--set", "ell_range=[-2, 2.5]"],
+                "config error: embedding: ell_range must be a list of integers, got [-2, 2.5]",
             ),
         ],
     )

@@ -215,6 +215,25 @@ class TestWindowEquivalence:
         assert abs(r2 - r1) <= 0.5 * r1
 
 
+@pytest.mark.parametrize(
+    "mat, grid, missing",
+    [
+        ([[2.0]], GRID, False),
+        ([[2.0, 0.0], [0.0, 4.0]], GridSpec(d=2, extent=2.0, n=16), True),
+    ],
+    ids=["line", "diag24"],
+)
+def test_window_level_missing_flag(mat, grid, missing):
+    # A^2 = diag(4, 16) makes every level-2 cube taller than the box, so that
+    # level is dropped and flagged; on the line every level keeps windows
+    S = build_ellipsoid(validate_expansive(mat))
+    params = NormParams(alpha=0.0, q=math.inf, ell_min=0, ell_max=2)
+    rep = sup_over_windows(grid, S, [(0.0, 1.0, np.ones(grid.size))], params)
+    assert rep.flags["window_level_missing"] is missing
+    assert (not cube_windows(grid, S, 2).admissible.any()) is missing
+    assert rep.value == pytest.approx(1.0, abs=1e-12)
+
+
 class TestEmbedding:
     def test_zero_skipped(self, pair):
         rep = embedding_check(zero_field(pair), pair.phi, S1, PARAMS)
@@ -224,7 +243,9 @@ class TestEmbedding:
         rep = embedding_check(zero_field(pair), pair.phi, S1, PARAMS)
         assert rep["skipped"] and "inf_over_q" not in rep
         assert [rep[k].value for k in ("tl_q", "tl_inf", "besov")] == [0.0, 0.0, 0.0]
-        assert set(rep["tl_q"].flags) == set(rep["tl_inf"].flags) == {"ell_saturated", "scale_tail"}
+        assert set(rep["tl_q"].flags) == set(rep["tl_inf"].flags) == {
+            "ell_saturated", "scale_tail", "window_level_missing"
+        }
         assert set(rep["besov"].flags) == {"scale_saturated"}
 
     def test_q_inf_gives_ratio_one(self, pair):
