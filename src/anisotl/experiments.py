@@ -246,10 +246,8 @@ def _is_int(value) -> bool:
 
 
 def _check_type(key: str, default, value) -> None:
-    """Where the default is an integer only a JSON integer may replace it,
-    where it is a boolean only true or false, and where it is a list of
-    integers only a list of integers; runners call int() and test truth on
-    these, which would run a config other than the one recorded."""
+    """value keeps the type of an integer (not boolean), boolean or
+    integer-list default: runners call int() and test truth on these."""
     if isinstance(default, bool) and not isinstance(value, bool):
         raise ValueError(f"{key} must be true or false, got {value!r}")
     if _is_int(default) and not _is_int(value):
