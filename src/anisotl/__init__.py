@@ -51,8 +51,10 @@ from .peetre import MaximalField, PeetreField, check_submeanvalue, hl_maximal, p
 from .norms import (
     NormParams,
     NormReport,
+    band_arrays,
     besov_norm,
     embedding_check,
+    peetre_arrays,
     tl_norm_inf,
     tl_norm_q,
     tl_peetre_norm,
@@ -69,6 +71,7 @@ from .group_analysis import (
     group_point,
     local_maximal,
     modular,
+    pti_arrays,
     pti_norm,
     quasi_regular,
     reproducing_check,

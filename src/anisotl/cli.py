@@ -19,7 +19,7 @@ from .analyzers import make_analyzing_pair
 from .errors import AnisoError
 from .experiments import LINE_MATRIX, RUNNERS, _setup, _suite, merged_config
 from .linalg_expansive import build_ellipsoid, matrix_from_json
-from .norms import NormParams, embedding_check
+from .norms import NormParams, band_arrays, embedding_check
 from .storage import ensure_dir, load_field, save_field, write_csv, write_json
 
 _GROUP_KINDS = {
@@ -75,13 +75,14 @@ def _fail_config(msg: str) -> int:
 def _execute(what: str, build, *args):
     """build(*args), or exit code 2 if it could not run: a toolkit error, a
     missing input file, or a config with a missing key, a bad value or a
-    value of the wrong type."""
+    value of the wrong type (merged_config turns those into ValueError).
+    Any other exception, a TypeError included, is a defect and propagates."""
     try:
         return build(*args)
     except AnisoError as exc:
         print(f"experiment failed to run: {exc}", file=sys.stderr)
         return 2
-    except (KeyError, ValueError, TypeError, OSError) as exc:
+    except (KeyError, ValueError, OSError) as exc:
         msg = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
         return _fail_config(f"{what}: " + " ".join(msg.split()))
 
@@ -191,7 +192,8 @@ def _field_reports(args, cfg: dict) -> dict:
         ell_max=args.L,
         window=args.window,
     )
-    reports = embedding_check(f, pair.phi, S, params)
+    bands = band_arrays(f, pair.phi, params.discrete_scales)
+    reports = embedding_check(f.grid, S, bands, params)
     return {name: reports[name].to_json() for name in ("tl_q", "tl_inf", "besov")}
 
 

@@ -37,6 +37,7 @@ from .group_analysis import (
     GroupGrid,
     envelope_compare,
     group_point,
+    pti_arrays,
     pti_norm,
     reproducing_check,
     translation_bound_check,
@@ -54,13 +55,9 @@ from .linalg_expansive import (
 )
 from .norms import (
     NormParams,
-    _continuous_scales,
-    _discrete_scales,
-    _weighted_terms,
     band_arrays,
     embedding_check,
     peetre_arrays,
-    sup_over_windows,
     tl_norm_q,
     tl_peetre_norm,
 )
@@ -217,8 +214,8 @@ def merged_config(kind: str, config: dict | None) -> dict:
     key at every depth, any other value (lists included) replaces.  A key
     the defaults do not have (outside ``_OPTIONAL_KEYS``), an override
     that puts an object where the default has none or the other way
-    round, or one that breaks the default's integer or boolean type (see
-    _check_type) raises ValueError."""
+    round, or one that breaks the default's integer, boolean or number
+    type (see _check_type) raises ValueError."""
     config = {} if config is None else config
     if not isinstance(config, dict):
         raise ValueError(f"{kind} must be an object, got {config!r}")
@@ -245,16 +242,55 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _check_type(key: str, default, value) -> None:
-    """value keeps the type of an integer (not boolean), boolean or
-    integer-list default: runners call int() and test truth on these."""
+    """value keeps the type of a boolean, integer (not boolean), number,
+    string, integer-list or number-list default: runners call int() and
+    float() and test truth on these.  An exponent (q, qs) may also be
+    "inf".  In a list of objects every item must be an object with only
+    the keys of the default's first item, of their types."""
+    inf = ' or "inf"' if key.rsplit(".", 1)[-1] in ("q", "qs") else ""
+
+    def number(v) -> bool:
+        return _is_number(v) or (bool(inf) and v == "inf")
+
     if isinstance(default, bool) and not isinstance(value, bool):
         raise ValueError(f"{key} must be true or false, got {value!r}")
     if _is_int(default) and not _is_int(value):
         raise ValueError(f"{key} must be an integer, got {value!r}")
-    if isinstance(default, list) and default and all(map(_is_int, default)):
+    if isinstance(default, float) and not number(value):
+        raise ValueError(f"{key} must be a number{inf}, got {value!r}")
+    if isinstance(default, str) and not isinstance(value, str):
+        raise ValueError(f"{key} must be a string, got {value!r}")
+    if not (isinstance(default, list) and default):
+        return
+    if all(map(_is_int, default)):
         if not (isinstance(value, list) and all(map(_is_int, value))):
             raise ValueError(f"{key} must be a list of integers, got {value!r}")
+    elif all(map(number, default)):
+        if not (isinstance(value, list) and all(map(number, value))):
+            raise ValueError(f"{key} must be a list of numbers{inf}, got {value!r}")
+    elif isinstance(default[0], dict):
+        if not isinstance(value, list):
+            raise ValueError(f"{key} must be a list of objects, got {value!r}")
+        for i, item in enumerate(value):
+            _check_item(f"{key}[{i}]", default[0], item)
+
+
+def _check_item(key: str, template: dict, item) -> None:
+    """item is an object with only keys that template has, of their types."""
+    if not isinstance(item, dict):
+        raise ValueError(f"{key} must be an object, got {item!r}")
+    for name, value in item.items():
+        if name not in template:
+            raise ValueError(f"unknown key {key}.{name}")
+        if isinstance(template[name], dict):
+            _check_item(f"{key}.{name}", template[name], value)
+        else:
+            _check_type(f"{key}.{name}", template[name], value)
 
 
 def _setup(matrix_json: dict, grid_json: dict):
@@ -529,30 +565,28 @@ def _characterization_table(cfg, grid, profile, S, fields, flag_counts) -> list[
     supremum, and under "peetre_boundary" the (field, beta) sweeps whose
     boundary flag fired, so the manifest can report them.
     """
-    absdet = S.owner.absdet
     qs = [_q_value(q) for q in cfg["qs"]]
     alphas = [float(a) for a in cfg["alphas"]]
     betas = sorted({_char_beta(q) for q in qs})
 
     # the scale grids of q < 1, whose continuous step is the finest
     fine = _norm_params(cfg, 0.0, 0.5)
-    disc_scales = _discrete_scales(fine)
+    disc_scales = fine.discrete_scales
     fine_step = fine.effective_s_step
-    cont_scales = _continuous_scales(fine)
+    cont_scales = fine.continuous_scales
     stride = float(cfg["ds"]) / fine_step  # q >= 1 takes every stride-th fine scale
     if abs(stride - round(stride)) > 1e-9:
         raise ValueError(f"ds = {cfg['ds']} is not a whole multiple of {fine_step:g}")
 
     # per field: plain bands once, maximal fields for every beta from one
     # sweep on the fine scale grid (coarser q-grids subsample it)
-    table = {}
-    for fi, f in enumerate(fields):
+    table = []
+    for f in fields:
         bands = band_arrays(f, profile, disc_scales)
         sweeps = peetre_arrays(f, profile, S, cont_scales, betas, fine.search_shells)
-        pmax = {beta: arr for beta, (arr, _) in sweeps.items()}
         for _, flag in sweeps.values():
             _count_flags(flag_counts, {"peetre_boundary": flag})
-        table[fi] = (bands, pmax)
+        table.append((bands, sweeps))
 
     rows = []
     for q in qs:
@@ -562,18 +596,16 @@ def _characterization_table(cfg, grid, profile, S, fields, flag_counts) -> list[
             step = params.effective_s_step
             sel = cont_scales[:: int(round(step / fine_step))]
             ratios_d, ratios_c, factors = [], [], []
-            for fi, f in enumerate(fields):
-                bands, pmax = table[fi]
-                plain_terms = _weighted_terms(bands, alpha, q, absdet, lambda s: 1.0)
-                plain = _tracked_sup(grid, S, plain_terms, params, flag_counts)
-                disc_arrays = {float(j): pmax[beta][float(j)] for j in disc_scales}
-                disc_terms = _weighted_terms(disc_arrays, alpha, q, absdet, lambda s: 1.0)
-                disc = _tracked_sup(grid, S, disc_terms, params, flag_counts)
-                cont_arrays = {float(s): pmax[beta][float(s)] for s in sel}
-                cont_terms = _weighted_terms(
-                    cont_arrays, alpha, q, absdet, lambda s: step
+            for bands, sweeps in table:
+                arrays, flag = sweeps[beta]
+                plain = _tracked(tl_norm_q(grid, S, bands, params), flag_counts)
+                disc_arrays = {float(j): arrays[float(j)] for j in disc_scales}
+                disc = _tracked(tl_peetre_norm(grid, S, (disc_arrays, flag), params), flag_counts)
+                cont_arrays = {float(s): arrays[float(s)] for s in sel}
+                cont = _tracked(
+                    tl_peetre_norm(grid, S, (cont_arrays, flag), params, discrete=False),
+                    flag_counts,
                 )
-                cont = _tracked_sup(grid, S, cont_terms, params, flag_counts)
                 if plain > 0:
                     ratios_d.append(disc / plain)
                     ratios_c.append(cont / plain)
@@ -593,9 +625,10 @@ def _characterization_table(cfg, grid, profile, S, fields, flag_counts) -> list[
     return rows
 
 
-def _tracked_sup(grid, S, terms, params, flag_counts) -> float:
-    rep = sup_over_windows(grid, S, terms, params, "fine")
-    _count_flags(flag_counts, rep.flags)
+def _tracked(rep, flag_counts) -> float:
+    """rep's value, with its window flags added to flag_counts;
+    peetre_boundary is counted once per sweep, not once per norm."""
+    _count_flags(flag_counts, {k: v for k, v in rep.flags.items() if k != "peetre_boundary"})
     return rep.value
 
 
@@ -650,32 +683,33 @@ def run_embedding(config: dict | None = None) -> dict:
     pair = make_analyzing_pair(phi, check_grid=grid)
     S = build_ellipsoid(E)
     fields = _suite(cfg["suite"], grid, phi.gauge, phi)
-    alpha = float(cfg["alpha"])
+    base = NormParams(
+        alpha=float(cfg["alpha"]),
+        q=math.inf,
+        scale_max=int(cfg["scale_max"]),
+        ell_min=int(cfg["ell_range"][0]),
+        ell_max=int(cfg["ell_range"][1]),
+    )
+    qs = [_q_value(q) for q in cfg["qs"]]
     rows = []
     flag_counts: dict = {}
     for grid_now, tag in ((grid, "base"), (grid.refined(), "refined")):
         flds = fields if tag == "base" else _resampled(fields, grid_now, phi.gauge)
-        for q in cfg["qs"]:
-            qv = _q_value(q)
-            params = NormParams(
-                alpha=alpha,
-                q=qv,
-                scale_max=int(cfg["scale_max"]),
-                ell_min=int(cfg["ell_range"][0]),
-                ell_max=int(cfg["ell_range"][1]),
-            )
-            besov_over_inf = []
-            inf_over_q = []
-            for f in flds:
-                rep = embedding_check(f, pair.phi, S, params)
+        ratios = [([], []) for _ in qs]  # per q: besov over tl_inf, tl_inf over tl_q
+        for f in flds:
+            # every q reads the same bands
+            bands = band_arrays(f, pair.phi, base.discrete_scales)
+            for q, (besov_over_inf, inf_over_q) in zip(qs, ratios):
+                rep = embedding_check(grid_now, S, bands, replace(base, q=q))
                 _count_flags(flag_counts, *(rep[k].flags for k in ("tl_q", "tl_inf", "besov")))
                 if not rep["skipped"]:
                     besov_over_inf.append(rep["besov_over_inf"])
                     inf_over_q.append(rep["inf_over_q"])
+        for q, (besov_over_inf, inf_over_q) in zip(qs, ratios):
             rows.append(
                 {
                     "grid": tag,
-                    "q": qv,
+                    "q": q,
                     "besov_over_inf_min": min(besov_over_inf),
                     "besov_over_inf_max": max(besov_over_inf),
                     "inf_over_q_max": max(inf_over_q),
@@ -825,15 +859,59 @@ def run_control_weight(config: dict | None = None) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _alpha_prime(alpha: float, q: float) -> float:
+    """The coefficient-space smoothness matching F^alpha_(inf, q)."""
+    return alpha + 0.5 if math.isinf(q) else alpha + 0.5 - 1.0 / q
+
+
+def _coorbit_field(f, vec, S, ggrid, base: NormParams, qs, flag_counts) -> list[tuple]:
+    """Per q: f's coefficient-space norm, its plain norm and its continuous
+    Peetre norm; flag_counts gains the coefficient norms' flags.
+
+    The sweeps of f's wavelet transform, the bands and the continuous
+    sweeps (one per quadrature step) depend on beta and the scale grids
+    only, so each is built once here and dropped on return.
+    """
+    beta, shells = base.beta, base.search_shells
+    coeff_max = pti_arrays(wavelet_transform(f, vec, ggrid), S, beta, shells)
+    bands = band_arrays(f, vec.psi, base.discrete_scales)
+    cont = {}
+    out = []
+    for q in qs:
+        params = replace(base, q=q)
+        coeff_params = replace(params, alpha=-_alpha_prime(base.alpha, q))
+        coeff_rep = pti_norm(ggrid, S, coeff_max, coeff_params)
+        _count_flags(flag_counts, coeff_rep.flags)
+        plain = tl_norm_q(ggrid.grid, S, bands, replace(params, window="cube")).value
+        step = params.effective_s_step
+        if step not in cont:
+            scales = params.continuous_scales
+            cont[step] = peetre_arrays(f, vec.psi, S, scales, [beta], shells)[beta]
+        peetre = tl_peetre_norm(ggrid.grid, S, cont[step], params, discrete=False).value
+        out.append((coeff_rep.value, plain, peetre))
+    return out
+
+
 def run_coorbit(config: dict | None = None) -> dict:
     cfg = merged_config("coorbit", config)
     E, grid, phi = _setup(cfg["matrix"], cfg["grid"])
     vec = make_admissible(phi)
     S = build_ellipsoid(E)
-    alpha = float(cfg["alpha"])
-    beta = float(cfg["beta"])
     ds = float(cfg["ds"])
     fields = _suite(cfg["suite"], grid, phi.gauge, phi)
+    # the function-side parameters; q is set per row
+    base = NormParams(
+        alpha=float(cfg["alpha"]),
+        q=math.inf,
+        beta=float(cfg["beta"]),
+        scale_max=int(cfg["scale_max"]),
+        ell_min=int(cfg["ell_range"][0]),
+        ell_max=int(cfg["ell_range"][1]),
+        window="ball",
+        s_step=ds,
+        search_shells=int(cfg["search_shells"]),
+    )
+    qs = [_q_value(q) for q in cfg["qs"]]
 
     lo, hi = vec.psi.t_support
     t_lo, t_hi = cfg["suite"]["t_range"]
@@ -845,42 +923,16 @@ def run_coorbit(config: dict | None = None) -> dict:
     for grid_now, tag in ((grid, "base"), (grid.widened(), "refined")):
         flds = fields if tag == "base" else _resampled(fields, grid_now, phi.gauge)
         ggrid = GroupGrid(grid=grid_now, s_min=s_min, s_max=s_max, ds=ds)
-        for q in cfg["qs"]:
-            qv = _q_value(q)
-            alpha_prime = alpha + 0.5 if math.isinf(qv) else alpha + 0.5 - 1.0 / qv
-            pti_params = NormParams(
-                alpha=-alpha_prime,
-                q=qv,
-                beta=beta,
-                scale_max=int(cfg["scale_max"]),
-                ell_min=int(cfg["ell_range"][0]),
-                ell_max=int(cfg["ell_range"][1]),
-                window="ball",
-                s_step=ds,
-                search_shells=int(cfg["search_shells"]),
-            )
-            tl_params = replace(pti_params, alpha=alpha, window="cube")
-            ratios = []
-            exactness = []
-            for f in flds:
-                W = wavelet_transform(f, vec, ggrid)
-                coeff_rep = pti_norm(W, S, pti_params)
-                coeff = coeff_rep.value
-                _count_flags(flag_counts, coeff_rep.flags)
-                plain = tl_norm_q(f, vec.psi, S, tl_params).value
-                if plain > 0:
-                    ratios.append(coeff / plain)
-                peetre_cont = tl_peetre_norm(
-                    f, vec.psi, S, replace(pti_params, alpha=alpha, window="ball"),
-                    discrete=False,
-                ).value
-                if peetre_cont > 0:
-                    exactness.append(coeff / peetre_cont)
+        per_field = [_coorbit_field(f, vec, S, ggrid, base, qs, flag_counts) for f in flds]
+        for i, q in enumerate(qs):
+            values = [per_q[i] for per_q in per_field]
+            ratios = [coeff / plain for coeff, plain, _ in values if plain > 0]
+            exactness = [coeff / peetre for coeff, _, peetre in values if peetre > 0]
             rows.append(
                 {
                     "grid": tag,
-                    "q": "inf" if math.isinf(qv) else qv,
-                    "alpha_prime": alpha_prime,
+                    "q": "inf" if math.isinf(q) else q,
+                    "alpha_prime": _alpha_prime(base.alpha, q),
                     "ratio_min": min(ratios),
                     "ratio_max": max(ratios),
                     "exactness_min": min(exactness),

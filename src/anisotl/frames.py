@@ -23,7 +23,15 @@ import numpy as np
 from .errors import Diverged, IllConditioned, VerificationFailed
 from .field_engine import SampledField, check_nyquist, evaluate_spectrum, field_from_spec
 from .grids import GridSpec, freq_points, spatial_points
-from .group_analysis import GroupField, GroupGrid, GroupPoint, group_point, pti_norm, wavelet_transform
+from .group_analysis import (
+    GroupField,
+    GroupGrid,
+    GroupPoint,
+    group_point,
+    pti_arrays,
+    pti_norm,
+    wavelet_transform,
+)
 from .linalg_expansive import QuasiNormStructure
 from .norms import NormParams, NormReport
 
@@ -484,4 +492,4 @@ def sequence_norm(
         hit = np.all((local >= -a_u) & (local < a_u), axis=1)
         vals[np.ix_(slab, hit)] += ci
     F = GroupField(ggrid=ggrid, vals=vals.reshape((len(svals),) + grid.shape))
-    return pti_norm(F, S, params)
+    return pti_norm(ggrid, S, pti_arrays(F, S, params.beta, params.search_shells), params)

@@ -30,7 +30,7 @@ from .field_engine import (
 )
 from .grids import GridSpec, cached, freq_points, offset_index_vectors, spatial_points
 from .linalg_expansive import ExpansiveMatrix, QuasiNormStructure, per_value_product
-from .norms import NormParams, NormReport, _weighted_terms, sup_over_windows
+from .norms import NormParams, NormReport, _require_scales, _weighted_terms, sup_over_windows
 from .peetre import offset_shells, weighted_sup_multi
 
 # weight_v's candidates sit on the shells A^m Omega, |m| <= _V_SHELLS, in
@@ -324,36 +324,52 @@ def reproducing_check(
 # ---------------------------------------------------------------------------
 
 
-def pti_norm(
+def pti_arrays(
     F: GroupField,
     S: QuasiNormStructure,
+    beta: float,
+    search_shells: int,
+) -> tuple[dict[float, np.ndarray], bool]:
+    """Per scale s of F's grid, the spatial supremum of |F(., s)| weighted by
+    (1 + rho(A^-s z))^-beta, and the or-ed boundary flag of the sweeps."""
+    E = S.owner
+    grid = F.ggrid.grid
+    sups = {}
+    flagged = False
+    for s, arr in zip(F.ggrid.s_values, F.abs_values):
+        s = float(s)
+        # a zero slice is its own maximal field and cannot reach the boundary
+        if np.max(arr) != 0.0:
+            struct = offset_shells(grid, S, E.power(-s), search_shells)
+            arr, flag = weighted_sup_multi(arr, struct, [beta], E.absdet)[beta]
+            flagged = flagged or flag
+        sups[s] = arr.ravel()
+    return sups, flagged
+
+
+def pti_norm(
+    ggrid: GroupGrid,
+    S: QuasiNormStructure,
+    maximal: tuple[dict[float, np.ndarray], bool],
     params: NormParams,
 ) -> NormReport:
     """Coefficient-space norm: window averages of the scale integral over
     s <= level of the weighted spatial supremum, against the Haar measure.
 
-    The spatial supremum weight is (1 + rho(A^-s z))^-beta; the measure
-    contributes |det A|^-s ds inside the q-th power sum.
+    maximal is pti_arrays of a field on ggrid at params.beta and
+    params.search_shells; the measure contributes |det A|^-s ds inside
+    the q-th power sum.
     """
     params.require_characterization_beta()
     E = S.owner
-    grid = F.ggrid.grid
-    svals = F.ggrid.s_values
-    ds = F.ggrid.ds
-    sups = {}
-    flagged = False
-    for s, arr in zip(svals, F.abs_values):
-        s = float(s)
-        # a zero slice is its own maximal field and cannot reach the boundary
-        if np.max(arr) != 0.0:
-            struct = offset_shells(grid, S, E.power(-s), params.search_shells)
-            arr, flag = weighted_sup_multi(arr, struct, [params.beta], E.absdet)[params.beta]
-            flagged = flagged or flag
-        sups[s] = arr.ravel()
+    svals = ggrid.s_values
+    ds = ggrid.ds
+    sups, flagged = maximal
+    _require_scales(sups, svals)
     terms = _weighted_terms(
         sups, params.alpha, params.q, E.absdet, lambda s: ds * E.absdet ** (-s)
     )
-    rep = sup_over_windows(grid, S, terms, params, coupling="group")
+    rep = sup_over_windows(ggrid.grid, S, terms, params, coupling="group")
     rep.flags["peetre_boundary"] = flagged
     rep.flags["s_range"] = (float(svals[0]), float(svals[-1]))
     return rep
@@ -453,9 +469,14 @@ def translation_bound_check(
     "flags" holds the flags of the three coefficient-space norms (F, L_g F,
     R_g F) in that order."""
     E = S.owner
-    base = pti_norm(F, S, params)
-    lt = pti_norm(left_translate(F, g, E), S, params)
-    rt = pti_norm(right_translate(F, g, E), S, params)
+
+    def norm(G: GroupField) -> NormReport:
+        maximal = pti_arrays(G, S, params.beta, params.search_shells)
+        return pti_norm(G.ggrid, S, maximal, params)
+
+    base = norm(F)
+    lt = norm(left_translate(F, g, E))
+    rt = norm(right_translate(F, g, E))
     n_overlap = translation_overlap_n(S)
     v_val, v_sat = weight_v(S, g.x, g.s)
     lb = left_bound(E, n_overlap, g.s, params.alpha, params.q)

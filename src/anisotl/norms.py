@@ -63,6 +63,18 @@ class NormParams:
             return min(self.s_step, 1.0 / 16.0)
         return self.s_step
 
+    @property
+    def discrete_scales(self) -> list[int]:
+        """The integer scales -ell_max, ..., scale_max of the discrete norms."""
+        return list(range(-self.ell_max, self.scale_max + 1))
+
+    @property
+    def continuous_scales(self) -> np.ndarray:
+        """The same range in steps of effective_s_step."""
+        step = self.effective_s_step
+        n = int(round((self.scale_max + self.ell_max) / step))
+        return -self.ell_max + step * np.arange(n + 1)
+
     def require_characterization_beta(self) -> None:
         if math.isinf(self.q):
             if self.beta <= 1.0:
@@ -337,41 +349,47 @@ def _weighted_terms(
     return terms
 
 
-def _discrete_scales(params: NormParams) -> list[int]:
-    return list(range(-params.ell_max, params.scale_max + 1))
-
-
-def _continuous_scales(params: NormParams) -> np.ndarray:
-    step = params.effective_s_step
-    lo = -params.ell_max
-    n = int(round((params.scale_max - lo) / step))
-    return lo + step * np.arange(n + 1)
-
-
 # ---------------------------------------------------------------------------
 # Norm operations
 # ---------------------------------------------------------------------------
+# Each norm aggregates the per-scale arrays it is handed (band_arrays,
+# peetre_arrays).  They depend on neither q nor alpha, so a caller that
+# evaluates several exponents builds them once.
 
 
-def tl_norm_q(f: SampledField, profile, S: QuasiNormStructure, params: NormParams) -> NormReport:
+def _require_scales(arrays: dict, scales) -> None:
+    if list(arrays) != [float(s) for s in scales]:
+        raise ValueError(
+            f"arrays at scales {list(arrays)} do not match the norm's scales "
+            f"{[float(s) for s in scales]}"
+        )
+
+
+def tl_norm_q(
+    grid: GridSpec, S: QuasiNormStructure, bands: dict, params: NormParams
+) -> NormReport:
     """Localized small-scale norm with the l^q sum inside the window average
-    (for q = inf, the sup over scales outside it)."""
-    arrays = band_arrays(f, profile, _discrete_scales(params))
-    terms = _weighted_terms(arrays, params.alpha, params.q, S.owner.absdet, lambda s: 1.0)
-    return sup_over_windows(f.grid, S, terms, params, coupling="fine")
+    (for q = inf, the sup over scales outside it), from the bands
+    |f * phi_j| at params.discrete_scales."""
+    _require_scales(bands, params.discrete_scales)
+    terms = _weighted_terms(bands, params.alpha, params.q, S.owner.absdet, lambda s: 1.0)
+    return sup_over_windows(grid, S, terms, params, coupling="fine")
 
 
-def tl_norm_inf(f: SampledField, profile, S: QuasiNormStructure, params: NormParams) -> NormReport:
+def tl_norm_inf(
+    grid: GridSpec, S: QuasiNormStructure, bands: dict, params: NormParams
+) -> NormReport:
     """Variant with the sup over scales outside the window average."""
-    return tl_norm_q(f, profile, S, replace(params, q=math.inf))
+    return tl_norm_q(grid, S, bands, replace(params, q=math.inf))
 
 
-def besov_norm(f: SampledField, profile, S: QuasiNormStructure, params: NormParams) -> NormReport:
-    """sup_j |det A|^(alpha j) max_x |f * phi_j|."""
-    arrays = band_arrays(f, profile, _discrete_scales(params))
+def besov_norm(S: QuasiNormStructure, bands: dict, params: NormParams) -> NormReport:
+    """sup_j |det A|^(alpha j) max_x |f * phi_j|, from the bands at
+    params.discrete_scales."""
+    _require_scales(bands, params.discrete_scales)
     absdet = S.owner.absdet
     best, arg = 0.0, None
-    for s, arr in arrays.items():
+    for s, arr in bands.items():
         v = absdet ** (params.alpha * s) * float(np.max(arr))
         if v > best:
             best, arg = v, int(s)
@@ -384,38 +402,39 @@ def besov_norm(f: SampledField, profile, S: QuasiNormStructure, params: NormPara
 
 
 def tl_peetre_norm(
-    f: SampledField,
-    profile,
+    grid: GridSpec,
     S: QuasiNormStructure,
+    maximal: tuple[dict, bool],
     params: NormParams,
     discrete: bool = True,
 ) -> NormReport:
-    """Maximal-function characterization value (discrete or continuous scales)."""
+    """Maximal-function characterization value (discrete or continuous
+    scales).  maximal is peetre_arrays' entry for params.beta: the Peetre
+    fields at params.discrete_scales or params.continuous_scales, and
+    their boundary flag."""
     params.require_characterization_beta()
+    arrays, flagged = maximal
     if discrete:
-        scales = _discrete_scales(params)
-        quad = lambda s: 1.0
+        _require_scales(arrays, params.discrete_scales)
+        step = 1.0
     else:
-        scales = _continuous_scales(params)
+        _require_scales(arrays, params.continuous_scales)
         step = params.effective_s_step
-        quad = lambda s: step
-    arrays, flagged = peetre_arrays(
-        f, profile, S, scales, [params.beta], params.search_shells
-    )[params.beta]
-    terms = _weighted_terms(arrays, params.alpha, params.q, S.owner.absdet, quad)
-    rep = sup_over_windows(f.grid, S, terms, params, coupling="fine")
+    terms = _weighted_terms(arrays, params.alpha, params.q, S.owner.absdet, lambda s: step)
+    rep = sup_over_windows(grid, S, terms, params, coupling="fine")
     rep.flags["peetre_boundary"] = flagged
     return rep
 
 
-def embedding_check(f: SampledField, profile, S: QuasiNormStructure, params: NormParams) -> dict:
-    """Besov versus localized-norm comparisons for one field at params'
-    alpha and q: the three reports, and their ratios unless a localized
-    norm is zero (skipped).  At q = inf tl_q is tl_inf, so inf_over_q is 1."""
+def embedding_check(grid: GridSpec, S: QuasiNormStructure, bands: dict, params: NormParams) -> dict:
+    """Besov versus localized-norm comparisons for one field's bands at
+    params' alpha and q: the three reports, and their ratios unless a
+    localized norm is zero (skipped).  At q = inf tl_q is tl_inf, so
+    inf_over_q is 1."""
     out = {
-        "tl_q": tl_norm_q(f, profile, S, params),
-        "tl_inf": tl_norm_inf(f, profile, S, params),
-        "besov": besov_norm(f, profile, S, params),
+        "tl_q": tl_norm_q(grid, S, bands, params),
+        "tl_inf": tl_norm_inf(grid, S, bands, params),
+        "besov": besov_norm(S, bands, params),
     }
     n_q, n_inf, n_b = (rep.value for rep in out.values())
     if not (n_q > 0 and n_inf > 0):

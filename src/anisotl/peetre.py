@@ -157,13 +157,17 @@ def weighted_sup_multi(
     """sup_z |F(x+z)| (1 + rho(M z))^-beta for several betas in one sweep.
 
     Returns per beta the supremum field and the boundary-dominance flag
-    (outermost kept shell within 5% of the maximum somewhere).
+    (outermost kept shell within 5% of the maximum somewhere).  An
+    all-zero band is its own supremum field and skips the sweep; where
+    shells were dropped it flags, as every kept shell ties 0 >= 0.95 * 0.
     """
     values = np.asarray(band_abs, dtype=float).reshape(struct.grid.shape)
     betas = list(betas)
     results = {b: values.copy() for b in betas}  # z = 0 term, weight 1
+    swept = bool(values.any())
     last_candidates: dict[float, np.ndarray] = {}
-    for m, running in zip(struct.shells, _ball_maxima(values, struct.groups)):
+    maxima = _ball_maxima(values, struct.groups) if swept else ()
+    for m, running in zip(struct.shells, maxima):
         shell_rho = absdet ** float(m)
         for b in betas:
             cand = running * (1.0 + shell_rho) ** (-b)
@@ -174,7 +178,7 @@ def weighted_sup_multi(
         res = results[b]
         flag = False
         if struct.shells and struct.truncated:
-            flag = bool(np.any(last_candidates[b] >= _BOUNDARY_FRACTION * res))
+            flag = not swept or bool(np.any(last_candidates[b] >= _BOUNDARY_FRACTION * res))
         res.flags.writeable = False
         out[b] = (res, flag)
     return out

@@ -84,7 +84,7 @@ def test_criterion_08_control_weight():
 
 
 def test_criterion_09_coorbit_identification():
-    result = _run("9 coorbit identification", run_coorbit, budget=10.0)
+    result = _run("9 coorbit identification", run_coorbit, budget=5.0)
     for row in result["rows"]:
         assert 0 < row["ratio_min"] <= row["ratio_max"]
 

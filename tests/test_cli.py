@@ -6,7 +6,7 @@ import pytest
 
 from anisotl.analyzers import make_covering_profile
 from anisotl.cli import main
-from anisotl.experiments import DEFAULTS, merged_config
+from anisotl.experiments import DEFAULTS, RUNNERS, merged_config
 from anisotl.grids import GridSpec
 from anisotl.linalg_expansive import validate_expansive
 from anisotl.storage import load_array, load_field, save_field, write_csv
@@ -283,8 +283,7 @@ class TestCli:
             ),
             (
                 ["run", "--kind", "embedding", "--set", "qs=[null]"],
-                "config error: embedding: float() argument must be a string or a real "
-                "number, not 'NoneType'",
+                'config error: embedding: qs must be a list of numbers or "inf", got [None]',
             ),
             # the q >= 1 scale grids subsample the 1/16 sweep, so ds must be a multiple
             (
@@ -313,6 +312,42 @@ class TestCli:
                 ["run", "--kind", "embedding", "--set", "ell_range=[-2, 2.5]"],
                 "config error: embedding: ell_range must be a list of integers, got [-2, 2.5]",
             ),
+            # a number or a list of numbers is not coerced either
+            (
+                ["run", "--kind", "embedding", "--set", "alpha=[1]"],
+                "config error: embedding: alpha must be a number, got [1]",
+            ),
+            (
+                ["run", "--kind", "embedding", "--set", "grid.extent=[8]"],
+                "config error: embedding: grid.extent must be a number, got [8]",
+            ),
+            (
+                ["run", "--kind", "coorbit", "--set", "qs=[[1]]"],
+                'config error: coorbit: qs must be a list of numbers or "inf", got [[1]]',
+            ),
+            (
+                ["run", "--kind", "embedding", "--set", 'suite.t_range=[1, "a"]'],
+                "config error: embedding: suite.t_range must be a list of numbers, got [1, 'a']",
+            ),
+            # nor a string, nor a value inside a list of objects
+            (
+                ["run", "--kind", "calderon", "--set", "label=3"],
+                "config error: calderon: label must be a string, got 3",
+            ),
+            (
+                ["run", "--kind", "calderon", "--set",
+                 'cases=[{"matrix": {"dim": 1, "entries": [2.0]}, "grid": {"extent": 8, "n": null}}]'],
+                "config error: calderon: cases[0].grid.n must be an integer, got None",
+            ),
+            (
+                ["run", "--kind", "control-weight", "--set", "branches=[3]"],
+                "config error: control-weight: branches[0] must be an object, got 3",
+            ),
+            (
+                ["run", "--kind", "calderon", "--set",
+                 'cases=[{"matrix": {"dim": 1, "entries": [2.0]}, "grid": {"extent": 8, "nn": 64}}]'],
+                "config error: calderon: unknown key cases[0].grid.nn",
+            ),
         ],
     )
     def test_bad_config_value_exit_two(self, tmp_path, capsys, argv, message):
@@ -320,6 +355,16 @@ class TestCli:
         assert code == 2
         assert capsys.readouterr().err.strip() == message
         assert not (tmp_path / "r").exists()
+
+    def test_type_error_in_a_runner_is_not_a_config_error(self, tmp_path, monkeypatch):
+        # merged_config rejects wrongly typed values, so a TypeError left
+        # inside a runner is a defect and ends in a traceback, not exit 2
+        def broken(config):
+            raise TypeError("defect inside the runner")
+
+        monkeypatch.setitem(RUNNERS, "calderon", broken)
+        with pytest.raises(TypeError, match="defect inside the runner"):
+            main(["--out", str(tmp_path / "r"), "run", "--kind", "calderon"])
 
     def test_suite_emission(self, tmp_path):
         cfg = tmp_path / "cfg.json"

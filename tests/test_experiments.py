@@ -1,11 +1,15 @@
 """Runner results: columns and verdicts come from the rows, and the runners
 that evaluate norms count their truncation flags in the manifest."""
 
+import math
+
+import numpy as np
 import pytest
 
-from anisotl import experiments, frames
-from anisotl.experiments import run_embedding, run_frames, run_translation_bounds
-from anisotl.norms import NormReport
+from anisotl import experiments, frames, group_analysis, norms
+from anisotl.experiments import run_coorbit, run_embedding, run_frames, run_translation_bounds
+from anisotl.group_analysis import wavelet_transform
+from anisotl.norms import NormParams, NormReport
 
 SMALL_FRAMES = {
     "grid": {"extent": 8.0, "n": 512},
@@ -77,20 +81,83 @@ def test_manifest_counts_flags(runner, config):
 
 
 def test_coorbit_search_shells_reaches_the_norms(monkeypatch):
-    seen = {"pti_norm": set(), "tl_peetre_norm": set()}
+    # search_shells reaches the coefficient-side sweeps (pti_arrays, matrices
+    # A^-s over the wavelet transform's scales) and the function-side sweeps
+    # (peetre_arrays, matrices A^s over the continuous scales)
+    seen = {"group_analysis": [], "norms": []}
+    ggrids = []
 
-    def recording(name):
-        real = getattr(experiments, name)
+    def recording(module, side):
+        real = module.offset_shells
 
-        def wrapper(*args, **kwargs):
-            seen[name].add(args[-1].search_shells)
-            return real(*args, **kwargs)
+        def wrapper(grid, S, matrix, search_shells):
+            exponent = math.log2(float(np.asarray(matrix)[0, 0]))
+            seen[side].append((round(16 * exponent) / 16, search_shells))
+            return real(grid, S, matrix, search_shells)
 
         return wrapper
 
-    for name in seen:
-        monkeypatch.setattr(experiments, name, recording(name))
+    def transform(f, vec, ggrid):
+        ggrids.append(ggrid)
+        return wavelet_transform(f, vec, ggrid)
+
+    for module in (group_analysis, norms):
+        side = module.__name__.rsplit(".", 1)[-1]
+        monkeypatch.setattr(module, "offset_shells", recording(module, side))
+    monkeypatch.setattr(experiments, "wavelet_transform", transform)
     assert experiments.merged_config("coorbit", None)["search_shells"] == 2
     config = {"grid": {"n": 256}, "suite": {"count": 1}, "qs": [1.0], "search_shells": 5}
     experiments.run_coorbit(config)
-    assert seen == {"pti_norm": {5}, "tl_peetre_norm": {5}}
+    coefficient_side = {-float(s) for g in ggrids for s in g.s_values}
+    function_side = NormParams(alpha=0.0, q=1.0, scale_max=4, ell_min=-2, ell_max=2)
+    assert seen["group_analysis"]
+    assert {m for m, _ in seen["group_analysis"]} <= coefficient_side
+    assert {m for m, _ in seen["norms"]} == set(function_side.continuous_scales.tolist())
+    assert {k for _, k in seen["group_analysis"] + seen["norms"]} == {5}
+
+
+QS = [0.5, 1.0, "inf"]  # q = 0.5 tightens the continuous step to 1/16
+COORBIT = {"grid": {"n": 256}, "suite": {"count": 2}, "beta": 2.5, "qs": QS}
+EMBEDDING = {"grid": {"n": 256}, "suite": {"count": 2}, "qs": QS}
+
+
+@pytest.mark.parametrize(
+    "runner, config",
+    [(run_coorbit, COORBIT), (run_embedding, EMBEDDING)],
+    ids=["coorbit", "embedding"],
+)
+def test_rows_do_not_depend_on_the_other_qs(runner, config):
+    rows = runner(config)["rows"]
+    for q in QS:
+        alone = runner({**config, "qs": [q]})["rows"]
+        assert len(alone) == 2  # base and refined grid
+        assert [r for r in rows if r["q"] == alone[0]["q"]] == alone
+
+
+def test_each_fields_arrays_are_built_once(monkeypatch):
+    # per grid and field: one wavelet transform with one sweep of its
+    # slices, one set of bands, and one continuous sweep per step (1/16 for
+    # q = 0.5, ds for q >= 1)
+    calls = {"wavelet_transform": [], "pti_arrays": [], "band_arrays": [], "peetre_arrays": []}
+
+    def counting(name):
+        real = getattr(experiments, name)
+
+        def wrapper(*args):
+            calls[name].append(args)
+            return real(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(experiments, name, counting(name))
+    experiments.run_coorbit(COORBIT)
+    fields = 2 * COORBIT["suite"]["count"]
+    for name in ("wavelet_transform", "pti_arrays", "band_arrays"):
+        assert len(calls[name]) == fields
+    steps = sorted(float(args[3][1] - args[3][0]) for args in calls["peetre_arrays"])
+    assert steps == [1 / 16] * fields + [0.125] * fields
+    for name in calls:
+        calls[name].clear()
+    experiments.run_embedding(EMBEDDING)
+    assert len(calls["band_arrays"]) == 2 * EMBEDDING["suite"]["count"]

@@ -24,6 +24,7 @@ from anisotl.group_analysis import (
     local_maximal,
     modular,
     psi_spatial_field,
+    pti_arrays,
     pti_norm,
     quasi_regular,
     reproducing_check,
@@ -200,6 +201,11 @@ class TestReproducing:
         assert rep2["rel_l2"] <= 0.6 * max(rep["rel_l2"], 1e-12)
 
 
+def pti(F, params):
+    """pti_norm of one group field."""
+    return pti_norm(F.ggrid, S1, pti_arrays(F, S1, params.beta, params.search_shells), params)
+
+
 class TestPtiNorm:
     def test_zero(self, psi_vec):
         W = GroupGridZero = wavelet_transform(
@@ -209,7 +215,7 @@ class TestPtiNorm:
             psi_vec,
             GGRID,
         )
-        assert pti_norm(W, S1, PTI_PARAMS).value == 0.0
+        assert pti(W, PTI_PARAMS).value == 0.0
 
     def test_zero_slices_leave_the_boundary_flag_unset(self):
         ggrid = GroupGrid(grid=GRID, s_min=-5.0, s_max=-4.0, ds=0.25)
@@ -218,9 +224,9 @@ class TestPtiNorm:
         for s, arr in zip(ggrid.s_values, F.abs_values):
             struct = peetre.offset_shells(GRID, S1, E1.power(-s), PTI_PARAMS.search_shells)
             assert struct.truncated
-            # swept, a zero slice would flag: every shell ties the maximum 0
+            # the sweep flags a zero slice: every shell ties the maximum 0
             assert peetre.weighted_sup_multi(arr, struct, [beta], E1.absdet)[beta][1]
-        rep = pti_norm(F, S1, PTI_PARAMS)
+        rep = pti(F, PTI_PARAMS)
         assert rep.value == 0.0
         assert rep.flags["peetre_boundary"] is False
 
@@ -229,9 +235,9 @@ class TestPtiNorm:
         params = NormParams(
             alpha=0.0, q=2.0, beta=1.0, ell_min=-2, ell_max=2, window="ball"
         )
-        base = pti_norm(W, S1, params)
+        base = pti(W, params)
         g = group_point([0.0], 1.0)
-        shifted = pti_norm(left_translate(W, g, E1), S1, params)
+        shifted = pti(left_translate(W, g, E1), params)
         n = translation_overlap_n(S1)
         bound = left_bound(E1, n, 1.0, params.alpha, params.q)
         assert shifted.value <= bound * base.value * 1.01

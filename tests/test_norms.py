@@ -19,6 +19,7 @@ from anisotl.norms import (
     besov_norm,
     cube_windows,
     embedding_check,
+    peetre_arrays,
     sup_over_windows,
     tl_norm_inf,
     tl_norm_q,
@@ -55,6 +56,18 @@ def _attach_gauge(pair):
     make_field.gauge = pair.phi.gauge
 
 
+def bands(f, pair, params):
+    """f's bands at the scales of params' discrete norms."""
+    return band_arrays(f, pair.phi, params.discrete_scales)
+
+
+def maximal(f, pair, params, discrete):
+    """f's Peetre fields at params.beta on the scales of the discrete or
+    continuous norm, with their boundary flag."""
+    scales = params.discrete_scales if discrete else params.continuous_scales
+    return peetre_arrays(f, pair.phi, S1, scales, [params.beta], params.search_shells)[params.beta]
+
+
 def zero_field(pair):
     return field_from_closure(GRID, pair.phi.gauge, lambda xi: np.zeros(len(np.atleast_2d(xi)), dtype=complex))
 
@@ -62,21 +75,22 @@ def zero_field(pair):
 class TestBasics:
     def test_zero_field(self, pair):
         z = zero_field(pair)
-        assert tl_norm_q(z, pair.phi, S1, PARAMS).value == 0.0
-        assert tl_norm_inf(z, pair.phi, S1, PARAMS).value == 0.0
-        assert besov_norm(z, pair.phi, S1, PARAMS).value == 0.0
+        assert tl_norm_q(GRID, S1, bands(z, pair, PARAMS), PARAMS).value == 0.0
+        assert tl_norm_inf(GRID, S1, bands(z, pair, PARAMS), PARAMS).value == 0.0
+        assert besov_norm(S1, bands(z, pair, PARAMS), PARAMS).value == 0.0
 
     def test_profile_argument_keeps_pair_values(self, pair):
         # the values tl_norm_q gave when it took the pair and read pair.phi
         f = suite_generate(SuiteSpec(count=1, seed=5), GRID, pair.phi.gauge, pair.phi)[0]
         p = NormParams(alpha=0.5, q=1.0, scale_max=4, ell_min=-2, ell_max=2)
-        assert tl_norm_q(f, pair.phi, S1, PARAMS).value == pytest.approx(55.30772175771998, rel=1e-12)
-        assert tl_norm_q(f, pair.phi, S1, p).value == pytest.approx(111.97521349243847, rel=1e-12)
+        for params, value in ((PARAMS, 55.30772175771998), (p, 111.97521349243847)):
+            rep = tl_norm_q(GRID, S1, bands(f, pair, params), params)
+            assert rep.value == pytest.approx(value, rel=1e-12)
 
     def test_homogeneity(self, pair):
         f = make_field(seed=1)
-        a = tl_norm_q(f, pair.phi, S1, PARAMS).value
-        b = tl_norm_q(f.scaled(-3.5j), pair.phi, S1, PARAMS).value
+        a = tl_norm_q(GRID, S1, bands(f, pair, PARAMS), PARAMS).value
+        b = tl_norm_q(GRID, S1, bands(f.scaled(-3.5j), pair, PARAMS), PARAMS).value
         assert b == pytest.approx(3.5 * a, rel=1e-12)
 
     def test_alpha_reweighting_single_band(self, pair):
@@ -93,17 +107,27 @@ class TestBasics:
 
     def test_beta_guard(self, pair):
         f = make_field(seed=3)
-        with pytest.raises(ValueError):
-            tl_peetre_norm(f, pair.phi, S1, NormParams(alpha=0.0, q=2.0, beta=0.4), discrete=True)
-        with pytest.raises(ValueError):
-            tl_peetre_norm(
-                f, pair.phi, S1, NormParams(alpha=0.0, q=math.inf, beta=0.9), discrete=True
-            )
+        low = (NormParams(alpha=0.0, q=2.0, beta=0.4), NormParams(alpha=0.0, q=math.inf, beta=0.9))
+        for p in low:
+            with pytest.raises(ValueError, match="beta must exceed"):
+                tl_peetre_norm(GRID, S1, maximal(f, pair, p, True), p, discrete=True)
+
+    def test_arrays_must_sit_on_the_norms_scales(self, pair):
+        f = make_field(seed=3)
+        p = NormParams(alpha=0.0, q=2.0, beta=1.5, scale_max=4, ell_min=-2, ell_max=2)
+        wide = replace(p, scale_max=5)
+        with pytest.raises(ValueError, match="do not match the norm's scales"):
+            tl_norm_q(GRID, S1, bands(f, pair, wide), p)
+        with pytest.raises(ValueError, match="do not match the norm's scales"):
+            besov_norm(S1, bands(f, pair, wide), p)
+        with pytest.raises(ValueError, match="do not match the norm's scales"):
+            tl_peetre_norm(GRID, S1, maximal(f, pair, p, True), p, discrete=False)
 
     def test_window_out_of_domain(self, pair):
         f = make_field(seed=4)
         with pytest.raises(WindowOutOfDomain):
-            tl_norm_q(f, pair.phi, S1, NormParams(alpha=0.0, q=2.0, ell_min=8, ell_max=9))
+            p = NormParams(alpha=0.0, q=2.0, ell_min=8, ell_max=9)
+            tl_norm_q(GRID, S1, bands(f, pair, p), p)
 
 
 class TestSingleBandOracle:
@@ -134,7 +158,7 @@ class TestSingleBandOracle:
     def test_tail_flag_when_band_at_truncation(self, pair):
         f = make_field(seed=6, t0=4.6, width=0.3)
         p = NormParams(alpha=0.0, q=2.0, scale_max=4, ell_min=-2, ell_max=2)
-        rep = tl_norm_q(f, pair.phi, S1, p)
+        rep = tl_norm_q(GRID, S1, bands(f, pair, p), p)
         assert rep.flags["scale_tail"]
 
 
@@ -145,22 +169,23 @@ class TestStructuralInequalities:
         g = make_field(seed=8, t0=2.1, center=-0.6)
         p = NormParams(alpha=0.0, q=q, scale_max=5, ell_min=-2, ell_max=2)
         r = min(1.0, q)
-        nf = tl_norm_q(f, pair.phi, S1, p).value
-        ng = tl_norm_q(g, pair.phi, S1, p).value
-        nfg = tl_norm_q(f + g, pair.phi, S1, p).value
+        nf = tl_norm_q(GRID, S1, bands(f, pair, p), p).value
+        ng = tl_norm_q(GRID, S1, bands(g, pair, p), p).value
+        nfg = tl_norm_q(GRID, S1, bands(f + g, pair, p), p).value
         assert nfg**r <= nf**r + ng**r + 1e-10
 
     def test_window_monotonicity(self, pair):
         f = make_field(seed=9)
         small = NormParams(alpha=0.0, q=2.0, scale_max=4, ell_min=-1, ell_max=1)
         big = NormParams(alpha=0.0, q=2.0, scale_max=5, ell_min=-3, ell_max=2)
-        assert tl_norm_q(f, pair.phi, S1, big).value >= tl_norm_q(f, pair.phi, S1, small).value - 1e-14
+        n_big = tl_norm_q(GRID, S1, bands(f, pair, big), big).value
+        assert n_big >= tl_norm_q(GRID, S1, bands(f, pair, small), small).value - 1e-14
 
     def test_besov_dominates_tl_inf(self, pair):
         for seed in range(4):
             f = make_field(seed=20 + seed)
-            n_inf = tl_norm_inf(f, pair.phi, S1, PARAMS).value
-            n_b = besov_norm(f, pair.phi, S1, PARAMS).value
+            n_inf = tl_norm_inf(GRID, S1, bands(f, pair, PARAMS), PARAMS).value
+            n_b = besov_norm(S1, bands(f, pair, PARAMS), PARAMS).value
             assert n_inf <= n_b * (1 + 1e-12)
 
     def test_tl_inf_below_tl_q(self, pair):
@@ -168,16 +193,16 @@ class TestStructuralInequalities:
             p = NormParams(alpha=0.0, q=q, scale_max=5, ell_min=-2, ell_max=2)
             for seed in range(3):
                 f = make_field(seed=30 + seed)
-                assert tl_norm_inf(f, pair.phi, S1, p).value <= tl_norm_q(
-                    f, pair.phi, S1, p
-                ).value * (1 + 1e-12)
+                b = bands(f, pair, p)
+                n_inf = tl_norm_inf(GRID, S1, b, p).value
+                assert n_inf <= tl_norm_q(GRID, S1, b, p).value * (1 + 1e-12)
 
     @pytest.mark.parametrize("discrete", [True, False])
     def test_peetre_dominates_plain(self, pair, discrete):
         f = make_field(seed=40)
         p = NormParams(alpha=0.0, q=2.0, beta=1.0, scale_max=4, ell_min=-2, ell_max=2, s_step=0.25)
-        plain = tl_norm_q(f, pair.phi, S1, p).value
-        charac = tl_peetre_norm(f, pair.phi, S1, p, discrete=True).value
+        plain = tl_norm_q(GRID, S1, bands(f, pair, p), p).value
+        charac = tl_peetre_norm(GRID, S1, maximal(f, pair, p, True), p, discrete=True).value
         assert charac >= plain * (1 - 1e-12)
 
 
@@ -236,11 +261,11 @@ def test_window_level_missing_flag(mat, grid, missing):
 
 class TestEmbedding:
     def test_zero_skipped(self, pair):
-        rep = embedding_check(zero_field(pair), pair.phi, S1, PARAMS)
+        rep = embedding_check(GRID, S1, bands(zero_field(pair), pair, PARAMS), PARAMS)
         assert rep["skipped"]
 
     def test_zero_field_keeps_the_three_reports(self, pair):
-        rep = embedding_check(zero_field(pair), pair.phi, S1, PARAMS)
+        rep = embedding_check(GRID, S1, bands(zero_field(pair), pair, PARAMS), PARAMS)
         assert rep["skipped"] and "inf_over_q" not in rep
         assert [rep[k].value for k in ("tl_q", "tl_inf", "besov")] == [0.0, 0.0, 0.0]
         assert set(rep["tl_q"].flags) == set(rep["tl_inf"].flags) == {
@@ -250,14 +275,15 @@ class TestEmbedding:
 
     def test_q_inf_gives_ratio_one(self, pair):
         f = make_field(seed=50, t0=3.2, width=0.4)
-        rep = embedding_check(f, pair.phi, S1, replace(PARAMS, q=math.inf))
+        p = replace(PARAMS, q=math.inf)
+        rep = embedding_check(GRID, S1, bands(f, pair, p), p)
         assert not rep["skipped"]
         assert rep["inf_over_q"] == 1.0
         assert rep["tl_q"].value == rep["tl_inf"].value > 0
 
     def test_single_band_besov_ratio(self, pair):
         f = make_field(seed=50, t0=3.2, width=0.4)
-        rep = embedding_check(f, pair.phi, S1, PARAMS)
+        rep = embedding_check(GRID, S1, bands(f, pair, PARAMS), PARAMS)
         assert not rep["skipped"]
         assert rep["besov_over_inf"] >= 1.0 - 1e-12
 

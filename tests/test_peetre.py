@@ -150,26 +150,35 @@ SWEEP_CASES = [
 
 @pytest.mark.parametrize("search_shells", [1, 40])
 @pytest.mark.parametrize("matrix,grid", SWEEP_CASES)
-def test_sweep_matches_roll_reference(matrix, grid, search_shells):
+def test_sweep_matches_roll_reference(matrix, grid, search_shells, monkeypatch):
     E = validate_expansive(matrix)
     S = build_ellipsoid(E)
     rng = np.random.default_rng(17)
-    values = np.abs(rng.normal(size=grid.shape))
+    random_band = np.abs(rng.normal(size=grid.shape))
+    # an all-zero band skips the ball maxima but keeps the reference's
+    # values and flag: truncated balls tie 0 >= 0.95 * 0 everywhere
+    views = []
+    real_maxima = peetre._ball_maxima
+    monkeypatch.setattr(peetre, "_ball_maxima", lambda v, t: views.append(1) or real_maxima(v, t))
     betas = [0.6, 1.5, 2.0]
-    for s in (-1.0, 0.5, 4.0):  # at s = 4 the plane cases keep no shell
-        struct = offset_shells(grid, S, E.power(s), search_shells)
-        res = weighted_sup_multi(values, struct, betas, E.absdet)
-        assert sorted(res) == betas
-        if search_shells == 40:  # above every present shell
-            assert struct.truncated is False
-        for beta in betas:
-            ref, ref_flag, kept, truncated = _reference_sweep(
-                values, grid, S, E.power(s), search_shells, beta, E.absdet
-            )
-            field, flag = res[beta]
-            assert (struct.shells, struct.truncated) == (kept, truncated)
-            assert np.array_equal(field, ref)
-            assert flag == ref_flag
+    for values in (random_band, np.zeros(grid.shape)):
+        for s in (-1.0, 0.5, 4.0):  # at s = 4 the plane cases keep no shell
+            struct = offset_shells(grid, S, E.power(s), search_shells)
+            views.clear()
+            res = weighted_sup_multi(values, struct, betas, E.absdet)
+            assert bool(views) == bool(values.any())
+            assert sorted(res) == betas
+            if search_shells == 40:  # above every present shell
+                assert struct.truncated is False
+            for beta in betas:
+                ref, ref_flag, kept, truncated = _reference_sweep(
+                    values, grid, S, E.power(s), search_shells, beta, E.absdet
+                )
+                field, flag = res[beta]
+                assert (struct.shells, struct.truncated) == (kept, truncated)
+                assert np.array_equal(field, ref)
+                assert flag == ref_flag
+                assert not field.flags.writeable
 
 
 @pytest.mark.parametrize("matrix", [[[2.0]], SHEAR, DIAG24])

@@ -10,7 +10,7 @@ from anisotl.frames import FrameSystem, IndexSet, dual_reconstruct, frame_bounds
 from anisotl.grids import GridSpec
 from anisotl.group_analysis import ControlWeight, GroupField, GroupGrid, wavelet_transform, wiener_amalgam_norm
 from anisotl.linalg_expansive import build_ellipsoid, validate_expansive
-from anisotl.norms import NormParams, besov_norm, tl_norm_inf, tl_norm_q
+from anisotl.norms import NormParams, band_arrays, besov_norm, tl_norm_inf, tl_norm_q
 from anisotl.suite import SuiteSpec, single_band_field, suite_generate
 
 E1 = validate_expansive([[2.0]])
@@ -76,8 +76,9 @@ class TestNormExamples:
         # one active scale: the l^1 window sum and the scale sup coincide
         f = single_band_field(GRID, phi.gauge, j0=2, profile=phi)
         params = NormParams(alpha=0.0, q=1.0, scale_max=2, ell_min=-2, ell_max=2)
-        v_q = tl_norm_q(f, pair.phi, S1, params).value
-        v_inf = tl_norm_inf(f, pair.phi, S1, params).value
+        bands = band_arrays(f, pair.phi, params.discrete_scales)
+        v_q = tl_norm_q(GRID, S1, bands, params).value
+        v_inf = tl_norm_inf(GRID, S1, bands, params).value
         assert v_inf == pytest.approx(v_q, rel=1e-12)
 
     def test_besov_dilation_shift(self, phi, pair):
@@ -86,8 +87,8 @@ class TestNormExamples:
         g = dilate_field(f, E1, phi.gauge)
         alpha = 0.5
         params = NormParams(alpha=alpha, q=2.0, scale_max=5, ell_min=-2, ell_max=2)
-        b_f = besov_norm(f, pair.phi, S1, params)
-        b_g = besov_norm(g, pair.phi, S1, params)
+        b_f = besov_norm(S1, band_arrays(f, pair.phi, params.discrete_scales), params)
+        b_g = besov_norm(S1, band_arrays(g, pair.phi, params.discrete_scales), params)
         assert b_g.value == pytest.approx(
             E1.absdet ** (1.0 + alpha) * b_f.value, rel=1e-10
         )
