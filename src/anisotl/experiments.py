@@ -215,11 +215,15 @@ def merged_config(kind: str, config: dict | None) -> dict:
     the defaults do not have (outside ``_OPTIONAL_KEYS``), an override
     that puts an object where the default has none or the other way
     round, or one that breaks the default's integer, boolean or number
-    type (see _check_type) raises ValueError."""
+    type (see _check_type), or a scale step ds that is not positive,
+    raises ValueError."""
     config = {} if config is None else config
     if not isinstance(config, dict):
         raise ValueError(f"{kind} must be an object, got {config!r}")
-    return _deep_merge(DEFAULTS[kind], config, "")
+    cfg = _deep_merge(DEFAULTS[kind], config, "")
+    if cfg.get("ds", 1) <= 0:
+        raise ValueError(f"ds = {cfg['ds']} must be positive")
+    return cfg
 
 
 def _deep_merge(base: dict, over: dict, path: str) -> dict:
@@ -540,15 +544,13 @@ def run_wavelet_repro(config: dict | None = None) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _char_beta(q: float) -> float:
-    return 2.0 if math.isinf(q) else 1.0 / q + 0.5
-
-
 def _norm_params(cfg, alpha: float, q: float) -> NormParams:
+    """The characterization's parameters at (alpha, q), with beta 1/q + 1/2
+    (2 at q = inf)."""
     return NormParams(
         alpha=alpha,
         q=q,
-        beta=_char_beta(q),
+        beta=2.0 if math.isinf(q) else 1.0 / q + 0.5,
         scale_max=int(cfg["scale_max"]),
         ell_min=int(cfg["ell_range"][0]),
         ell_max=int(cfg["ell_range"][1]),
@@ -561,68 +563,51 @@ def _norm_params(cfg, alpha: float, q: float) -> NormParams:
 def _characterization_table(cfg, grid, profile, S, fields, flag_counts) -> list[dict]:
     """Per (q, alpha): suite extremes of the characterization ratios.
 
-    flag_counts accumulates saturation/tail flags from every windowed
-    supremum, and under "peetre_boundary" the (field, beta) sweeps whose
-    boundary flag fired, so the manifest can report them.
+    Each field's bands and its Peetre fields for every beta come from one
+    sweep over the union of the scales the norms read, shared by all
+    (q, alpha) and dropped before the next field.  flag_counts
+    accumulates saturation/tail flags from every windowed supremum, and
+    under "peetre_boundary" the (field, beta) sweeps whose boundary flag
+    fired, so the manifest can report them.
     """
-    qs = [_q_value(q) for q in cfg["qs"]]
-    alphas = [float(a) for a in cfg["alphas"]]
-    betas = sorted({_char_beta(q) for q in qs})
+    cases = [
+        _norm_params(cfg, float(alpha), _q_value(q)) for q in cfg["qs"] for alpha in cfg["alphas"]
+    ]
+    disc_scales = sorted({float(j) for p in cases for j in p.discrete_scales})
+    scales = sorted({float(s) for p in cases for s in (*p.discrete_scales, *p.continuous_scales)})
+    betas = sorted({p.beta for p in cases})
+    ratios = [([], [], []) for _ in cases]  # per case: discrete, continuous, factors
 
-    # the scale grids of q < 1, whose continuous step is the finest
-    fine = _norm_params(cfg, 0.0, 0.5)
-    disc_scales = fine.discrete_scales
-    fine_step = fine.effective_s_step
-    cont_scales = fine.continuous_scales
-    stride = float(cfg["ds"]) / fine_step  # q >= 1 takes every stride-th fine scale
-    if abs(stride - round(stride)) > 1e-9:
-        raise ValueError(f"ds = {cfg['ds']} is not a whole multiple of {fine_step:g}")
-
-    # per field: plain bands once, maximal fields for every beta from one
-    # sweep on the fine scale grid (coarser q-grids subsample it)
-    table = []
     for f in fields:
         bands = band_arrays(f, profile, disc_scales)
-        sweeps = peetre_arrays(f, profile, S, cont_scales, betas, fine.search_shells)
+        sweeps = peetre_arrays(f, profile, S, scales, betas, int(cfg["search_shells"]))
         for _, flag in sweeps.values():
             _count_flags(flag_counts, {"peetre_boundary": flag})
-        table.append((bands, sweeps))
-
-    rows = []
-    for q in qs:
-        beta = _char_beta(q)
-        for alpha in alphas:
-            params = _norm_params(cfg, alpha, q)
-            step = params.effective_s_step
-            sel = cont_scales[:: int(round(step / fine_step))]
-            ratios_d, ratios_c, factors = [], [], []
-            for bands, sweeps in table:
-                arrays, flag = sweeps[beta]
-                plain = _tracked(tl_norm_q(grid, S, bands, params), flag_counts)
-                disc_arrays = {float(j): arrays[float(j)] for j in disc_scales}
-                disc = _tracked(tl_peetre_norm(grid, S, (disc_arrays, flag), params), flag_counts)
-                cont_arrays = {float(s): arrays[float(s)] for s in sel}
-                cont = _tracked(
-                    tl_peetre_norm(grid, S, (cont_arrays, flag), params, discrete=False),
-                    flag_counts,
-                )
-                if plain > 0:
-                    ratios_d.append(disc / plain)
-                    ratios_c.append(cont / plain)
-                if disc > 0:
-                    factors.append(cont / disc)
-            rows.append(
-                {
-                    "q": "inf" if math.isinf(q) else q,
-                    "alpha": alpha,
-                    "beta": beta,
-                    "min_ratio_discrete": min(ratios_d),
-                    "c_emp_discrete": max(ratios_d),
-                    "c_emp_continuous": max(ratios_c),
-                    "factor_cont_over_disc": max(factors),
-                }
+        for params, (ratios_d, ratios_c, factors) in zip(cases, ratios):
+            maximal = sweeps[params.beta]
+            plain = _tracked(tl_norm_q(grid, S, bands, params), flag_counts)
+            disc = _tracked(tl_peetre_norm(grid, S, maximal, params), flag_counts)
+            cont = _tracked(
+                tl_peetre_norm(grid, S, maximal, params, discrete=False), flag_counts
             )
-    return rows
+            if plain > 0:
+                ratios_d.append(disc / plain)
+                ratios_c.append(cont / plain)
+            if disc > 0:
+                factors.append(cont / disc)
+
+    return [
+        {
+            "q": "inf" if math.isinf(p.q) else p.q,
+            "alpha": p.alpha,
+            "beta": p.beta,
+            "min_ratio_discrete": min(ratios_d),
+            "c_emp_discrete": max(ratios_d),
+            "c_emp_continuous": max(ratios_c),
+            "factor_cont_over_disc": max(factors),
+        }
+        for p, (ratios_d, ratios_c, factors) in zip(cases, ratios)
+    ]
 
 
 def _tracked(rep, flag_counts) -> float:
@@ -869,25 +854,23 @@ def _coorbit_field(f, vec, S, ggrid, base: NormParams, qs, flag_counts) -> list[
     Peetre norm; flag_counts gains the coefficient norms' flags.
 
     The sweeps of f's wavelet transform, the bands and the continuous
-    sweeps (one per quadrature step) depend on beta and the scale grids
-    only, so each is built once here and dropped on return.
+    sweep (over the union of the qs' quadrature scales) depend on beta
+    and the scale grids only, so each is built once here and dropped on
+    return.
     """
     beta, shells = base.beta, base.search_shells
     coeff_max = pti_arrays(wavelet_transform(f, vec, ggrid), S, beta, shells)
     bands = band_arrays(f, vec.psi, base.discrete_scales)
-    cont = {}
+    per_q = [replace(base, q=q) for q in qs]
+    scales = sorted({float(s) for params in per_q for s in params.continuous_scales})
+    cont = peetre_arrays(f, vec.psi, S, scales, [beta], shells)[beta]
     out = []
-    for q in qs:
-        params = replace(base, q=q)
-        coeff_params = replace(params, alpha=-_alpha_prime(base.alpha, q))
+    for params in per_q:
+        coeff_params = replace(params, alpha=-_alpha_prime(base.alpha, params.q))
         coeff_rep = pti_norm(ggrid, S, coeff_max, coeff_params)
         _count_flags(flag_counts, coeff_rep.flags)
         plain = tl_norm_q(ggrid.grid, S, bands, replace(params, window="cube")).value
-        step = params.effective_s_step
-        if step not in cont:
-            scales = params.continuous_scales
-            cont[step] = peetre_arrays(f, vec.psi, S, scales, [beta], shells)[beta]
-        peetre = tl_peetre_norm(ggrid.grid, S, cont[step], params, discrete=False).value
+        peetre = tl_peetre_norm(ggrid.grid, S, cont, params, discrete=False).value
         out.append((coeff_rep.value, plain, peetre))
     return out
 

@@ -98,16 +98,6 @@ class SampledField(LatticeSpectrum):
     band_limit: float
     spectrum_fn: Callable[[np.ndarray], np.ndarray] | None = None
 
-    def __add__(self, other: "SampledField") -> "SampledField":
-        lo = min(self.band_t[0], other.band_t[0])
-        hi = max(self.band_t[1], other.band_t[1])
-        return SampledField(
-            grid=self.grid,
-            spec=self.spec + other.spec,
-            band_t=(lo, hi),
-            band_limit=max(self.band_limit, other.band_limit),
-        )
-
     def scaled(self, c: complex) -> "SampledField":
         return SampledField(
             grid=self.grid,

@@ -30,7 +30,7 @@ from .field_engine import (
 )
 from .grids import GridSpec, cached, freq_points, offset_index_vectors, spatial_points
 from .linalg_expansive import ExpansiveMatrix, QuasiNormStructure, per_value_product
-from .norms import NormParams, NormReport, _require_scales, _weighted_terms, sup_over_windows
+from .norms import NormParams, NormReport, _pick_scales, _weighted_terms, sup_over_windows
 from .peetre import offset_shells, weighted_sup_multi
 
 # weight_v's candidates sit on the shells A^m Omega, |m| <= _V_SHELLS, in
@@ -365,7 +365,7 @@ def pti_norm(
     svals = ggrid.s_values
     ds = ggrid.ds
     sups, flagged = maximal
-    _require_scales(sups, svals)
+    sups = _pick_scales(sups, svals)
     terms = _weighted_terms(
         sups, params.alpha, params.q, E.absdet, lambda s: ds * E.absdet ** (-s)
     )

@@ -213,14 +213,15 @@ def sup_over_windows(
     over admitted scales of window means is taken instead.  A level whose
     table holds no admissible window is skipped and sets the
     window_level_missing flag; WindowOutOfDomain is raised when no level
-    has one.
+    has one.  ell_saturated is set when the best level is the lowest or
+    highest level that produced a windowed value.
     """
     q = params.q
     terms = sorted(terms, key=lambda it: it[0], reverse=(coupling == "fine"))
     # with this ordering, the admitted set only grows as ell increases
     best = -1.0
     best_ell = best_row = best_window = None
-    any_window = False
+    searched: list[int] = []  # the levels that produced a windowed value
     level_missing = False
     tail_flag = False
     running: np.ndarray | None = None
@@ -254,7 +255,7 @@ def sup_over_windows(
         if not rows.size:
             level_missing = True
             continue
-        any_window = True
+        searched.append(ell)
         means = None
         for arr in stack:
             m = table.means(arr, grid)
@@ -268,7 +269,7 @@ def sup_over_windows(
             best, best_ell, best_row = val, ell, row
             best_window = table.window_id(row, grid)
 
-    if not any_window:
+    if not searched:
         raise WindowOutOfDomain(
             "no admissible window in the configured level range"
         )
@@ -287,7 +288,7 @@ def sup_over_windows(
         tail_flag = bool(m > _TAIL_FRACTION * best**q)
 
     flags = {
-        "ell_saturated": best_ell in (params.ell_min, params.ell_max),
+        "ell_saturated": best_ell in (searched[0], searched[-1]),
         "scale_tail": tail_flag,
         "window_level_missing": level_missing,
     }
@@ -353,16 +354,19 @@ def _weighted_terms(
 # Norm operations
 # ---------------------------------------------------------------------------
 # Each norm aggregates the per-scale arrays it is handed (band_arrays,
-# peetre_arrays).  They depend on neither q nor alpha, so a caller that
-# evaluates several exponents builds them once.
+# peetre_arrays) at the scales it reads, and ignores any others.  The
+# arrays depend on neither q nor alpha, so a caller that evaluates several
+# exponents builds them once, over the union of the scales its norms read.
 
 
-def _require_scales(arrays: dict, scales) -> None:
-    if list(arrays) != [float(s) for s in scales]:
-        raise ValueError(
-            f"arrays at scales {list(arrays)} do not match the norm's scales "
-            f"{[float(s) for s in scales]}"
-        )
+def _pick_scales(arrays: dict, scales) -> dict[float, np.ndarray]:
+    """The arrays at the norm's scales, in their order, looked up by exact
+    key; ValueError names the scales that have none."""
+    keys = [float(s) for s in scales]
+    missing = [s for s in keys if s not in arrays]
+    if missing:
+        raise ValueError(f"no arrays at the norm's scales {missing}")
+    return {s: arrays[s] for s in keys}
 
 
 def tl_norm_q(
@@ -371,7 +375,7 @@ def tl_norm_q(
     """Localized small-scale norm with the l^q sum inside the window average
     (for q = inf, the sup over scales outside it), from the bands
     |f * phi_j| at params.discrete_scales."""
-    _require_scales(bands, params.discrete_scales)
+    bands = _pick_scales(bands, params.discrete_scales)
     terms = _weighted_terms(bands, params.alpha, params.q, S.owner.absdet, lambda s: 1.0)
     return sup_over_windows(grid, S, terms, params, coupling="fine")
 
@@ -386,7 +390,7 @@ def tl_norm_inf(
 def besov_norm(S: QuasiNormStructure, bands: dict, params: NormParams) -> NormReport:
     """sup_j |det A|^(alpha j) max_x |f * phi_j|, from the bands at
     params.discrete_scales."""
-    _require_scales(bands, params.discrete_scales)
+    bands = _pick_scales(bands, params.discrete_scales)
     absdet = S.owner.absdet
     best, arg = 0.0, None
     for s, arr in bands.items():
@@ -410,16 +414,14 @@ def tl_peetre_norm(
 ) -> NormReport:
     """Maximal-function characterization value (discrete or continuous
     scales).  maximal is peetre_arrays' entry for params.beta: the Peetre
-    fields at params.discrete_scales or params.continuous_scales, and
-    their boundary flag."""
+    fields at (at least) params.discrete_scales or params.continuous_scales,
+    and the boundary flag of their sweep."""
     params.require_characterization_beta()
     arrays, flagged = maximal
     if discrete:
-        _require_scales(arrays, params.discrete_scales)
-        step = 1.0
+        arrays, step = _pick_scales(arrays, params.discrete_scales), 1.0
     else:
-        _require_scales(arrays, params.continuous_scales)
-        step = params.effective_s_step
+        arrays, step = _pick_scales(arrays, params.continuous_scales), params.effective_s_step
     terms = _weighted_terms(arrays, params.alpha, params.q, S.owner.absdet, lambda s: step)
     rep = sup_over_windows(grid, S, terms, params, coupling="fine")
     rep.flags["peetre_boundary"] = flagged

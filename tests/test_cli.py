@@ -285,11 +285,10 @@ class TestCli:
                 ["run", "--kind", "embedding", "--set", "qs=[null]"],
                 'config error: embedding: qs must be a list of numbers or "inf", got [None]',
             ),
-            # the q >= 1 scale grids subsample the 1/16 sweep, so ds must be a multiple
+            # a scale step must be positive (ds = 0 used to divide by zero)
             (
-                ["run", "--kind", "norm-equivalence", "--set", "ds=0.1", "--set", "grid.n=256",
-                 "--set", "suite.count=2"],
-                "config error: norm-equivalence: ds = 0.1 is not a whole multiple of 0.0625",
+                ["run", "--kind", "norm-equivalence", "--set", "ds=0"],
+                "config error: norm-equivalence: ds = 0 must be positive",
             ),
             # an integer or boolean setting is not coerced into one
             (
@@ -355,6 +354,13 @@ class TestCli:
         assert code == 2
         assert capsys.readouterr().err.strip() == message
         assert not (tmp_path / "r").exists()
+
+    def test_ds_off_the_sixteenth_grid_runs(self, tmp_path):
+        # the sweep covers the union of the 1/16 grid of q < 1 and the ds grid
+        argv = ["run", "--kind", "norm-equivalence", "--set", "ds=0.1", "--set", "grid.n=256",
+                "--set", "suite.count=2"]
+        assert main(["--out", str(tmp_path / "r")] + argv) == 0
+        assert (tmp_path / "r" / "norm-equivalence" / "norm-equivalence.csv").exists()
 
     def test_type_error_in_a_runner_is_not_a_config_error(self, tmp_path, monkeypatch):
         # merged_config rejects wrongly typed values, so a TypeError left

@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 from anisotl import experiments, frames, group_analysis, norms
-from anisotl.experiments import run_coorbit, run_embedding, run_frames, run_translation_bounds
+from anisotl.experiments import (
+    run_coorbit,
+    run_embedding,
+    run_frames,
+    run_norm_equivalence,
+    run_translation_bounds,
+)
 from anisotl.group_analysis import wavelet_transform
 from anisotl.norms import NormParams, NormReport
 
@@ -119,25 +125,32 @@ def test_coorbit_search_shells_reaches_the_norms(monkeypatch):
 QS = [0.5, 1.0, "inf"]  # q = 0.5 tightens the continuous step to 1/16
 COORBIT = {"grid": {"n": 256}, "suite": {"count": 2}, "beta": 2.5, "qs": QS}
 EMBEDDING = {"grid": {"n": 256}, "suite": {"count": 2}, "qs": QS}
+NORM_EQUIVALENCE = {"grid": {"n": 256}, "suite": {"count": 2}, "alphas": [0.0, 1.0], "qs": QS}
 
 
 @pytest.mark.parametrize(
-    "runner, config",
-    [(run_coorbit, COORBIT), (run_embedding, EMBEDDING)],
-    ids=["coorbit", "embedding"],
+    "runner, config, rows_per_q",
+    [
+        (run_coorbit, COORBIT, 2),  # base and refined grid
+        (run_embedding, EMBEDDING, 2),
+        (run_norm_equivalence, NORM_EQUIVALENCE, 2),  # one per alpha
+        # the 1/10 grid shares only its integer scales with the 1/16 grid
+        (run_norm_equivalence, {**NORM_EQUIVALENCE, "ds": 0.1}, 2),
+    ],
+    ids=["coorbit", "embedding", "norm-equivalence", "norm-equivalence-ds0.1"],
 )
-def test_rows_do_not_depend_on_the_other_qs(runner, config):
+def test_rows_do_not_depend_on_the_other_qs(runner, config, rows_per_q):
     rows = runner(config)["rows"]
     for q in QS:
         alone = runner({**config, "qs": [q]})["rows"]
-        assert len(alone) == 2  # base and refined grid
+        assert len(alone) == rows_per_q
         assert [r for r in rows if r["q"] == alone[0]["q"]] == alone
 
 
 def test_each_fields_arrays_are_built_once(monkeypatch):
     # per grid and field: one wavelet transform with one sweep of its
-    # slices, one set of bands, and one continuous sweep per step (1/16 for
-    # q = 0.5, ds for q >= 1)
+    # slices, one set of bands, and one continuous sweep over the union of
+    # the qs' scales (the 1/16 grid of q = 0.5 holds the ds grid of q >= 1)
     calls = {"wavelet_transform": [], "pti_arrays": [], "band_arrays": [], "peetre_arrays": []}
 
     def counting(name):
@@ -153,11 +166,20 @@ def test_each_fields_arrays_are_built_once(monkeypatch):
         monkeypatch.setattr(experiments, name, counting(name))
     experiments.run_coorbit(COORBIT)
     fields = 2 * COORBIT["suite"]["count"]
-    for name in ("wavelet_transform", "pti_arrays", "band_arrays"):
+    for name in calls:
         assert len(calls[name]) == fields
-    steps = sorted(float(args[3][1] - args[3][0]) for args in calls["peetre_arrays"])
-    assert steps == [1 / 16] * fields + [0.125] * fields
+    fine = NormParams(alpha=0.0, q=0.5, scale_max=4, ell_min=-2, ell_max=2)
+    assert all(args[3] == fine.continuous_scales.tolist() for args in calls["peetre_arrays"])
     for name in calls:
         calls[name].clear()
     experiments.run_embedding(EMBEDDING)
     assert len(calls["band_arrays"]) == 2 * EMBEDDING["suite"]["count"]
+    for name in calls:
+        calls[name].clear()
+    # norm-equivalence without q < 1 sweeps the ds grid, for both betas at once
+    run_norm_equivalence({**NORM_EQUIVALENCE, "qs": [1.0, "inf"]})
+    assert len(calls["band_arrays"]) == len(calls["peetre_arrays"]) == fields
+    coarse = NormParams(alpha=0.0, q=1.0, scale_max=5, ell_min=-2, ell_max=2)
+    for args in calls["peetre_arrays"]:
+        assert args[3] == coarse.continuous_scales.tolist()
+        assert args[4] == [1.5, 2.0]

@@ -125,7 +125,7 @@ class TestScaleBank:
     def test_linearity(self, phi):
         fa = field_from_closure(GRID1, phi.gauge, band_field(phi.gauge, seed=12))
         fb = field_from_closure(GRID1, phi.gauge, band_field(phi.gauge, seed=13))
-        combo = fa.scaled(2.0 - 1j) + fb.scaled(0.25)
+        combo = field_from_spec(GRID1, (2.0 - 1j) * fa.spec + 0.25 * fb.spec, phi.gauge)
         for s in (0.0, 1.5, 3.0):
             lhs = convolve_scale(combo, phi, s).values
             rhs = (2.0 - 1j) * convolve_scale(fa, phi, s).values + 0.25 * convolve_scale(

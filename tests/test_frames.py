@@ -3,7 +3,7 @@ import pytest
 
 from anisotl.analyzers import bump, make_admissible, make_covering_profile
 from anisotl.errors import VerificationFailed
-from anisotl.field_engine import field_from_closure
+from anisotl.field_engine import field_from_closure, field_from_spec
 from anisotl.frames import (
     FrameSystem,
     IndexSet,
@@ -152,7 +152,9 @@ class TestAnalysisSynthesis:
         f, g = suite[0], suite[1]
         cf = covering_system.analysis(f)
         cg = covering_system.analysis(g)
-        combo = covering_system.analysis(f.scaled(2.0) + g.scaled(-0.5j))
+        combo = covering_system.analysis(
+            field_from_spec(f.grid, 2.0 * f.spec - 0.5j * g.spec, vec.psi.gauge)
+        )
         assert np.allclose(combo, 2.0 * cf - 0.5j * cg, atol=1e-10)
 
     def test_synthesis_unit_vector(self, vec, covering_gamma, covering_system):

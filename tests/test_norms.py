@@ -7,7 +7,7 @@ import pytest
 from anisotl import grids, group_analysis, norms, peetre
 from anisotl.analyzers import bump, make_analyzing_pair, make_covering_profile
 from anisotl.errors import WindowOutOfDomain
-from anisotl.field_engine import convolve_scale, field_from_closure
+from anisotl.field_engine import convolve_scale, field_from_closure, field_from_spec
 from anisotl.grids import GridSpec, spatial_points
 from anisotl.linalg_expansive import build_ellipsoid, validate_expansive
 from anisotl.experiments import run_norm_equivalence
@@ -113,15 +113,39 @@ class TestBasics:
                 tl_peetre_norm(GRID, S1, maximal(f, pair, p, True), p, discrete=True)
 
     def test_arrays_must_sit_on_the_norms_scales(self, pair):
+        # each norm picks its own scales, in its own order, from the arrays
+        # it is handed: more scales in another order give the report of the
+        # exact arrays, and a missing scale raises naming it
         f = make_field(seed=3)
-        p = NormParams(alpha=0.0, q=2.0, beta=1.5, scale_max=4, ell_min=-2, ell_max=2)
+        p = NormParams(alpha=0.0, q=2.0, beta=1.5, scale_max=4, ell_min=-2, ell_max=2, s_step=0.25)
         wide = replace(p, scale_max=5)
-        with pytest.raises(ValueError, match="do not match the norm's scales"):
-            tl_norm_q(GRID, S1, bands(f, pair, wide), p)
-        with pytest.raises(ValueError, match="do not match the norm's scales"):
-            besov_norm(S1, bands(f, pair, wide), p)
-        with pytest.raises(ValueError, match="do not match the norm's scales"):
-            tl_peetre_norm(GRID, S1, maximal(f, pair, p, True), p, discrete=False)
+        disc, disc_flag = maximal(f, pair, p, True)
+        cont, cont_flag = maximal(f, pair, p, False)
+        rng = np.random.default_rng(3)
+        ggrid = group_analysis.GroupGrid(grid=GRID, s_min=-2.0, s_max=1.0, ds=0.5)
+        sups = {float(s): np.abs(rng.normal(size=GRID.size)) for s in (*ggrid.s_values, 1.5, 2.0)}
+        cases = [  # (norm of a scale -> array dict, its exact arrays, extra arrays)
+            (lambda a: tl_norm_q(GRID, S1, a, p), bands(f, pair, p), bands(f, pair, wide)),
+            (lambda a: besov_norm(S1, a, p), bands(f, pair, p), bands(f, pair, wide)),
+            (lambda a: tl_peetre_norm(GRID, S1, (a, disc_flag), p), disc, cont),
+            (
+                lambda a: tl_peetre_norm(GRID, S1, (a, cont_flag), p, discrete=False),
+                cont,
+                maximal(f, pair, wide, False)[0],
+            ),
+            (
+                lambda a: group_analysis.pti_norm(ggrid, S1, (a, False), p),
+                {float(s): sups[float(s)] for s in ggrid.s_values},
+                sups,
+            ),
+        ]
+        for norm, exact, extra in cases:
+            rep = norm(exact)
+            assert rep.value > 0
+            assert norm({**extra, **dict(reversed(exact.items()))}) == rep
+            gone = list(exact)[len(exact) // 2]
+            with pytest.raises(ValueError, match=rf"no arrays at the norm's scales \[{gone}\]"):
+                norm({s: arr for s, arr in exact.items() if s != gone})
 
     def test_window_out_of_domain(self, pair):
         f = make_field(seed=4)
@@ -171,7 +195,8 @@ class TestStructuralInequalities:
         r = min(1.0, q)
         nf = tl_norm_q(GRID, S1, bands(f, pair, p), p).value
         ng = tl_norm_q(GRID, S1, bands(g, pair, p), p).value
-        nfg = tl_norm_q(GRID, S1, bands(f + g, pair, p), p).value
+        fg = field_from_spec(GRID, f.spec + g.spec, pair.phi.gauge)
+        nfg = tl_norm_q(GRID, S1, bands(fg, pair, p), p).value
         assert nfg**r <= nf**r + ng**r + 1e-10
 
     def test_window_monotonicity(self, pair):
@@ -199,11 +224,16 @@ class TestStructuralInequalities:
 
     @pytest.mark.parametrize("discrete", [True, False])
     def test_peetre_dominates_plain(self, pair, discrete):
+        # the continuous sum holds every integer scale with weight step, so it
+        # dominates step^(1/q) times the plain norm (step 1 when discrete)
         f = make_field(seed=40)
         p = NormParams(alpha=0.0, q=2.0, beta=1.0, scale_max=4, ell_min=-2, ell_max=2, s_step=0.25)
+        step = 1.0 if discrete else p.effective_s_step
         plain = tl_norm_q(GRID, S1, bands(f, pair, p), p).value
-        charac = tl_peetre_norm(GRID, S1, maximal(f, pair, p, True), p, discrete=True).value
-        assert charac >= plain * (1 - 1e-12)
+        charac = tl_peetre_norm(
+            GRID, S1, maximal(f, pair, p, discrete), p, discrete=discrete
+        ).value
+        assert charac >= step ** (1 / p.q) * plain * (1 - 1e-12)
 
 
 def window_equivalence(arr, params):
@@ -257,6 +287,27 @@ def test_window_level_missing_flag(mat, grid, missing):
     assert rep.flags["window_level_missing"] is missing
     assert (not cube_windows(grid, S, 2).admissible.any()) is missing
     assert rep.value == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "mat, grid, saturated",
+    [
+        ([[2.0]], GRID, False),
+        ([[2.0, 0.0], [0.0, 4.0]], GridSpec(d=2, extent=4.0, n=16), True),
+    ],
+    ids=["line", "diag24"],
+)
+def test_ell_saturated_at_the_levels_searched(mat, grid, saturated):
+    # scale -1 enters from level 1 on and attains the supremum there; on
+    # diag(2, 4) the level-2 cubes are 16 tall in a box 8 tall, so level 1
+    # is the top level searched and the best level sits on that edge
+    S = build_ellipsoid(validate_expansive(mat))
+    params = NormParams(alpha=0.0, q=math.inf, ell_min=0, ell_max=2)
+    terms = [(0.0, 1.0, np.full(grid.size, 0.5)), (-1.0, 1.0, np.ones(grid.size))]
+    rep = sup_over_windows(grid, S, terms, params)
+    assert (rep.arg_ell, rep.value) == (1, 1.0)
+    assert rep.flags["window_level_missing"] is saturated
+    assert rep.flags["ell_saturated"] is saturated
 
 
 class TestEmbedding:
