@@ -19,7 +19,7 @@ from .analyzers import make_analyzing_pair
 from .errors import AnisoError
 from .experiments import LINE_MATRIX, RUNNERS, _setup, _suite, merged_config
 from .linalg_expansive import build_ellipsoid, matrix_from_json
-from .norms import NormParams, band_arrays, embedding_check
+from .norms import NormParams, band_arrays, besov_norm, tl_norm_inf, tl_norm_q
 from .storage import ensure_dir, load_field, save_field, write_csv, write_json
 
 _GROUP_KINDS = {
@@ -179,11 +179,6 @@ def _cmd_norm(args) -> int:
 
 
 def _field_reports(args, cfg: dict) -> dict:
-    base = merged_config("norm-equivalence", cfg.get("norm-equivalence", {}))
-    E, grid, phi = _setup(base["matrix"], base["grid"])
-    S = build_ellipsoid(E)
-    pair = make_analyzing_pair(phi, check_grid=grid)
-    f = load_field(args.field, phi.gauge)
     params = NormParams(
         alpha=args.alpha,
         q=math.inf if args.q == "inf" else float(args.q),
@@ -192,9 +187,17 @@ def _field_reports(args, cfg: dict) -> dict:
         ell_max=args.L,
         window=args.window,
     )
+    base = merged_config("norm-equivalence", cfg.get("norm-equivalence", {}))
+    E, grid, phi = _setup(base["matrix"], base["grid"])
+    S = build_ellipsoid(E)
+    pair = make_analyzing_pair(phi, check_grid=grid)
+    f = load_field(args.field, phi.gauge)
     bands = band_arrays(f, pair.phi, params.discrete_scales)
-    reports = embedding_check(f.grid, S, bands, params)
-    return {name: reports[name].to_json() for name in ("tl_q", "tl_inf", "besov")}
+    return {
+        "tl_q": tl_norm_q(f.grid, S, bands, params).to_json(),
+        "tl_inf": tl_norm_inf(f.grid, S, bands, params).to_json(),
+        "besov": besov_norm(S, bands, params).to_json(),
+    }
 
 
 def _cmd_group(args) -> int:
@@ -232,7 +235,7 @@ def _cmd_frames(args) -> int:
 def _suite_fields(config: dict) -> list:
     cfg = merged_config("suite", config)
     E, grid, phi = _setup(cfg["matrix"], cfg["grid"])
-    return _suite(cfg["suite"], grid, phi.gauge, phi)
+    return _suite(cfg["suite"], grid, phi.gauge)
 
 
 def _cmd_suite(args) -> int:

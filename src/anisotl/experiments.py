@@ -56,8 +56,10 @@ from .linalg_expansive import (
 from .norms import (
     NormParams,
     band_arrays,
+    besov_norm,
     embedding_check,
     peetre_arrays,
+    tl_norm_inf,
     tl_norm_q,
     tl_peetre_norm,
 )
@@ -204,9 +206,9 @@ DEFAULTS: dict = {
 
 
 # Keys a config may set although no default names them: the kind a `run`
-# config file selects, and the suite kind that `_suite` reads with a
-# fallback.  Adding them to DEFAULTS would change every resolved config.
-_OPTIONAL_KEYS = {"experiment", "suite.kind"}
+# config file selects.  Adding it to DEFAULTS would change every resolved
+# config.
+_OPTIONAL_KEYS = {"experiment"}
 
 
 def merged_config(kind: str, config: dict | None) -> dict:
@@ -247,15 +249,16 @@ def _is_int(value) -> bool:
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """An integer or a finite float (json reads NaN and Infinity too)."""
+    return _is_int(value) or (isinstance(value, float) and math.isfinite(value))
 
 
 def _check_type(key: str, default, value) -> None:
     """value keeps the type of a boolean, integer (not boolean), number,
     string, integer-list or number-list default: runners call int() and
-    float() and test truth on these.  An exponent (q, qs) may also be
-    "inf".  In a list of objects every item must be an object with only
-    the keys of the default's first item, of their types."""
+    float() and test truth on these.  A number must be finite; an exponent
+    (q, qs) may also be "inf".  In a list of objects every item must be an
+    object with only the keys of the default's first item, of their types."""
     inf = ' or "inf"' if key.rsplit(".", 1)[-1] in ("q", "qs") else ""
 
     def number(v) -> bool:
@@ -304,14 +307,13 @@ def _setup(matrix_json: dict, grid_json: dict):
     return E, grid, phi
 
 
-def _suite(cfg_suite: dict, grid, gauge, profile=None):
+def _suite(cfg_suite: dict, grid, gauge):
     spec = SuiteSpec(
         count=int(cfg_suite["count"]),
         seed=int(cfg_suite["seed"]),
         t_range=tuple(cfg_suite["t_range"]),
-        kind=cfg_suite.get("kind", "random"),
     )
-    return suite_generate(spec, grid, gauge, profile)
+    return suite_generate(spec, grid, gauge)
 
 
 def _group_grid(cfg: dict, grid) -> GroupGrid:
@@ -505,7 +507,7 @@ def run_wavelet_repro(config: dict | None = None) -> dict:
     # a genuinely different receiving analyzer exercises the general identity
     phi_vec = make_admissible(make_covering_profile(E, grid, t_halfwidth=0.9))
     ggrid = _group_grid(cfg, grid)
-    fields = _suite(cfg["suite"], grid, phi.gauge, phi)
+    fields = _suite(cfg["suite"], grid, phi.gauge)
     rows = []
     fine = ggrid.refined()
     for i, (f, f2) in enumerate(zip(fields, _resampled(fields, fine.grid, phi.gauge))):
@@ -563,9 +565,10 @@ def _norm_params(cfg, alpha: float, q: float) -> NormParams:
 def _characterization_table(cfg, grid, profile, S, fields, flag_counts) -> list[dict]:
     """Per (q, alpha): suite extremes of the characterization ratios.
 
-    Each field's bands and its Peetre fields for every beta come from one
-    sweep over the union of the scales the norms read, shared by all
-    (q, alpha) and dropped before the next field.  flag_counts
+    Each field's bands come from one band_arrays call over the union of
+    the scales the norms read, and its Peetre fields for every beta from
+    one sweep of those bands; both are shared by all (q, alpha) and
+    dropped before the next field.  flag_counts
     accumulates saturation/tail flags from every windowed supremum, and
     under "peetre_boundary" the (field, beta) sweeps whose boundary flag
     fired, so the manifest can report them.
@@ -573,14 +576,13 @@ def _characterization_table(cfg, grid, profile, S, fields, flag_counts) -> list[
     cases = [
         _norm_params(cfg, float(alpha), _q_value(q)) for q in cfg["qs"] for alpha in cfg["alphas"]
     ]
-    disc_scales = sorted({float(j) for p in cases for j in p.discrete_scales})
     scales = sorted({float(s) for p in cases for s in (*p.discrete_scales, *p.continuous_scales)})
     betas = sorted({p.beta for p in cases})
     ratios = [([], [], []) for _ in cases]  # per case: discrete, continuous, factors
 
     for f in fields:
-        bands = band_arrays(f, profile, disc_scales)
-        sweeps = peetre_arrays(f, profile, S, scales, betas, int(cfg["search_shells"]))
+        bands = band_arrays(f, profile, scales)
+        sweeps = peetre_arrays(grid, S, bands, betas, int(cfg["search_shells"]))
         for _, flag in sweeps.values():
             _count_flags(flag_counts, {"peetre_boundary": flag})
         for params, (ratios_d, ratios_c, factors) in zip(cases, ratios):
@@ -622,7 +624,7 @@ def run_norm_equivalence(config: dict | None = None) -> dict:
     E, grid, phi = _setup(cfg["matrix"], cfg["grid"])
     pair = make_analyzing_pair(phi, check_grid=grid)
     S = build_ellipsoid(E)
-    fields = _suite(cfg["suite"], grid, phi.gauge, phi)
+    fields = _suite(cfg["suite"], grid, phi.gauge)
     flag_counts: dict = {}
     base_rows = _characterization_table(cfg, grid, pair.phi, S, fields, flag_counts)
 
@@ -667,7 +669,7 @@ def run_embedding(config: dict | None = None) -> dict:
     E, grid, phi = _setup(cfg["matrix"], cfg["grid"])
     pair = make_analyzing_pair(phi, check_grid=grid)
     S = build_ellipsoid(E)
-    fields = _suite(cfg["suite"], grid, phi.gauge, phi)
+    fields = _suite(cfg["suite"], grid, phi.gauge)
     base = NormParams(
         alpha=float(cfg["alpha"]),
         q=math.inf,
@@ -682,11 +684,14 @@ def run_embedding(config: dict | None = None) -> dict:
         flds = fields if tag == "base" else _resampled(fields, grid_now, phi.gauge)
         ratios = [([], []) for _ in qs]  # per q: besov over tl_inf, tl_inf over tl_q
         for f in flds:
-            # every q reads the same bands
+            # every q reads the same bands, tl_inf and besov
             bands = band_arrays(f, pair.phi, base.discrete_scales)
+            tl_inf = tl_norm_inf(grid_now, S, bands, base)
+            besov = besov_norm(S, bands, base)
             for q, (besov_over_inf, inf_over_q) in zip(qs, ratios):
-                rep = embedding_check(grid_now, S, bands, replace(base, q=q))
-                _count_flags(flag_counts, *(rep[k].flags for k in ("tl_q", "tl_inf", "besov")))
+                tl_q = tl_norm_q(grid_now, S, bands, replace(base, q=q))
+                rep = embedding_check(tl_q, tl_inf, besov)
+                _count_flags(flag_counts, tl_q.flags, tl_inf.flags, besov.flags)
                 if not rep["skipped"]:
                     besov_over_inf.append(rep["besov_over_inf"])
                     inf_over_q.append(rep["inf_over_q"])
@@ -725,7 +730,7 @@ def run_translation_bounds(config: dict | None = None) -> dict:
     vec = make_admissible(phi)
     S = build_ellipsoid(E)
     ggrid = _group_grid(cfg, grid)
-    fields = _suite(cfg["suite"], grid, phi.gauge, phi)
+    fields = _suite(cfg["suite"], grid, phi.gauge)
     params = NormParams(
         alpha=float(cfg["alpha"]),
         q=_q_value(cfg["q"]),
@@ -853,17 +858,17 @@ def _coorbit_field(f, vec, S, ggrid, base: NormParams, qs, flag_counts) -> list[
     """Per q: f's coefficient-space norm, its plain norm and its continuous
     Peetre norm; flag_counts gains the coefficient norms' flags.
 
-    The sweeps of f's wavelet transform, the bands and the continuous
-    sweep (over the union of the qs' quadrature scales) depend on beta
-    and the scale grids only, so each is built once here and dropped on
-    return.
+    The sweeps of f's wavelet transform, the bands (over the union of the
+    discrete scales and the qs' quadrature scales) and the continuous
+    sweep of the quadrature bands depend on beta and the scale grids
+    only, so each is built once here and dropped on return.
     """
     beta, shells = base.beta, base.search_shells
     coeff_max = pti_arrays(wavelet_transform(f, vec, ggrid), S, beta, shells)
-    bands = band_arrays(f, vec.psi, base.discrete_scales)
     per_q = [replace(base, q=q) for q in qs]
     scales = sorted({float(s) for params in per_q for s in params.continuous_scales})
-    cont = peetre_arrays(f, vec.psi, S, scales, [beta], shells)[beta]
+    bands = band_arrays(f, vec.psi, sorted({*scales, *map(float, base.discrete_scales)}))
+    cont = peetre_arrays(ggrid.grid, S, {s: bands[s] for s in scales}, [beta], shells)[beta]
     out = []
     for params in per_q:
         coeff_params = replace(params, alpha=-_alpha_prime(base.alpha, params.q))
@@ -881,7 +886,7 @@ def run_coorbit(config: dict | None = None) -> dict:
     vec = make_admissible(phi)
     S = build_ellipsoid(E)
     ds = float(cfg["ds"])
-    fields = _suite(cfg["suite"], grid, phi.gauge, phi)
+    fields = _suite(cfg["suite"], grid, phi.gauge)
     # the function-side parameters; q is set per row
     base = NormParams(
         alpha=float(cfg["alpha"]),
@@ -953,7 +958,7 @@ def run_frames(config: dict | None = None) -> dict:
     vec = make_admissible(phi)
     S = build_ellipsoid(E)
     ggrid = _group_grid(cfg, grid)
-    fields = _suite(cfg["suite"], grid, phi.gauge, phi)
+    fields = _suite(cfg["suite"], grid, phi.gauge)
 
     rows = []
     manifest: dict = {}

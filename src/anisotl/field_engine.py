@@ -80,9 +80,6 @@ class LatticeSpectrum:
     def l2_norm(self) -> float:
         return float(np.sqrt(self.grid.box_volume * np.sum(np.abs(self.spec) ** 2)))
 
-    def at_points(self, points: np.ndarray) -> np.ndarray:
-        return evaluate_spectrum(self.grid, self.spec, points)
-
 
 @dataclass(frozen=True)
 class SampledField(LatticeSpectrum):

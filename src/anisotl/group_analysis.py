@@ -30,8 +30,9 @@ from .field_engine import (
 )
 from .grids import GridSpec, cached, freq_points, offset_index_vectors, spatial_points
 from .linalg_expansive import ExpansiveMatrix, QuasiNormStructure, per_value_product
-from .norms import NormParams, NormReport, _pick_scales, _weighted_terms, sup_over_windows
-from .peetre import offset_shells, weighted_sup_multi
+from .norms import (
+    NormParams, NormReport, _pick_scales, _weighted_terms, peetre_arrays, sup_over_windows
+)
 
 # weight_v's candidates sit on the shells A^m Omega, |m| <= _V_SHELLS, in
 # _V_DIRECTIONS boundary directions.
@@ -102,9 +103,6 @@ class GroupGrid:
             raise ValueError(f"scale shift {t} is not on the ds = {self.ds} grid")
         return r
 
-    def s_index(self, s: float) -> int:
-        return self.steps(s - self.s_min)
-
     def refined(self) -> "GroupGrid":
         return GroupGrid(self.grid.widened(), self.s_min, self.s_max, self.ds / 2.0)
 
@@ -143,9 +141,6 @@ class GroupField:
         if self.spec is None:
             raise ValueError("slice evaluation needs spectral slices")
         return self.spec
-
-    def slice_at_points(self, s_idx: int, points: np.ndarray) -> np.ndarray:
-        return evaluate_spectrum(self.ggrid.grid, self._spectral_slices()[s_idx], points)
 
     def l2_norm(self, absdet: float) -> float:
         svals = self.ggrid.s_values
@@ -331,20 +326,13 @@ def pti_arrays(
     search_shells: int,
 ) -> tuple[dict[float, np.ndarray], bool]:
     """Per scale s of F's grid, the spatial supremum of |F(., s)| weighted by
-    (1 + rho(A^-s z))^-beta, and the or-ed boundary flag of the sweeps."""
-    E = S.owner
-    grid = F.ggrid.grid
-    sups = {}
-    flagged = False
-    for s, arr in zip(F.ggrid.s_values, F.abs_values):
-        s = float(s)
-        # a zero slice is its own maximal field and cannot reach the boundary
-        if np.max(arr) != 0.0:
-            struct = offset_shells(grid, S, E.power(-s), search_shells)
-            arr, flag = weighted_sup_multi(arr, struct, [beta], E.absdet)[beta]
-            flagged = flagged or flag
-        sups[s] = arr.ravel()
-    return sups, flagged
+    (1 + rho(A^-s z))^-beta, and the or-ed boundary flag of the sweeps.
+    Slice s is swept as the band at scale -s; a zero slice is its own
+    maximal field and cannot reach the boundary, so it is not swept."""
+    slices = {float(s): arr.ravel() for s, arr in zip(F.ggrid.s_values, F.abs_values)}
+    nonzero = {-s: arr for s, arr in slices.items() if np.max(arr) != 0.0}
+    swept, flagged = peetre_arrays(F.ggrid.grid, S, nonzero, [beta], search_shells)[beta]
+    return {s: swept.get(-s, arr) for s, arr in slices.items()}, flagged
 
 
 def pti_norm(

@@ -549,8 +549,6 @@ class ScaleGauge:
         evals = np.linalg.eigvalsh(P)
         self._lam_min = float(evals[0])
         self._lam_max = float(evals[-1])
-        self._sqrtP = np.linalg.cholesky(P).T  # upper, x -> sqrtP @ x
-        self._inv_sqrtP = np.linalg.inv(self._sqrtP)
         n_tab = int(self._TABLE_RANGE / self._TABLE_STEP)
         step_mat = expm(-self._TABLE_STEP * B)
         step_inv = expm(self._TABLE_STEP * B)
@@ -690,14 +688,6 @@ class ScaleGauge:
         t(freq_points(grid)), solved through t on first use."""
         hit = self._t_cache.get(grid)
         return self.t(freq_points(grid)) if hit is None else hit
-
-    def points_on_level(self, tau: float, n_dirs: int) -> np.ndarray:
-        """Points on the level set {t = tau} via flowed sphere directions."""
-        rng = np.random.default_rng(3)
-        u = rng.normal(size=(n_dirs, self.d))
-        u /= np.linalg.norm(u, axis=1, keepdims=True)
-        base = u @ self._inv_sqrtP.T  # t = 0 level set
-        return base @ expm(tau * self.B).T
 
     def region_extent(self, tau: float) -> float:
         """Max coordinate magnitude over {t <= tau} = A^tau {x : x^T P x <= 1},

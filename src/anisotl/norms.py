@@ -52,8 +52,11 @@ class NormParams:
     search_shells: int = 2
 
     def __post_init__(self):
-        if self.q <= 0:
-            raise ValueError("q must lie in (0, inf]")
+        if not self.q > 0:  # NaN too
+            raise ValueError(f"q = {self.q} must lie in (0, inf]")
+        for name in ("alpha", "beta", "s_step"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} = {getattr(self, name)} must be finite")
         if self.window not in ("cube", "ball"):
             raise ValueError(f"unknown window kind {self.window!r}")
 
@@ -309,24 +312,23 @@ def band_arrays(f: SampledField, profile, scales) -> dict[float, np.ndarray]:
 
 
 def peetre_arrays(
-    f: SampledField,
-    profile,
+    grid: GridSpec,
     S: QuasiNormStructure,
-    scales,
+    bands: dict[float, np.ndarray],
     betas,
     search_shells: int,
 ) -> dict[float, tuple[dict[float, np.ndarray], bool]]:
-    """Peetre maximal fields per scale for several betas from one sweep per
-    scale; returns per beta the fields and the or-ed boundary flag."""
+    """Peetre maximal fields of bands (scale s -> |f * phi_s| on grid, as
+    band_arrays returns them; weight (1 + rho(A^s z))^-beta) for several
+    betas from one sweep per scale; returns per beta the fields and the
+    or-ed boundary flag."""
     betas = list(betas)
     arrays = {b: {} for b in betas}
     flagged = dict.fromkeys(betas, False)
     E = S.owner
-    for s in scales:
-        s = float(s)
-        band = convolve_scale(f, profile, s)
-        struct = offset_shells(f.grid, S, E.power(s), search_shells)
-        res = weighted_sup_multi(band.abs_values, struct, betas, E.absdet)
+    for s, band in bands.items():
+        struct = offset_shells(grid, S, E.power(s), search_shells)
+        res = weighted_sup_multi(band, struct, betas, E.absdet)
         for b, (vals, flag) in res.items():
             arrays[b][s] = vals.ravel()
             flagged[b] = flagged[b] or flag
@@ -428,17 +430,14 @@ def tl_peetre_norm(
     return rep
 
 
-def embedding_check(grid: GridSpec, S: QuasiNormStructure, bands: dict, params: NormParams) -> dict:
-    """Besov versus localized-norm comparisons for one field's bands at
-    params' alpha and q: the three reports, and their ratios unless a
-    localized norm is zero (skipped).  At q = inf tl_q is tl_inf, so
-    inf_over_q is 1."""
-    out = {
-        "tl_q": tl_norm_q(grid, S, bands, params),
-        "tl_inf": tl_norm_inf(grid, S, bands, params),
-        "besov": besov_norm(S, bands, params),
+def embedding_check(tl_q: NormReport, tl_inf: NormReport, besov: NormReport) -> dict:
+    """Besov versus localized-norm ratios of one field's tl_norm_q,
+    tl_norm_inf and besov_norm reports, or skipped when a localized norm
+    is zero.  At q = inf tl_q is tl_inf, so inf_over_q is 1."""
+    if not (tl_q.value > 0 and tl_inf.value > 0):
+        return {"skipped": True}
+    return {
+        "skipped": False,
+        "inf_over_q": tl_inf.value / tl_q.value,
+        "besov_over_inf": besov.value / tl_inf.value,
     }
-    n_q, n_inf, n_b = (rep.value for rep in out.values())
-    if not (n_q > 0 and n_inf > 0):
-        return {"skipped": True, **out}
-    return {"skipped": False, "inf_over_q": n_inf / n_q, "besov_over_inf": n_b / n_inf, **out}

@@ -21,7 +21,6 @@ class SuiteSpec:
     count: int
     seed: int
     t_range: tuple[float, float] = (1.8, 3.2)
-    kind: str = "random"  # "random" | "mixed" (adds deterministic fixtures)
 
 
 def _random_field(grid: GridSpec, gauge, rng, spec: SuiteSpec) -> SampledField:
@@ -48,33 +47,9 @@ def _random_field(grid: GridSpec, gauge, rng, spec: SuiteSpec) -> SampledField:
     return field_from_closure(grid, gauge, spectrum)
 
 
-def single_band_field(grid: GridSpec, gauge, j0: int, profile) -> SampledField:
-    """Deterministic fixture: a copy of the analyzer bump at shell j0."""
-
-    def spectrum(xi):
-        t = gauge.t(np.atleast_2d(xi))
-        return profile.shape(t - float(j0)) + 0j
-
-    return field_from_closure(grid, gauge, spectrum)
-
-
-def translated_atom_field(grid: GridSpec, gauge, profile, center, t_shift: float) -> SampledField:
-    def spectrum(xi):
-        xi = np.atleast_2d(xi)
-        t = gauge.t(xi)
-        return profile.shape(t - t_shift) * np.exp(-2j * np.pi * (xi @ np.asarray(center)))
-
-    return field_from_closure(grid, gauge, spectrum)
-
-
 def suite_generate(spec: SuiteSpec, grid: GridSpec, gauge, profile=None) -> list[SampledField]:
-    """Seeded suite; identical spec and seed give identical coefficients."""
+    """Seeded suite; identical spec and seed give identical coefficients.
+    profile is not read; it is accepted so that callers passing the
+    analyzer (perfbench/child.py) keep working."""
     rng = np.random.default_rng(spec.seed)
-    fields = [_random_field(grid, gauge, rng, spec) for _ in range(spec.count)]
-    if spec.kind == "mixed" and profile is not None and spec.count >= 2:
-        mid = int(round(0.5 * (spec.t_range[0] + spec.t_range[1])))
-        fields[-2] = single_band_field(grid, gauge, mid, profile)
-        fields[-1] = translated_atom_field(
-            grid, gauge, profile, center=np.zeros(grid.d), t_shift=float(mid)
-        )
-    return fields
+    return [_random_field(grid, gauge, rng, spec) for _ in range(spec.count)]

@@ -3,7 +3,9 @@
 import ast
 import inspect
 import shlex
+from functools import cached_property
 from pathlib import Path
+from types import FunctionType
 
 import anisotl
 from anisotl import cli
@@ -24,6 +26,11 @@ ALLOWED_UNREFERENCED = {
     "reconstruct": "Calderon synthesis, the reference for the discrete reproducing formula",
     "synthesis": "superposition of explicit atoms, the reference for FrameSystem.synthesis",
 }
+
+
+# Public methods and properties ("Class.member") that no module of the
+# toolkit loads as an attribute and that stay on purpose.
+ALLOWED_UNREFERENCED_MEMBERS: dict[str, str] = {}
 
 
 def _referenced_names() -> set[str]:
@@ -56,6 +63,35 @@ def test_public_functions_and_classes_are_used_by_the_toolkit():
     assert sorted(unreferenced - set(ALLOWED_UNREFERENCED)) == []
     # the allow-list names only public names that still need it
     assert sorted(set(ALLOWED_UNREFERENCED) - unreferenced) == []
+
+
+def _loaded_attributes() -> set[str]:
+    """Attribute names loaded (obj.name) in any module of the toolkit."""
+    return {
+        node.attr
+        for path in sorted((ROOT / "src" / "anisotl").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def test_public_members_are_used_by_the_toolkit():
+    # every public method or property of a public class, inherited ones
+    # included, is loaded as an attribute somewhere in the toolkit
+    kinds = (FunctionType, property, cached_property, classmethod, staticmethod)
+    members = {
+        f"{klass.__name__}.{name}"
+        for cls in (getattr(anisotl, n) for n in anisotl.__all__)
+        if inspect.isclass(cls)
+        for klass in cls.__mro__
+        if klass.__module__.startswith("anisotl.")
+        for name, value in vars(klass).items()
+        if not name.startswith("_") and isinstance(value, kinds)
+    }
+    loaded = _loaded_attributes()
+    unreferenced = {m for m in members if m.rsplit(".", 1)[1] not in loaded}
+    assert sorted(unreferenced - set(ALLOWED_UNREFERENCED_MEMBERS)) == []
+    assert sorted(set(ALLOWED_UNREFERENCED_MEMBERS) - unreferenced) == []
 
 
 def test_readme_cli_block_parses(monkeypatch):

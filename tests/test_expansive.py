@@ -420,7 +420,12 @@ class TestScaleGauge:
     def test_level_sets(self):
         E = validate_expansive(np.diag([2.0, 4.0]))
         g = transpose_gauge(E)
-        pts = g.points_on_level(1.5, 64)
+        # sphere directions mapped onto the level set t = 0, {x^T P x = 1},
+        # then flowed to t = 1.5
+        u = np.random.default_rng(3).normal(size=(64, 2))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        base = u @ np.linalg.inv(np.linalg.cholesky(g.P).T).T
+        pts = base @ expm(1.5 * g.B).T
         assert np.allclose(g.t(pts), 1.5, atol=1e-9)
         assert g.region_extent(2.0) > g.region_extent(0.0)
 

@@ -89,27 +89,31 @@ def test_manifest_counts_flags(runner, config):
 def test_coorbit_search_shells_reaches_the_norms(monkeypatch):
     # search_shells reaches the coefficient-side sweeps (pti_arrays, matrices
     # A^-s over the wavelet transform's scales) and the function-side sweeps
-    # (peetre_arrays, matrices A^s over the continuous scales)
+    # (matrices A^s over the continuous scales); both run in
+    # norms.peetre_arrays, and a sweep inside pti_arrays is coefficient-side
     seen = {"group_analysis": [], "norms": []}
+    side = ["norms"]
     ggrids = []
+    real_shells, real_pti = norms.offset_shells, experiments.pti_arrays
 
-    def recording(module, side):
-        real = module.offset_shells
+    def recording(grid, S, matrix, search_shells):
+        exponent = math.log2(float(np.asarray(matrix)[0, 0]))
+        seen[side[0]].append((round(16 * exponent) / 16, search_shells))
+        return real_shells(grid, S, matrix, search_shells)
 
-        def wrapper(grid, S, matrix, search_shells):
-            exponent = math.log2(float(np.asarray(matrix)[0, 0]))
-            seen[side].append((round(16 * exponent) / 16, search_shells))
-            return real(grid, S, matrix, search_shells)
-
-        return wrapper
+    def tagging(*args):
+        side[0] = "group_analysis"
+        try:
+            return real_pti(*args)
+        finally:
+            side[0] = "norms"
 
     def transform(f, vec, ggrid):
         ggrids.append(ggrid)
         return wavelet_transform(f, vec, ggrid)
 
-    for module in (group_analysis, norms):
-        side = module.__name__.rsplit(".", 1)[-1]
-        monkeypatch.setattr(module, "offset_shells", recording(module, side))
+    monkeypatch.setattr(norms, "offset_shells", recording)
+    monkeypatch.setattr(experiments, "pti_arrays", tagging)
     monkeypatch.setattr(experiments, "wavelet_transform", transform)
     assert experiments.merged_config("coorbit", None)["search_shells"] == 2
     config = {"grid": {"n": 256}, "suite": {"count": 1}, "qs": [1.0], "search_shells": 5}
@@ -149,9 +153,12 @@ def test_rows_do_not_depend_on_the_other_qs(runner, config, rows_per_q):
 
 def test_each_fields_arrays_are_built_once(monkeypatch):
     # per grid and field: one wavelet transform with one sweep of its
-    # slices, one set of bands, and one continuous sweep over the union of
-    # the qs' scales (the 1/16 grid of q = 0.5 holds the ds grid of q >= 1)
+    # slices, one set of bands, and one continuous sweep of the bands over
+    # the union of the qs' scales (the 1/16 grid of q = 0.5 holds the ds
+    # grid of q >= 1); no (field, grid, scale) is convolved twice
     calls = {"wavelet_transform": [], "pti_arrays": [], "band_arrays": [], "peetre_arrays": []}
+    convolved = []
+    real_convolve = norms.convolve_scale
 
     def counting(name):
         real = getattr(experiments, name)
@@ -162,24 +169,43 @@ def test_each_fields_arrays_are_built_once(monkeypatch):
 
         return wrapper
 
+    def convolving(f, profile, s):
+        convolved.append((f, float(s)))  # holds f, so its id is not reused
+        return real_convolve(f, profile, s)
+
+    def convolved_once():
+        keys = [(id(f), f.grid, s) for f, s in convolved]
+        return len(keys) > 0 and len(set(keys)) == len(keys)
+
     for name in calls:
         monkeypatch.setattr(experiments, name, counting(name))
+    monkeypatch.setattr(norms, "convolve_scale", convolving)
     experiments.run_coorbit(COORBIT)
     fields = 2 * COORBIT["suite"]["count"]
     for name in calls:
         assert len(calls[name]) == fields
     fine = NormParams(alpha=0.0, q=0.5, scale_max=4, ell_min=-2, ell_max=2)
-    assert all(args[3] == fine.continuous_scales.tolist() for args in calls["peetre_arrays"])
+    assert all(list(args[2]) == fine.continuous_scales.tolist() for args in calls["peetre_arrays"])
+    assert convolved_once()
     for name in calls:
         calls[name].clear()
+    # embedding: tl_inf and besov once per field and grid, tl_q once per q
+    windowed = []
+    real_sup = norms.sup_over_windows
+    monkeypatch.setattr(
+        norms, "sup_over_windows", lambda *args, **kw: windowed.append(1) or real_sup(*args, **kw)
+    )
     experiments.run_embedding(EMBEDDING)
     assert len(calls["band_arrays"]) == 2 * EMBEDDING["suite"]["count"]
+    assert len(windowed) == 2 * EMBEDDING["suite"]["count"] * (len(EMBEDDING["qs"]) + 1)
     for name in calls:
         calls[name].clear()
+    convolved.clear()
     # norm-equivalence without q < 1 sweeps the ds grid, for both betas at once
     run_norm_equivalence({**NORM_EQUIVALENCE, "qs": [1.0, "inf"]})
     assert len(calls["band_arrays"]) == len(calls["peetre_arrays"]) == fields
     coarse = NormParams(alpha=0.0, q=1.0, scale_max=5, ell_min=-2, ell_max=2)
     for args in calls["peetre_arrays"]:
-        assert args[3] == coarse.continuous_scales.tolist()
-        assert args[4] == [1.5, 2.0]
+        assert list(args[2]) == coarse.continuous_scales.tolist()
+        assert args[3] == [1.5, 2.0]
+    assert convolved_once()

@@ -3,7 +3,7 @@ import pytest
 
 from anisotl.analyzers import bump, make_admissible, make_covering_profile
 from anisotl.errors import VerificationFailed
-from anisotl.field_engine import field_from_closure, field_from_spec
+from anisotl.field_engine import evaluate_spectrum, field_from_closure, field_from_spec
 from anisotl.frames import (
     FrameSystem,
     IndexSet,
@@ -139,7 +139,7 @@ class TestAnalysisSynthesis:
         # covariance route through the self-transform grid (coarser shells,
         # so only periodization-tail accuracy)
         W = wavelet_transform(psi_spatial_field(vec, GRID), vec, GGRID)
-        expected = W.slice_at_points(GGRID.s_index(h_s), h_x[None, :])[0]
+        expected = evaluate_spectrum(GRID, W.spec[GGRID.steps(h_s - GGRID.s_min)], h_x[None, :])[0]
         assert c[other] == pytest.approx(np.conj(expected), rel=2e-3)
 
     def test_zero_field(self, vec, covering_system):
@@ -311,7 +311,7 @@ class TestMolecules:
             shifted = GroupGrid(GRID, HGRID.s_min + gamma.s, HGRID.s_max + gamma.s, HGRID.ds)
             W = wavelet_transform(member, vec, shifted)
             probe = gamma.x + spatial_points(GRID)[::_STRIDE] @ np.asarray(E1.power(gamma.s)).T
-            ref = np.stack([W.slice_at_points(k, probe) for k in range(len(HGRID.s_values))])
+            ref = np.stack([evaluate_spectrum(GRID, sl, probe) for sl in W.spec])
             assert np.array_equal(got, ref)
 
     def test_dual_envelope_accepts_duals(self, vec, separated_gamma):

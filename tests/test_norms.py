@@ -65,7 +65,19 @@ def maximal(f, pair, params, discrete):
     """f's Peetre fields at params.beta on the scales of the discrete or
     continuous norm, with their boundary flag."""
     scales = params.discrete_scales if discrete else params.continuous_scales
-    return peetre_arrays(f, pair.phi, S1, scales, [params.beta], params.search_shells)[params.beta]
+    swept = band_arrays(f, pair.phi, scales)
+    return peetre_arrays(f.grid, S1, swept, [params.beta], params.search_shells)[params.beta]
+
+
+def embedding(f, pair, params):
+    """embedding_check of f's three reports at params, with the reports."""
+    b = bands(f, pair, params)
+    reps = {
+        "tl_q": tl_norm_q(GRID, S1, b, params),
+        "tl_inf": tl_norm_inf(GRID, S1, b, params),
+        "besov": besov_norm(S1, b, params),
+    }
+    return {**embedding_check(*reps.values()), **reps}
 
 
 def zero_field(pair):
@@ -312,11 +324,11 @@ def test_ell_saturated_at_the_levels_searched(mat, grid, saturated):
 
 class TestEmbedding:
     def test_zero_skipped(self, pair):
-        rep = embedding_check(GRID, S1, bands(zero_field(pair), pair, PARAMS), PARAMS)
+        rep = embedding(zero_field(pair), pair, PARAMS)
         assert rep["skipped"]
 
     def test_zero_field_keeps_the_three_reports(self, pair):
-        rep = embedding_check(GRID, S1, bands(zero_field(pair), pair, PARAMS), PARAMS)
+        rep = embedding(zero_field(pair), pair, PARAMS)
         assert rep["skipped"] and "inf_over_q" not in rep
         assert [rep[k].value for k in ("tl_q", "tl_inf", "besov")] == [0.0, 0.0, 0.0]
         assert set(rep["tl_q"].flags) == set(rep["tl_inf"].flags) == {
@@ -327,14 +339,14 @@ class TestEmbedding:
     def test_q_inf_gives_ratio_one(self, pair):
         f = make_field(seed=50, t0=3.2, width=0.4)
         p = replace(PARAMS, q=math.inf)
-        rep = embedding_check(GRID, S1, bands(f, pair, p), p)
+        rep = embedding(f, pair, p)
         assert not rep["skipped"]
         assert rep["inf_over_q"] == 1.0
         assert rep["tl_q"].value == rep["tl_inf"].value > 0
 
     def test_single_band_besov_ratio(self, pair):
         f = make_field(seed=50, t0=3.2, width=0.4)
-        rep = embedding_check(GRID, S1, bands(f, pair, PARAMS), PARAMS)
+        rep = embedding(f, pair, PARAMS)
         assert not rep["skipped"]
         assert rep["besov_over_inf"] >= 1.0 - 1e-12
 

@@ -11,11 +11,21 @@ from anisotl.grids import GridSpec
 from anisotl.group_analysis import ControlWeight, GroupField, GroupGrid, wavelet_transform, wiener_amalgam_norm
 from anisotl.linalg_expansive import build_ellipsoid, validate_expansive
 from anisotl.norms import NormParams, band_arrays, besov_norm, tl_norm_inf, tl_norm_q
-from anisotl.suite import SuiteSpec, single_band_field, suite_generate
+from anisotl.suite import SuiteSpec, suite_generate
 
 E1 = validate_expansive([[2.0]])
 S1 = build_ellipsoid(E1)
 GRID = GridSpec(d=1, extent=8.0, n=1024)
+
+
+def single_band_field(grid, gauge, j0, profile):
+    """Deterministic fixture: a copy of the analyzer bump at shell j0."""
+
+    def spectrum(xi):
+        t = gauge.t(np.atleast_2d(xi))
+        return profile.shape(t - float(j0)) + 0j
+
+    return field_from_closure(grid, gauge, spectrum)
 
 
 @pytest.fixture(scope="module")
