@@ -13,7 +13,7 @@ computations are independent per scale and safe to run in parallel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
 
@@ -33,7 +33,24 @@ def values_to_spec(grid: GridSpec, values: np.ndarray) -> np.ndarray:
     return np.fft.fftn(values) * np.conj(spectral_phase(grid)) / grid.size
 
 
-def evaluate_spectrum(grid: GridSpec, spec: np.ndarray, points: np.ndarray) -> np.ndarray:
+@dataclass
+class PhaseRows:
+    """Phase rows that one evaluate_spectrum call hands to the next.
+
+    rows maps the bytes of each probe point to its row of phase, whose
+    columns are the frequencies union; exponentials counts the complex
+    exponentials computed by the calls that carried it.
+    """
+
+    union: np.ndarray | None = None
+    rows: dict[bytes, int] = field(default_factory=dict)
+    phase: np.ndarray | None = None
+    exponentials: int = 0
+
+
+def evaluate_spectrum(
+    grid: GridSpec, spec: np.ndarray, points: np.ndarray, carry: PhaseRows | None = None
+) -> np.ndarray:
     """Evaluate trigonometric polynomials at arbitrary points (exact).
 
     spec is one spectrum, giving (P,) values, or a stack (m, *grid.shape),
@@ -44,18 +61,53 @@ def evaluate_spectrum(grid: GridSpec, spec: np.ndarray, points: np.ndarray) -> n
     spectrum alone; in d >= 2 the BLAS product points @ xi.T may round
     differently with the number of columns, so they can differ in the
     last ulp.
+
+    carry, when given, holds the previous carried call's phase rows and
+    receives this call's.  If the union is the same, the row of every
+    point whose bytes match a carried point is copied and only the other
+    rows are exponentiated; otherwise the carried rows are dropped first.
+    In d = 1 each entry is exp(2 pi i fl(p xi)) from the same two floats
+    in either call, so the values are bit-identical to an uncarried call;
+    in d >= 2 the fresh rows are a smaller BLAS product and may differ in
+    the last ulp.
     """
     points = np.atleast_2d(points)
     lead = spec.shape[: spec.ndim - grid.d]
     stack = spec.reshape(-1, grid.size)
     nonzero = np.abs(stack) > 0.0
     union = np.flatnonzero(np.any(nonzero, axis=0))
-    phase = np.exp(2j * np.pi * (points @ freq_points(grid)[union].T))
+    if carry is None:
+        phase = np.exp(2j * np.pi * (points @ freq_points(grid)[union].T))
+    else:
+        phase = _carried_phase(grid, points, union, carry)
     out = np.empty((len(stack), len(points)), dtype=complex)
     for row, mask, dest in zip(stack, nonzero, out):
         cols = np.flatnonzero(mask[union])
         dest[:] = np.take(phase, cols, axis=1) @ row[union[cols]]
     return out.reshape(lead + (len(points),))
+
+
+def _carried_phase(
+    grid: GridSpec, points: np.ndarray, union: np.ndarray, carry: PhaseRows
+) -> np.ndarray:
+    """exp(2 pi i points @ xi[union].T), copying the carried rows of equal
+    points; carry then holds these rows."""
+    keys = [p.tobytes() for p in points]
+    rows = carry.rows if np.array_equal(carry.union, union) else {}
+    src = np.array([rows.get(k, -1) for k in keys], dtype=np.int64)
+    fresh = src < 0
+    # copy the carried rows, then drop the old phase before exponentiating
+    phase = None if fresh.all() else np.take(carry.phase, np.maximum(src, 0), axis=0)
+    carry.union, carry.rows, carry.phase = union, {k: i for i, k in enumerate(keys)}, None
+    new = 2j * np.pi * (points[fresh] @ freq_points(grid)[union].T)
+    np.exp(new, out=new)
+    if phase is None:
+        phase = new
+    else:
+        phase[fresh] = new
+    carry.phase = phase
+    carry.exponentials += new.size
+    return phase
 
 
 @dataclass(frozen=True)

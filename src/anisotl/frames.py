@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Diverged, IllConditioned, VerificationFailed
-from .field_engine import SampledField, check_nyquist, evaluate_spectrum, field_from_spec
+from .field_engine import PhaseRows, SampledField, check_nyquist, evaluate_spectrum, field_from_spec
 from .grids import GridSpec, freq_points, spatial_points
 from .group_analysis import (
     GroupField,
@@ -383,19 +383,24 @@ class MolecularSystem:
 
 
 def centered_coefficients(
-    member: SampledField, gamma: GroupPoint, vec, hgrid: GroupGrid
+    member: SampledField,
+    gamma: GroupPoint,
+    vec,
+    hgrid: GroupGrid,
+    carry: PhaseRows | None = None,
 ) -> np.ndarray:
     """W_psi(member) evaluated at gamma . h over the centered grid h.
 
     Exact spectral evaluation at the warped points, on every _STRIDE-th
-    spatial probe.
+    spatial probe.  carry hands phase rows from one call to the next, as
+    in evaluate_spectrum.
     """
     W = wavelet_transform(member, vec, _shifted_ggrid(hgrid, gamma.s))
     grid = hgrid.grid
     pts = spatial_points(grid)[::_STRIDE]
     M = np.asarray(vec.matrix.power(gamma.s))
     probe = gamma.x + pts @ M.T
-    return evaluate_spectrum(grid, W.spec, probe)
+    return evaluate_spectrum(grid, W.spec, probe, carry=carry)
 
 
 def _shifted_ggrid(hgrid: GroupGrid, s0: float) -> GroupGrid:
@@ -410,9 +415,15 @@ def _shifted_ggrid(hgrid: GroupGrid, s0: float) -> GroupGrid:
 def member_coefficients(
     members: list[SampledField], Gamma: IndexSet, vec, hgrid: GroupGrid
 ) -> list[np.ndarray]:
-    """|centered_coefficients| of each member at its own point of Gamma."""
+    """|centered_coefficients| of each member at its own point of Gamma.
+
+    One carry runs through the calls: consecutive members on one scale
+    share most probe points bit for bit, so each reuses the previous
+    member's phase rows at those points.
+    """
+    carry = PhaseRows()
     return [
-        np.abs(centered_coefficients(member, gamma, vec, hgrid))
+        np.abs(centered_coefficients(member, gamma, vec, hgrid, carry))
         for member, gamma in zip(members, Gamma.points())
     ]
 

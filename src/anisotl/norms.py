@@ -344,7 +344,13 @@ def _weighted_terms(
 ) -> list[tuple[float, float, np.ndarray]]:
     terms = []
     for s, arr in arrays.items():
-        scaled = absdet ** (alpha * s) * arr
+        try:
+            weight = absdet ** (alpha * s)
+        except OverflowError:
+            weight = math.inf
+        if math.isinf(weight):
+            raise ValueError(f"|det A|^(alpha s) overflows at alpha = {alpha:g}, s = {s:g}")
+        scaled = weight * arr
         if math.isinf(q):
             terms.append((s, 1.0, scaled))
         else:

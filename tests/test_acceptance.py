@@ -90,7 +90,7 @@ def test_criterion_09_coorbit_identification():
 
 
 def test_criterion_10_frames():
-    result = _run("10 frames", run_frames, budget=30.0)
+    result = _run("10 frames", run_frames, budget=10.0)
     stages = {row["stage"] for row in result["rows"]}
     assert {"reconstruction", "moments", "molecules"} <= stages
 

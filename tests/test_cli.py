@@ -368,12 +368,29 @@ class TestCli:
                 ["norm", "--field", "f.bin", "--alpha", "nan"],
                 "config error: norm: alpha = nan must be finite",
             ),
+            # a finite alpha may still overflow the scale weight |det A|^(alpha s)
+            (
+                ["run", "--kind", "embedding", "--set", "alpha=1e308"],
+                "config error: embedding: |det A|^(alpha s) overflows at alpha = 1e+308, s = 1",
+            ),
         ],
     )
     def test_bad_config_value_exit_two(self, tmp_path, capsys, argv, message):
         code = main(["--out", str(tmp_path / "r")] + argv)
         assert code == 2
         assert capsys.readouterr().err.strip() == message
+        assert not (tmp_path / "r").exists()
+
+    def test_overflowing_alpha_on_a_stored_field_exit_two(self, tmp_path, capsys):
+        out = tmp_path / "res"
+        assert main(["--out", str(out), "suite", "--set", "suite.count=1"]) == 0
+        field_path = out / "suite" / "field_000.bin"
+        code = main(["--out", str(tmp_path / "r"), "norm", "--field", str(field_path),
+                     "--alpha", "1e308"])
+        assert code == 2
+        assert capsys.readouterr().err.strip() == (
+            "config error: norm: |det A|^(alpha s) overflows at alpha = 1e+308, s = 1"
+        )
         assert not (tmp_path / "r").exists()
 
     def test_ds_off_the_sixteenth_grid_runs(self, tmp_path):

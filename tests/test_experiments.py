@@ -72,6 +72,31 @@ def test_frames_evaluates_each_dual_molecule_once(monkeypatch):
     assert len(calls) == members
 
 
+def test_frames_exponentiates_about_half_the_phase_entries(monkeypatch):
+    # the frames call of the line-group benchmark workload: 64 members x
+    # 256 probes x 338 frequencies = 5,402,624 phase entries, of which the
+    # carry computes 2,824,644 and copies the rest
+    seen = {"entries": 0, "computed": 0}
+    real = frames.evaluate_spectrum
+
+    def counting(grid, spec, points, carry=None):
+        before = carry.exponentials
+        out = real(grid, spec, points, carry=carry)
+        seen["entries"] += carry.phase.size
+        seen["computed"] += carry.exponentials - before
+        return out
+
+    monkeypatch.setattr(frames, "evaluate_spectrum", counting)
+    config = {
+        "seed": 42,
+        "s_range": [-2.5, 0.5],
+        "suite": {"count": 1, "seed": 21, "t_range": [1.8, 2.6]},
+    }
+    assert run_frames(experiments.merged_config("frames", config))["pass"]
+    assert seen["entries"] == 5_402_624
+    assert seen["computed"] <= 2_900_000
+
+
 @pytest.mark.parametrize(
     "runner, config",
     [

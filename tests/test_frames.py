@@ -3,7 +3,7 @@ import pytest
 
 from anisotl.analyzers import bump, make_admissible, make_covering_profile
 from anisotl.errors import VerificationFailed
-from anisotl.field_engine import evaluate_spectrum, field_from_closure, field_from_spec
+from anisotl.field_engine import PhaseRows, evaluate_spectrum, field_from_closure, field_from_spec
 from anisotl.frames import (
     FrameSystem,
     IndexSet,
@@ -313,6 +313,74 @@ class TestMolecules:
             probe = gamma.x + spatial_points(GRID)[::_STRIDE] @ np.asarray(E1.power(gamma.s)).T
             ref = np.stack([evaluate_spectrum(GRID, sl, probe) for sl in W.spec])
             assert np.array_equal(got, ref)
+
+    @pytest.fixture(scope="class")
+    def duals(self, vec, separated_gamma):
+        system = FrameSystem.build(vec, separated_gamma, GRID)
+        _, _, D = moment_problem(np.zeros(len(separated_gamma)), system)
+        return [system.synthesis(D[:, g]) for g in range(D.shape[1])]
+
+    def test_member_coefficients_match_uncarried_calls(self, vec, separated_gamma, duals):
+        assert len(np.unique(separated_gamma.ss)) >= 2
+        got = member_coefficients(duals, separated_gamma, vec, HGRID)
+        for member, gamma, vals in zip(duals, separated_gamma.points(), got):
+            assert np.array_equal(vals, np.abs(centered_coefficients(member, gamma, vec, HGRID)))
+
+    @staticmethod
+    def _carried_pair(vec, pair):
+        """Run two (member, point) pairs through one carry, check the second
+        against an uncarried call, and return the first call's union, the
+        carry and the phase rows the second call exponentiated."""
+        carry = PhaseRows()
+        centered_coefficients(*pair[0], vec, HGRID, carry)
+        union, before = carry.union, carry.exponentials
+        got = centered_coefficients(*pair[1], vec, HGRID, carry)
+        assert np.array_equal(got, centered_coefficients(*pair[1], vec, HGRID))
+        return union, carry, (carry.exponentials - before) // len(carry.union)
+
+    def test_new_scale_or_union_reuses_no_rows(self, vec, separated_gamma, duals):
+        points = separated_gamma.points()
+        probes = len(spatial_points(GRID)[::_STRIDE])
+        # consecutive members across a scale boundary
+        i = int(np.flatnonzero(np.diff(separated_gamma.ss))[0])
+        pair = [(duals[i], points[i]), (duals[i + 1], points[i + 1])]
+        union, carry, fresh = self._carried_pair(vec, pair)
+        assert not np.array_equal(union, carry.union) and fresh == probes
+        # one point, so equal probes, but an atom's narrower union
+        atom = atom_field(vec, points[i], GRID)
+        union, carry, fresh = self._carried_pair(vec, [(atom, points[i]), (duals[i], points[i])])
+        assert not np.array_equal(union, carry.union) and fresh == probes
+
+    def test_same_scale_neighbour_reuses_rows(self, vec, separated_gamma, duals):
+        points = separated_gamma.points()
+        probes = len(spatial_points(GRID)[::_STRIDE])
+        i = int(np.flatnonzero(np.diff(separated_gamma.ss) == 0)[0])
+        pair = [(duals[i], points[i]), (duals[i + 1], points[i + 1])]
+        union, carry, fresh = self._carried_pair(vec, pair)
+        assert np.array_equal(union, carry.union) and fresh < probes
+
+    def test_plane_shear_carry_matches_uncarried_calls(self):
+        # fresh rows are a smaller BLAS product than the full phase, so in
+        # d = 2 the values may differ in the last ulp
+        E = validate_expansive([[2.0, 1.0], [0.0, 2.0]])
+        grid = GridSpec(d=2, extent=2.0, n=32)
+        vec2 = make_admissible(make_covering_profile(E, grid))
+        hgrid = GroupGrid(grid=grid, s_min=0.0, s_max=0.5, ds=0.25)
+        gamma_set = sample_index_set(
+            GroupGrid(grid=grid, s_min=0.0, s_max=1.0, ds=0.25), E,
+            U=(0.25, 0.125), kind="separated", density_factor=2.0,
+        )
+        points = gamma_set.points()
+        members = [atom_field(vec2, g, grid) for g in points]
+        carry, full, carried = PhaseRows(), 0, []
+        for member, gamma in zip(members, points):
+            carried.append(centered_coefficients(member, gamma, vec2, hgrid, carry))
+            full += carry.phase.size
+            ref = centered_coefficients(member, gamma, vec2, hgrid)
+            assert np.allclose(carried[-1], ref, rtol=1e-12, atol=1e-12 * np.max(np.abs(ref)))
+        assert carry.exponentials < full
+        got = member_coefficients(members, gamma_set, vec2, hgrid)
+        assert all(np.array_equal(a, np.abs(b)) for a, b in zip(got, carried))
 
     def test_dual_envelope_accepts_duals(self, vec, separated_gamma):
         system = FrameSystem.build(vec, separated_gamma, GRID)
