@@ -47,13 +47,15 @@ from .field_engine import (
     field_from_spec,
     reconstruct,
 )
-from .peetre import MaximalField, PeetreField, check_submeanvalue, hl_maximal, peetre_maximal
 from .norms import (
+    MaximalField,
     NormParams,
     NormReport,
     band_arrays,
     besov_norm,
+    check_submeanvalue,
     embedding_check,
+    hl_maximal,
     peetre_arrays,
     tl_norm_inf,
     tl_norm_q,

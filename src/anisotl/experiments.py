@@ -856,7 +856,9 @@ def _alpha_prime(alpha: float, q: float) -> float:
 
 def _coorbit_field(f, vec, S, ggrid, base: NormParams, qs, flag_counts) -> list[tuple]:
     """Per q: f's coefficient-space norm, its plain norm and its continuous
-    Peetre norm; flag_counts gains the coefficient norms' flags.
+    Peetre norm; flag_counts gains the coefficient norms' flags, and under
+    "reference_scale_tail" the plain and Peetre norms whose scale_tail
+    flag fired.
 
     The sweeps of f's wavelet transform, the bands (over the union of the
     discrete scales and the qs' quadrature scales) and the continuous
@@ -874,9 +876,11 @@ def _coorbit_field(f, vec, S, ggrid, base: NormParams, qs, flag_counts) -> list[
         coeff_params = replace(params, alpha=-_alpha_prime(base.alpha, params.q))
         coeff_rep = pti_norm(ggrid, S, coeff_max, coeff_params)
         _count_flags(flag_counts, coeff_rep.flags)
-        plain = tl_norm_q(ggrid.grid, S, bands, replace(params, window="cube")).value
-        peetre = tl_peetre_norm(ggrid.grid, S, cont, params, discrete=False).value
-        out.append((coeff_rep.value, plain, peetre))
+        plain = tl_norm_q(ggrid.grid, S, bands, replace(params, window="cube"))
+        peetre = tl_peetre_norm(ggrid.grid, S, cont, params, discrete=False)
+        for rep in (plain, peetre):
+            _count_flags(flag_counts, {"reference_scale_tail": rep.flags["scale_tail"]})
+        out.append((coeff_rep.value, plain.value, peetre.value))
     return out
 
 

@@ -30,9 +30,7 @@ from .field_engine import (
 )
 from .grids import GridSpec, cached, freq_points, offset_index_vectors, spatial_points
 from .linalg_expansive import ExpansiveMatrix, QuasiNormStructure, per_value_product
-from .norms import (
-    NormParams, NormReport, _pick_scales, _weighted_terms, peetre_arrays, sup_over_windows
-)
+from .norms import NormParams, NormReport, peetre_arrays, windowed_norm
 
 # weight_v's candidates sit on the shells A^m Omega, |m| <= _V_SHELLS, in
 # _V_DIRECTIONS boundary directions.
@@ -349,17 +347,13 @@ def pti_norm(
     the q-th power sum.
     """
     params.require_characterization_beta()
-    E = S.owner
-    svals = ggrid.s_values
-    ds = ggrid.ds
+    absdet, ds = S.owner.absdet, ggrid.ds
     sups, flagged = maximal
-    sups = _pick_scales(sups, svals)
-    terms = _weighted_terms(
-        sups, params.alpha, params.q, E.absdet, lambda s: ds * E.absdet ** (-s)
+    rep = windowed_norm(
+        ggrid.grid, S, sups, ggrid.s_values, params,
+        lambda s: ds * absdet ** (-s), coupling="group",
     )
-    rep = sup_over_windows(ggrid.grid, S, terms, params, coupling="group")
     rep.flags["peetre_boundary"] = flagged
-    rep.flags["s_range"] = (float(svals[0]), float(svals[-1]))
     return rep
 
 
@@ -736,45 +730,42 @@ def local_maximal(
     """Windowed supremum over the group-translated unit neighborhood
     Q = [-a, a)^d x [-b, b).
 
-    side "left": sup_u |F(g u)|; side "two": sup_(u,v) |F(u g v)|.  The
-    neighborhood is sampled deterministically and field values are read
-    at the nearest grid node, a documented surrogate for the essential
-    supremum; the identity sample (0, 0) is always included, so the
-    result dominates |F|.
+    side "left": sup_v |F(g v)|; side "two": sup_(u,v) |F(u g v)|; any
+    other side raises ValueError.  Both run one loop over u-scale,
+    v-scale, u-shift and v-shift; the left side is the two-sided loop
+    whose only u-sample is the identity (0, 0).  The neighborhood is
+    sampled deterministically and field values are read at the nearest
+    grid node, a documented surrogate for the essential supremum; the
+    identity sample (0, 0) is always included, so the result dominates
+    |F|.
     """
     ggrid = F.ggrid
     grid = ggrid.grid
     pts = spatial_points(grid)
     svals = ggrid.s_values
     xs, ss = _unit_neighborhood_samples(ggrid, a, b, spatial_count)
+    if side == "left":
+        u_xs, u_ss = np.zeros((1, grid.d)), np.zeros(1)
+    elif side == "two":
+        u_xs, u_ss = xs, ss
+    else:
+        raise ValueError(f"unknown side {side!r}")
     abs_flat = F.abs_values.reshape(len(svals), -1)
     out = np.zeros((len(svals), grid.size))
     for i, s in enumerate(svals):
         acc = abs_flat[i].copy()
-        if side == "left":
-            M = np.asarray(E.power(float(s))).T
-            for us in ss:
-                src = i + int(round(us / ggrid.ds))
+        for us in u_ss:
+            Mu = np.asarray(E.power(float(us)))
+            Muv = np.asarray(E.power(float(us + s)))
+            base = pts @ Mu.T
+            for vs in ss:
+                src = i + int(round((us + vs) / ggrid.ds))
                 if not 0 <= src < len(svals):
                     continue
-                for ux in xs:
-                    shifted = pts + ux @ M
-                    np.maximum(acc, _snap_gather(grid, abs_flat[src], shifted), out=acc)
-        else:
-            for us in ss:
-                Mu = np.asarray(E.power(float(us)))
-                Muv = np.asarray(E.power(float(us + s)))
-                base = pts @ Mu.T
-                for vs in ss:
-                    src = i + int(round((us + vs) / ggrid.ds))
-                    if not 0 <= src < len(svals):
-                        continue
-                    for ux in xs:
-                        for vx in xs:
-                            shifted = ux + base + vx @ Muv.T
-                            np.maximum(
-                                acc, _snap_gather(grid, abs_flat[src], shifted), out=acc
-                            )
+                for ux in u_xs:
+                    for vx in xs:
+                        shifted = ux + base + vx @ Muv.T
+                        np.maximum(acc, _snap_gather(grid, abs_flat[src], shifted), out=acc)
         out[i] = acc
     return GroupField(ggrid=ggrid, vals=out.reshape((len(svals),) + grid.shape))
 

@@ -1,6 +1,8 @@
 """Endpoint smoothness quasi-norms: localized window averages of scale
 aggregates, their l-infinity variants, the sup-norm scale form, and the
-Peetre-type characterizations.
+Peetre-type characterizations; with them the anisotropic Hardy-Littlewood
+maximal operator, whose ball averages are the ball windows', and the
+sub-mean-value check of Peetre maximal fields.
 
 Every norm here is a supremum of window averages over a truncated family
 of windows (dilated cubes or quasi-norm balls), with the inner scale
@@ -21,10 +23,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import WindowOutOfDomain
-from .field_engine import SampledField, convolve_scale
+from .field_engine import SampledField, ScaleBand, convolve_scale
 from .grids import GridSpec, cached, offset_index_vectors, spatial_points
 from .linalg_expansive import QuasiNormStructure
-from .peetre import offset_shells, weighted_sup_multi
+from .peetre import _ball_maxima, _ball_windows, offset_shells, weighted_sup_multi
 
 _COUPLE_TOL = 1e-9
 _TAIL_FRACTION = 1e-6
@@ -154,6 +156,7 @@ def cube_windows(grid: GridSpec, S: QuasiNormStructure, ell: int) -> _CubeWindow
 class _BallWindows:
     kernel_fft: np.ndarray   # FFT of indicator / count
     admissible: np.ndarray   # bool per grid point (flat): usable center
+    inside: np.ndarray       # bool per torus offset (flat): the ball A^ell Omega
     count: int
 
     def means(self, values_flat: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -175,6 +178,7 @@ def ball_windows(grid: GridSpec, S: QuasiNormStructure, ell: int) -> _BallWindow
             return _BallWindows(
                 kernel_fft=np.zeros(grid.shape, dtype=complex),
                 admissible=np.zeros(grid.size, dtype=bool),
+                inside=inside,
                 count=0,
             )
         kern = np.zeros(grid.size)
@@ -183,7 +187,9 @@ def ball_windows(grid: GridSpec, S: QuasiNormStructure, ell: int) -> _BallWindow
         ext = np.max(np.abs(z[inside]), axis=0)
         pts = spatial_points(grid)
         admissible = np.all(np.abs(pts) <= grid.extent - ext - grid.h, axis=1)
-        return _BallWindows(kernel_fft=kernel_fft, admissible=admissible, count=count)
+        return _BallWindows(
+            kernel_fft=kernel_fft, admissible=admissible, inside=inside, count=count
+        )
 
     return cached(_WINDOW_CACHE, ("ball", grid, S.value_key, ell), build)
 
@@ -377,15 +383,32 @@ def _pick_scales(arrays: dict, scales) -> dict[float, np.ndarray]:
     return {s: arrays[s] for s in keys}
 
 
+def windowed_norm(
+    grid: GridSpec,
+    S: QuasiNormStructure,
+    arrays: dict,
+    scales,
+    params: NormParams,
+    quad_weight,
+    coupling: str = "fine",
+) -> NormReport:
+    """The body shared by tl_norm_q, tl_peetre_norm and pti_norm: the
+    arrays at scales, looked up by exact key, weighted by
+    |det A|^(alpha s) and, below q = inf, raised to the q-th power with
+    quadrature weight quad_weight(s); then sup_over_windows with coupling.
+    The Peetre-type callers add their sweep's peetre_boundary flag."""
+    picked = _pick_scales(arrays, scales)
+    terms = _weighted_terms(picked, params.alpha, params.q, S.owner.absdet, quad_weight)
+    return sup_over_windows(grid, S, terms, params, coupling=coupling)
+
+
 def tl_norm_q(
     grid: GridSpec, S: QuasiNormStructure, bands: dict, params: NormParams
 ) -> NormReport:
     """Localized small-scale norm with the l^q sum inside the window average
     (for q = inf, the sup over scales outside it), from the bands
     |f * phi_j| at params.discrete_scales."""
-    bands = _pick_scales(bands, params.discrete_scales)
-    terms = _weighted_terms(bands, params.alpha, params.q, S.owner.absdet, lambda s: 1.0)
-    return sup_over_windows(grid, S, terms, params, coupling="fine")
+    return windowed_norm(grid, S, bands, params.discrete_scales, params, lambda s: 1.0)
 
 
 def tl_norm_inf(
@@ -427,11 +450,10 @@ def tl_peetre_norm(
     params.require_characterization_beta()
     arrays, flagged = maximal
     if discrete:
-        arrays, step = _pick_scales(arrays, params.discrete_scales), 1.0
+        scales, step = params.discrete_scales, 1.0
     else:
-        arrays, step = _pick_scales(arrays, params.continuous_scales), params.effective_s_step
-    terms = _weighted_terms(arrays, params.alpha, params.q, S.owner.absdet, lambda s: step)
-    rep = sup_over_windows(grid, S, terms, params, coupling="fine")
+        scales, step = params.continuous_scales, params.effective_s_step
+    rep = windowed_norm(grid, S, arrays, scales, params, lambda s: step)
     rep.flags["peetre_boundary"] = flagged
     return rep
 
@@ -447,3 +469,71 @@ def embedding_check(tl_q: NormReport, tl_inf: NormReport, besov: NormReport) -> 
         "inf_over_q": tl_inf.value / tl_q.value,
         "besov_over_inf": besov.value / tl_inf.value,
     }
+
+
+# ---------------------------------------------------------------------------
+# Maximal inequalities
+# ---------------------------------------------------------------------------
+
+
+def check_submeanvalue(
+    band: ScaleBand,
+    S: QuasiNormStructure,
+    beta: float,
+    q: float,
+    search_radius_shells: int = 3,
+) -> dict:
+    """Compare the q-th power of the maximal field against the weighted
+    band average dominating it; reports the worst ratio (finite and stable
+    when the sub-mean-value inequality holds)."""
+    E = S.owner
+    Ms = E.power(band.scale)
+    grid = band.grid
+    sweep = peetre_arrays(grid, S, {band.scale: band.abs_values}, [beta], search_radius_shells)
+    fields, flag = sweep[beta]
+    rho = S.rho((offset_index_vectors(grid) * grid.h) @ Ms.T)
+    kernel = (grid.cell_volume / (1.0 + rho) ** (beta * q)).reshape(grid.shape)
+    rhs = np.fft.ifftn(np.fft.fftn(band.abs_values**q) * np.fft.fftn(kernel)).real
+    rhs *= E.absdet ** band.scale
+    lhs = fields[band.scale].reshape(grid.shape) ** q
+    mask = rhs > 1e-300
+    ratio = np.zeros_like(lhs)
+    ratio[mask] = lhs[mask] / rhs[mask]
+    return {
+        "max_ratio": float(np.max(ratio)) if np.any(mask) else 0.0,
+        "mean_ratio": float(np.mean(ratio[mask])) if np.any(mask) else 0.0,
+        "boundary_flag": flag,
+    }
+
+
+@dataclass(frozen=True)
+class MaximalField:
+    """Anisotropic Hardy-Littlewood maximal function over shell balls."""
+
+    values: np.ndarray
+    shell_range: tuple[int, int]
+
+
+def hl_maximal(
+    source: np.ndarray,
+    S: QuasiNormStructure,
+    shell_range: tuple[int, int],
+    grid: GridSpec,
+) -> MaximalField:
+    """sup over balls B = A^l Omega + z containing x of the average of
+    |source| over B, for l in shell_range; the degenerate single-cell
+    ball is always included so the result dominates |source|.  The
+    averages are the ball windows' means at level l."""
+    lo, hi = shell_range
+    absval = np.abs(np.asarray(source)).astype(float)
+    result = absval.copy()  # single-cell ball
+    for level in range(lo, hi + 1):
+        table = ball_windows(grid, S, level)
+        if table.count == 0:
+            continue
+        avg = table.means(absval.ravel(), grid).reshape(grid.shape)
+        # sup over ball centers within x + A^l Omega
+        (ball_max,) = _ball_maxima(avg, _ball_windows(table.inside.reshape((1,) + grid.shape)))
+        np.maximum(result, ball_max, out=result)
+    result.flags.writeable = False
+    return MaximalField(values=result, shell_range=(lo, hi))

@@ -1,5 +1,4 @@
-"""Peetre-type maximal functions and the anisotropic Hardy-Littlewood
-maximal operator.
+"""The Peetre shell sweep: weighted suprema over torus offsets.
 
 The supremum over offsets z is organized by quasi-norm shells: the weight
 (1 + rho(A^m z))^-beta is constant on each shell, so the running maximum
@@ -10,7 +9,8 @@ and stores each ball as the power-of-two windows covering its row runs.
 _ball_maxima wrap-pads the field once and reads every window from a
 lazily built doubling table of running maxima over the last axis (van
 Herk / Gil-Werman), so a sweep takes two views per run, gathers nothing
-per offset and is bit-exact.
+per offset and is bit-exact; norms.hl_maximal takes its suprema over
+ball centers from the same tables.
 Far shells beyond the search radius are dropped; a boundary dominance
 flag marks points where the outermost shell still competes, making the
 truncation auditable.
@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field_engine import ScaleBand
 from .grids import GridSpec, cached, offset_index_vectors
 from .linalg_expansive import QuasiNormStructure
 
@@ -61,8 +60,11 @@ def offset_shells(
 
     One shell_index call gives every nonzero offset its shell; ball_m
     holds the origin and the offsets of shell <= m, for each present shell
-    m <= search_shells (shells lie in [-CL - 1, CL]).
+    m <= search_shells (shells lie in [-CL - 1, CL]).  A search radius
+    below 1 raises ValueError.
     """
+    if search_shells < 1:
+        raise ValueError(f"search_shells = {search_shells} must be at least 1")
     matrix = np.asarray(scale_matrix, dtype=float)
     key = (grid, S.value_key, matrix.tobytes(), search_shells)
     return cached(_SHELL_CACHE, key, lambda: _build_shells(grid, S, matrix, search_shells))
@@ -182,100 +184,3 @@ def weighted_sup_multi(
         res.flags.writeable = False
         out[b] = (res, flag)
     return out
-
-
-@dataclass(frozen=True)
-class PeetreField:
-    """Weighted maximal field of one scale band."""
-
-    scale: float
-    beta: float
-    values: np.ndarray
-    boundary_flag: bool
-
-
-def peetre_maximal(
-    band: ScaleBand,
-    S: QuasiNormStructure,
-    beta: float,
-    search_radius_shells: int = 2,
-) -> PeetreField:
-    """sup_z |(f * phi_s)(x+z)| / (1 + rho(A^s z))^beta on the grid."""
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    if search_radius_shells < 1:
-        raise ValueError("searchRadiusShells must be >= 1")
-    E = S.owner
-    struct = offset_shells(band.grid, S, E.power(band.scale), search_radius_shells)
-    res = weighted_sup_multi(band.abs_values, struct, [beta], E.absdet)
-    values, flag = res[beta]
-    return PeetreField(scale=band.scale, beta=beta, values=values, boundary_flag=flag)
-
-
-def check_submeanvalue(
-    band: ScaleBand,
-    S: QuasiNormStructure,
-    beta: float,
-    q: float,
-    search_radius_shells: int = 3,
-) -> dict:
-    """Compare the q-th power of the maximal field against the weighted
-    band average dominating it; reports the worst ratio (finite and stable
-    when the sub-mean-value inequality holds)."""
-    E = S.owner
-    Ms = E.power(band.scale)
-    grid = band.grid
-    pf = peetre_maximal(band, S, beta, search_radius_shells)
-    rho = S.rho((offset_index_vectors(grid) * grid.h) @ Ms.T)
-    kernel = (grid.cell_volume / (1.0 + rho) ** (beta * q)).reshape(grid.shape)
-    rhs = np.fft.ifftn(np.fft.fftn(band.abs_values**q) * np.fft.fftn(kernel)).real
-    rhs *= E.absdet ** band.scale
-    lhs = pf.values**q
-    mask = rhs > 1e-300
-    ratio = np.zeros_like(lhs)
-    ratio[mask] = lhs[mask] / rhs[mask]
-    return {
-        "max_ratio": float(np.max(ratio)) if np.any(mask) else 0.0,
-        "mean_ratio": float(np.mean(ratio[mask])) if np.any(mask) else 0.0,
-        "boundary_flag": pf.boundary_flag,
-    }
-
-
-@dataclass(frozen=True)
-class MaximalField:
-    """Anisotropic Hardy-Littlewood maximal function over shell balls."""
-
-    values: np.ndarray
-    shell_range: tuple[int, int]
-
-
-def hl_maximal(
-    source: np.ndarray,
-    S: QuasiNormStructure,
-    shell_range: tuple[int, int],
-    grid: GridSpec,
-) -> MaximalField:
-    """sup over balls B = A^l Omega + z containing x of the average of
-    |source| over B, for l in shell_range; the degenerate single-cell
-    ball is always included so the result dominates |source|."""
-    lo, hi = shell_range
-    absval = np.abs(np.asarray(source)).astype(float)
-    offs = offset_index_vectors(grid)
-    z = offs * grid.h
-    result = absval.copy()  # single-cell ball
-    for level in range(lo, hi + 1):
-        M = np.linalg.inv(np.asarray(S.owner.power(level)))
-        inside = S.contains(z @ M.T)
-        count = int(np.count_nonzero(inside))
-        if count == 0:
-            continue
-        kern = np.zeros(grid.size)
-        kern[inside] = 1.0 / count
-        avg = np.fft.ifftn(
-            np.fft.fftn(absval) * np.fft.fftn(kern.reshape(grid.shape))
-        ).real
-        # sup over ball centers within x + A^l Omega
-        (ball_max,) = _ball_maxima(avg, _ball_windows(inside.reshape((1,) + grid.shape)))
-        np.maximum(result, ball_max, out=result)
-    result.flags.writeable = False
-    return MaximalField(values=result, shell_range=(lo, hi))

@@ -87,6 +87,7 @@ def test_criterion_09_coorbit_identification():
     result = _run("9 coorbit identification", run_coorbit, budget=5.0)
     for row in result["rows"]:
         assert 0 < row["ratio_min"] <= row["ratio_max"]
+    assert "reference_scale_tail" not in result["manifest"]["flag_counts"]
 
 
 def test_criterion_10_frames():

@@ -373,6 +373,19 @@ class TestCli:
                 ["run", "--kind", "embedding", "--set", "alpha=1e308"],
                 "config error: embedding: |det A|^(alpha s) overflows at alpha = 1e+308, s = 1",
             ),
+            # every Peetre sweep searches at least one shell
+            (
+                ["run", "--kind", "norm-equivalence", "--set", "search_shells=0"],
+                "config error: norm-equivalence: search_shells = 0 must be at least 1",
+            ),
+            (
+                ["run", "--kind", "norm-equivalence", "--set", "search_shells=-100"],
+                "config error: norm-equivalence: search_shells = -100 must be at least 1",
+            ),
+            (
+                ["run", "--kind", "coorbit", "--set", "search_shells=0"],
+                "config error: coorbit: search_shells = 0 must be at least 1",
+            ),
         ],
     )
     def test_bad_config_value_exit_two(self, tmp_path, capsys, argv, message):

@@ -151,6 +151,14 @@ def test_coorbit_search_shells_reaches_the_norms(monkeypatch):
     assert {k for _, k in seen["group_analysis"] + seen["norms"]} == {5}
 
 
+def test_coorbit_counts_comparison_norm_tails():
+    # at scale_max 0 the finest scale of the plain and continuous Peetre
+    # norms still weighs at the optimum in 8 of the 12 comparison norms
+    # (3 qs, 2 grids, 2 norms); at the default scale_max 4 it never does
+    result = experiments.run_coorbit({"scale_max": 0, "suite": {"count": 1}})
+    assert result["manifest"]["flag_counts"]["reference_scale_tail"] == 8
+
+
 QS = [0.5, 1.0, "inf"]  # q = 0.5 tightens the continuous step to 1/16
 COORBIT = {"grid": {"n": 256}, "suite": {"count": 2}, "beta": 2.5, "qs": QS}
 EMBEDDING = {"grid": {"n": 256}, "suite": {"count": 2}, "qs": QS}

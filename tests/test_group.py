@@ -473,6 +473,11 @@ class TestLocalMaximal:
         two = local_maximal(W, E1, a=0.5, b=0.5, side="two", spatial_count=2)
         assert np.all(two.values >= left.values - 1e-12)
 
+    def test_unknown_side_raises(self, psi_vec, suite_field):
+        W = wavelet_transform(suite_field, psi_vec, GGRID)
+        with pytest.raises(ValueError, match="unknown side 'right'"):
+            local_maximal(W, E1, side="right")
+
     def test_left_equivariance_on_grid_translations(self, psi_vec, suite_field):
         # pure spatial shift: the snapped sampling commutes exactly
         W = wavelet_transform(suite_field, psi_vec, GGRID)

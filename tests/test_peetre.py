@@ -11,13 +11,8 @@ from anisotl.linalg_expansive import (
     measure_nu_constant,
     validate_expansive,
 )
-from anisotl.peetre import (
-    check_submeanvalue,
-    hl_maximal,
-    offset_shells,
-    peetre_maximal,
-    weighted_sup_multi,
-)
+from anisotl.norms import check_submeanvalue, hl_maximal, peetre_arrays
+from anisotl.peetre import offset_shells, weighted_sup_multi
 
 E1 = validate_expansive([[2.0]])
 GRID1 = GridSpec(d=1, extent=8.0, n=512)
@@ -46,30 +41,36 @@ def band(phi):
     return convolve_scale(f, phi, 1.5)
 
 
+def _peetre(band, beta, shells=2):
+    """band's Peetre maximal field at beta, on its grid."""
+    sweep = peetre_arrays(band.grid, S1, {band.scale: band.abs_values}, [beta], shells)
+    return sweep[beta][0][band.scale].reshape(band.grid.shape)
+
+
 class TestPeetreMaximal:
     def test_dominates_band(self, band):
-        pf = peetre_maximal(band, S1, beta=1.0)
-        assert np.all(pf.values >= band.abs_values - 1e-15)
+        pf = _peetre(band, beta=1.0)
+        assert np.all(pf >= band.abs_values - 1e-15)
 
     def test_monotone_in_beta(self, band):
-        lo = peetre_maximal(band, S1, beta=0.5)
-        hi = peetre_maximal(band, S1, beta=2.0)
-        assert np.all(lo.values >= hi.values - 1e-15)
+        lo = _peetre(band, beta=0.5)
+        hi = _peetre(band, beta=2.0)
+        assert np.all(lo >= hi - 1e-15)
 
     def test_large_beta_collapses_to_band(self, band):
-        pf = peetre_maximal(band, S1, beta=64.0)
+        pf = _peetre(band, beta=64.0)
         scale = np.max(band.abs_values)
-        assert np.max(np.abs(pf.values - band.abs_values)) <= 0.01 * scale
+        assert np.max(np.abs(pf - band.abs_values)) <= 0.01 * scale
 
     def test_constant_band(self):
         spec = values_to_spec(GRID1, np.full(GRID1.shape, 2.5, dtype=complex))
         const = ScaleBand(scale=0.0, spec=spec, grid=GRID1)
-        pf = peetre_maximal(const, S1, beta=1.5)
-        assert np.allclose(pf.values, 2.5, atol=1e-12)
+        pf = _peetre(const, beta=1.5)
+        assert np.allclose(pf, 2.5, atol=1e-12)
 
     def test_brute_force_oracle(self, band):
         # direct double loop on a decimated grid
-        pf = peetre_maximal(band, S1, beta=1.0, search_radius_shells=2)
+        pf = _peetre(band, beta=1.0, shells=2)
         vals = band.abs_values
         n = GRID1.n
         offsets = np.arange(n)
@@ -81,11 +82,11 @@ class TestPeetreMaximal:
         kept_offsets = offsets[keep]
         for x_idx in range(0, n, 37):
             cand = vals[(x_idx + kept_offsets) % n] * weights
-            assert pf.values[x_idx] == pytest.approx(np.max(cand), rel=1e-12)
+            assert pf[x_idx] == pytest.approx(np.max(cand), rel=1e-12)
 
     def test_quasi_translation_bound(self, band):
         # full-search maximal field transported between base points
-        pf = peetre_maximal(band, S1, beta=1.0, search_radius_shells=10**6)
+        pf = _peetre(band, beta=1.0, shells=10**6)
         nu = WeightNu(S1, beta=1.0)
         K = measure_nu_constant(nu, n=8192, seed=2)
         Ms = E1.power(band.scale)
@@ -94,7 +95,7 @@ class TestPeetreMaximal:
         for _ in range(32):
             i, j = rng.integers(0, GRID1.n, size=2)
             gap = nu((xs[i] - xs[j]) @ Ms.T)
-            assert pf.values[i] <= 1.02 * K * gap[0] * pf.values[j]
+            assert pf[i] <= 1.02 * K * gap[0] * pf[j]
 
 
 def _torus_shells(grid, S, M):
@@ -184,7 +185,8 @@ def test_sweep_matches_roll_reference(matrix, grid, search_shells, monkeypatch):
 @pytest.mark.parametrize("matrix", [[[2.0]], SHEAR, DIAG24])
 def test_balls_are_the_shell_sets(matrix):
     """Ball by ball, the windows cover exactly {0} u {z : shell(M z) <= m},
-    and the kept shells and truncation flag are those of the bisection."""
+    and the kept shells and truncation flag are those of the bisection; a
+    search radius below 1 is refused."""
     E = validate_expansive(matrix)
     S = build_ellipsoid(E)
     grid = GridSpec(d=E.d, extent=8.0 if E.d == 1 else 2.0, n=256 if E.d == 1 else 16)
@@ -193,7 +195,9 @@ def test_balls_are_the_shell_sets(matrix):
         M = E.power(s)
         offs, shell, nonzero = _torus_shells(grid, S, M)
         present = np.unique(shell[nonzero])
-        for K in (0, 1, 2, 9):
+        with pytest.raises(ValueError, match="search_shells = 0 must be at least 1"):
+            offset_shells(grid, S, M, 0)
+        for K in (1, 2, 9):
             struct = offset_shells(grid, S, M, K)
             assert struct.shells == tuple(int(m) for m in present[present <= K])
             assert struct.truncated == bool(np.any(present > K))
