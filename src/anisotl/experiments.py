@@ -210,6 +210,9 @@ DEFAULTS: dict = {
 # config.
 _OPTIONAL_KEYS = {"experiment"}
 
+# Last path components of the [lo, hi] pairs a runner unpacks.
+_RANGE_KEYS = {"ell_range", "s_range", "t_range", "U"}
+
 
 def merged_config(kind: str, config: dict | None) -> dict:
     """The kind's defaults overridden by config; nested dicts merge key by
@@ -217,8 +220,8 @@ def merged_config(kind: str, config: dict | None) -> dict:
     the defaults do not have (outside ``_OPTIONAL_KEYS``), an override
     that puts an object where the default has none or the other way
     round, or one that breaks the default's integer, boolean or number
-    type (see _check_type), or a scale step ds that is not positive,
-    raises ValueError."""
+    type (see _check_type), a range that is not a pair, or a scale step ds
+    that is not positive, raises ValueError."""
     config = {} if config is None else config
     if not isinstance(config, dict):
         raise ValueError(f"{kind} must be an object, got {config!r}")
@@ -285,6 +288,8 @@ def _check_type(key: str, default, value) -> None:
             raise ValueError(f"{key} must be a list of objects, got {value!r}")
         for i, item in enumerate(value):
             _check_item(f"{key}[{i}]", default[0], item)
+    if key.rsplit(".", 1)[-1] in _RANGE_KEYS and len(value) != 2:
+        raise ValueError(f"{key} must have two items, got {value!r}")
 
 
 def _check_item(key: str, template: dict, item) -> None:
@@ -739,6 +744,9 @@ def run_translation_bounds(config: dict | None = None) -> dict:
         ell_max=2,
         window="ball",
     )
+    if not fields:
+        raise ValueError(f"suite.count = {cfg['suite']['count']} leaves no field to translate")
+    transforms = [wavelet_transform(f, vec, ggrid) for f in fields]
     rng = np.random.default_rng(int(cfg["seed"]))
     rows = []
     flag_counts: dict = {}
@@ -749,8 +757,7 @@ def run_translation_bounds(config: dict | None = None) -> dict:
         ("nonpositive", np.array([0.0, -ds, -2 * ds, -1.0])),
     ):
         for k in range(per_branch):
-            f = fields[k % len(fields)]
-            W = wavelet_transform(f, vec, ggrid)
+            W = transforms[k % len(transforms)]
             t = float(rng.choice(t_choices))
             y = rng.uniform(-1.5, 1.5, size=E.d)
             rep = translation_bound_check(

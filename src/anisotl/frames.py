@@ -46,7 +46,6 @@ class IndexSet:
     xs: np.ndarray          # (n, d) spatial components
     ss: np.ndarray          # (n,)
     U: tuple[float, float]  # unit cell [-a, a)^d x [-b, b)
-    kind: str               # "covering" | "separated"
     stats: dict
 
     def __len__(self) -> int:
@@ -70,11 +69,14 @@ def sample_index_set(
     The spatial spacing is 2 a_U density and the scale spacing snaps to
     the ds grid; density <= 1 yields a covering of the truncated domain,
     density >= 1 a separated family (half-open cells tile at density 1).
+    A spatial spacing that is not positive raises ValueError.
     """
     a_u, b_u = U
     grid = ggrid.grid
     ds = ggrid.ds
     a_step = 2.0 * a_u * density_factor
+    if not a_step > 0:
+        raise ValueError(f"{kind} lattice spacing 2 U[0] density = {a_step:g} must be positive")
     s_step = max(ds, round(2.0 * b_u * density_factor / ds) * ds)
     s_lo, s_hi = ggrid.s_min, ggrid.s_max
     n_slabs = int(math.floor((s_hi - s_lo) / s_step)) + 1
@@ -118,7 +120,7 @@ def sample_index_set(
             )
     else:
         raise ValueError(f"unknown index set kind {kind!r}")
-    return IndexSet(xs=xs, ss=ss, U=(a_u, b_u), kind=kind, stats=stats)
+    return IndexSet(xs=xs, ss=ss, U=(a_u, b_u), stats=stats)
 
 
 def _covering_stats(ggrid, E, xs, ss, U, core) -> tuple[float, int]:
@@ -224,17 +226,12 @@ class FrameSystem:
         atoms, active = atom_spectra(vec, Gamma, grid)
         return cls(vec=vec, Gamma=Gamma, grid=grid, atoms=atoms, active=active)
 
-    @functools.cached_property
-    def conj_atoms(self) -> np.ndarray:
-        """conj(atoms), computed once for every analysis call."""
-        conj = np.conj(self.atoms)
-        conj.flags.writeable = False
-        return conj
-
     def analysis(self, f: SampledField) -> np.ndarray:
-        """c_gamma = <f, pi(gamma) psi>, exact on the torus pairing."""
+        """c_gamma = <f, pi(gamma) psi>, exact on the torus pairing; rounds
+        as conj(atoms) @ coef without a conjugated copy of the atoms (an
+        imaginary part that sums to exactly 0 comes back as -0.0)."""
         coef = f.spec.ravel()[self.active]
-        return self.grid.box_volume * (self.conj_atoms @ coef)
+        return self.grid.box_volume * np.conj(self.atoms @ np.conj(coef))
 
     def synthesis(self, c: np.ndarray) -> SampledField:
         if len(c) != len(self.atoms):
@@ -247,14 +244,14 @@ class FrameSystem:
 
     def frame_operator_matrix(self) -> np.ndarray:
         """S on the active spectral coefficients (Hermitian PSD)."""
-        return self.grid.box_volume * (self.atoms.T @ self.conj_atoms)
+        return self.grid.box_volume * (self.atoms.T @ np.conj(self.atoms))
 
     def apply_frame_operator(self, f: SampledField) -> SampledField:
         return self.synthesis(self.analysis(f))
 
     def gramian(self) -> np.ndarray:
         """G[i, j] = <atom_j, atom_i>."""
-        return self.grid.box_volume * (self.conj_atoms @ self.atoms.T)
+        return self.grid.box_volume * (np.conj(self.atoms) @ self.atoms.T)
 
 
 def synthesis(c, atoms: list[SampledField], gauge) -> SampledField:
@@ -377,7 +374,6 @@ class MolecularSystem:
     _STRIDE, as member_coefficients computes them.
     """
 
-    Gamma: IndexSet
     envelope: GroupField
     coefficients: list[np.ndarray]
 
@@ -470,7 +466,6 @@ def dual_envelope(system: FrameSystem, D: np.ndarray, hgrid: GroupGrid) -> Molec
     full_flat = np.repeat(env, _STRIDE, axis=1)[:, : hgrid.grid.size]
     full = full_flat.reshape((len(hgrid.s_values),) + hgrid.grid.shape)
     return MolecularSystem(
-        Gamma=system.Gamma,
         envelope=GroupField(ggrid=hgrid, vals=full),
         coefficients=coefs,
     )

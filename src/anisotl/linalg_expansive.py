@@ -196,8 +196,7 @@ def matrix_from_json(obj: dict) -> ExpansiveMatrix:
 @dataclass(frozen=True)
 class QuasiNormStructure:
     """Ellipsoid Omega = {x : x^T Q x < c} with m(Omega) = 1, plus the
-    expansion gap r > 1 with Omega subset r*Omega subset A*Omega, and the
-    measured quasi-triangle constant.
+    expansion gap r > 1 with Omega subset r*Omega subset A*Omega.
 
     The quasi-norm takes the value |det A|^j on the shell
     A^(j+1)Omega \\ A^j Omega and 0 at the origin.
@@ -207,7 +206,6 @@ class QuasiNormStructure:
     Q: np.ndarray
     c: float
     r: float
-    quasi_triangle_c: float
     _neg_powers: np.ndarray = field(repr=False)  # [k] = A^{-(k - SHELL_CLAMP)}
     _pow_table: np.ndarray = field(repr=False)   # |det A|^j, j in [-CL, CL+1]
     _level_bounds: np.ndarray = field(repr=False)  # (2, 2CL+1), see _level_bounds
@@ -338,7 +336,6 @@ def build_ellipsoid(E: ExpansiveMatrix) -> QuasiNormStructure:
         Q=_freeze(Q),
         c=float(c),
         r=float(r),
-        quasi_triangle_c=float("nan"),
         _neg_powers=neg_powers,
         _pow_table=_det_powers(E.absdet),
         _level_bounds=_level_bounds(Q, cond, neg_powers),
@@ -348,9 +345,6 @@ def build_ellipsoid(E: ExpansiveMatrix) -> QuasiNormStructure:
         raise NotExpansive("expansion gap certificate failed on boundary sample")
     if not np.all(structure.contains(bnd / r)):
         raise NotExpansive("Omega subset r*Omega failed on boundary sample")
-
-    c_emp = measure_quasi_triangle(structure, n=4096, seed=7)
-    object.__setattr__(structure, "quasi_triangle_c", c_emp)
     return structure
 
 

@@ -386,6 +386,44 @@ class TestCli:
                 ["run", "--kind", "coorbit", "--set", "search_shells=0"],
                 "config error: coorbit: search_shells = 0 must be at least 1",
             ),
+            # a range is a pair, a scale range is not empty, a lattice
+            # spacing is positive and a translated suite has a field
+            (
+                ["run", "--kind", "norm-equivalence", "--set", "ell_range=[1]"],
+                "config error: norm-equivalence: ell_range must have two items, got [1]",
+            ),
+            (
+                ["run", "--kind", "embedding", "--set", "ell_range=[2]"],
+                "config error: embedding: ell_range must have two items, got [2]",
+            ),
+            (
+                ["run", "--kind", "coorbit", "--set", "ell_range=[2,-2,0]"],
+                "config error: coorbit: ell_range must have two items, got [2, -2, 0]",
+            ),
+            (
+                ["run", "--kind", "wavelet-repro", "--set", "s_range=[0.5,-3.5]"],
+                "config error: wavelet-repro: s_max = -3.5 lies below s_min = 0.5",
+            ),
+            (
+                ["run", "--kind", "translation-bounds", "--set", "s_range=[0.5,-3.5]"],
+                "config error: translation-bounds: s_max = -3.5 lies below s_min = 0.5",
+            ),
+            (
+                ["run", "--kind", "frames", "--set", "covering.density=0"],
+                "config error: frames: covering lattice spacing 2 U[0] density = 0 must be positive",
+            ),
+            (
+                ["run", "--kind", "frames", "--set", "covering.U=[0,0]"],
+                "config error: frames: covering lattice spacing 2 U[0] density = 0 must be positive",
+            ),
+            (
+                ["run", "--kind", "frames", "--set", "separated.U=[0,0]"],
+                "config error: frames: separated lattice spacing 2 U[0] density = 0 must be positive",
+            ),
+            (
+                ["run", "--kind", "translation-bounds", "--set", "suite.count=0"],
+                "config error: translation-bounds: suite.count = 0 leaves no field to translate",
+            ),
         ],
     )
     def test_bad_config_value_exit_two(self, tmp_path, capsys, argv, message):

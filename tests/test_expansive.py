@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import expm, logm
 
 import anisotl
+from anisotl import cli, linalg_expansive
 from anisotl.errors import NotExpansive, NotExponential, Singular
 from anisotl.grids import GridSpec, freq_points, lattice_grid
 from anisotl.linalg_expansive import (
@@ -226,6 +227,24 @@ class TestEllipsoid:
         pts = rng.uniform(-box, box, size=(200_000, d))
         frac = np.mean(S.contains(pts))
         assert frac * (2 * box) ** d == pytest.approx(1.0, abs=0.05)
+
+    def test_build_samples_nothing_and_diagnostics_measure(self, monkeypatch):
+        # the quasi-triangle constant is measured where validate --diagnostics
+        # prints it, not in every build
+        calls = []
+        real = linalg_expansive.sample_points
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(linalg_expansive, "sample_points", counting)
+        matrix = {"dim": 2, "entries": [2.0, 1.0, 0.0, 2.0]}
+        S = build_ellipsoid(matrix_from_json(matrix))
+        assert calls == []
+        record = cli._ellipsoid_record(matrix)
+        c_emp = measure_quasi_triangle(S, n=4096, seed=7)
+        assert record["output"]["quasi_triangle_c"] == c_emp
 
     @pytest.mark.parametrize("mat", [[[2.0]], np.diag([2.0, 4.0]), JORDAN])
     def test_expansion_gap(self, mat):

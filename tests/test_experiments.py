@@ -97,6 +97,20 @@ def test_frames_exponentiates_about_half_the_phase_entries(monkeypatch):
     assert seen["computed"] <= 2_900_000
 
 
+def test_translation_bounds_transforms_each_field_once(monkeypatch):
+    # the pairs cycle through the suite and share each field's transform
+    calls = []
+    real = experiments.wavelet_transform
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(experiments, "wavelet_transform", counting)
+    run_translation_bounds()
+    assert len(calls) == experiments.DEFAULTS["translation-bounds"]["suite"]["count"] == 4
+
+
 @pytest.mark.parametrize(
     "runner, config",
     [

@@ -176,6 +176,12 @@ def test_translations_check_the_field_and_the_shift_alike(psi_vec, suite_field, 
         translate(W, group_point([0.5], 0.1), E1)
 
 
+def test_l2_norm_needs_spectral_slices():
+    values_only = GroupField(ggrid=GGRID, vals=np.ones((len(GGRID.s_values),) + GRID.shape))
+    with pytest.raises(ValueError, match="slice evaluation needs spectral slices"):
+        values_only.l2_norm(E1.absdet)
+
+
 class TestReproducing:
     def test_self_reproducing(self, psi_vec):
         psi_f = psi_spatial_field(psi_vec, GRID)

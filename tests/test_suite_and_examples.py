@@ -124,7 +124,7 @@ class TestFrameEdges:
     def test_empty_index_set(self, phi):
         vec = make_admissible(phi)
         empty = IndexSet(
-            xs=np.zeros((0, 1)), ss=np.zeros(0), U=(0.25, 0.25), kind="separated", stats={}
+            xs=np.zeros((0, 1)), ss=np.zeros(0), U=(0.25, 0.25), stats={}
         )
         system = FrameSystem.build(vec, empty, GRID)
         fields = suite_generate(SuiteSpec(count=1, seed=2), GRID, phi.gauge)
