@@ -215,7 +215,6 @@ class AdmissibleVector:
 
     psi: SpectralProfile
     s_step: float
-    raw_energy: float
 
     @property
     def matrix(self) -> ExpansiveMatrix:
@@ -238,7 +237,7 @@ def make_admissible(g: SpectralProfile) -> AdmissibleVector:
     if energy <= 0.0:
         raise CoverageGap("profile carries no scale energy")
     psi = replace(g, amplitude=g.amplitude / math.sqrt(energy))
-    return AdmissibleVector(psi=psi, s_step=s_step, raw_energy=energy)
+    return AdmissibleVector(psi=psi, s_step=s_step)
 
 
 def admissibility_integral(

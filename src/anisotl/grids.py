@@ -58,16 +58,21 @@ class GridSpec:
         return GridSpec(self.d, self.extent * 2, self.n * 2)
 
 
+# The one store of derived tables.  A key is a tuple: the table's name
+# ("cube", "shells", "t", ...) and then values only (GridSpec,
+# S.value_key, matrix bytes), so equal inputs share one table and no
+# table can belong to another object.  ("lattice", id(pts)) is the one
+# id-keyed entry; see freq_points.
 _CACHE: dict = {}
 
 
-def cached(store: dict, key, build):
-    """The value built for key: build() runs on first use and its result
-    is kept in store.  Arrays, returned directly, as fields of a dataclass
-    or inside tuple fields, are made read-only before they are handed out."""
-    value = store.get(key)
+def cached(key, build):
+    """The table for key: build() runs on first use and its result is kept
+    in _CACHE.  Arrays, returned directly, as fields of a dataclass or
+    inside tuple fields, are made read-only before they are handed out."""
+    value = _CACHE.get(key)
     if value is None:
-        value = store[key] = build()
+        value = _CACHE[key] = build()
         for item in (value, *getattr(value, "__dict__", {}).values()):
             for arr in item if isinstance(item, tuple) else (item,):
                 if isinstance(arr, np.ndarray):
@@ -76,9 +81,7 @@ def cached(store: dict, key, build):
 
 
 def spatial_axis(grid: GridSpec) -> np.ndarray:
-    return cached(
-        _CACHE, ("sx", grid), lambda: -grid.extent + grid.h * np.arange(grid.n, dtype=float)
-    )
+    return cached(("sx", grid), lambda: -grid.extent + grid.h * np.arange(grid.n, dtype=float))
 
 
 def spatial_points(grid: GridSpec) -> np.ndarray:
@@ -89,11 +92,11 @@ def spatial_points(grid: GridSpec) -> np.ndarray:
         mesh = np.meshgrid(*([ax] * grid.d), indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1)
 
-    return cached(_CACHE, ("sp", grid), build)
+    return cached(("sp", grid), build)
 
 
 def freq_axis(grid: GridSpec) -> np.ndarray:
-    return cached(_CACHE, ("fx", grid), lambda: np.fft.fftfreq(grid.n, d=grid.h))
+    return cached(("fx", grid), lambda: np.fft.fftfreq(grid.n, d=grid.h))
 
 
 def freq_points(grid: GridSpec) -> np.ndarray:
@@ -110,7 +113,7 @@ def freq_points(grid: GridSpec) -> np.ndarray:
         _CACHE[("lattice", id(pts))] = grid
         return pts
 
-    return cached(_CACHE, ("fp", grid), build)
+    return cached(("fp", grid), build)
 
 
 def lattice_grid(pts) -> GridSpec | None:
@@ -132,7 +135,7 @@ def spectral_phase(grid: GridSpec) -> np.ndarray:
         x0 = -grid.extent * np.ones(grid.d)
         return np.exp(2j * np.pi * (pts @ x0)).reshape(grid.shape)
 
-    return cached(_CACHE, ("ph", grid), build)
+    return cached(("ph", grid), build)
 
 
 def offset_index_vectors(grid: GridSpec) -> np.ndarray:
@@ -144,4 +147,4 @@ def offset_index_vectors(grid: GridSpec) -> np.ndarray:
         mesh = np.meshgrid(*([half] * grid.d), indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1).astype(np.int64)
 
-    return cached(_CACHE, ("off", grid), build)
+    return cached(("off", grid), build)

@@ -398,19 +398,19 @@ def right_translate(F: GroupField, g: GroupPoint, E: ExpansiveMatrix) -> GroupFi
 
 def translation_overlap_n(S: QuasiNormStructure) -> int:
     """Smallest N with A^-t Omega inside A^N Omega for all t in [0, 1),
-    checked at 33 values of t and 64 boundary points."""
-    E = S.owner
-    bnd = S.boundary_points(64)
-    for n in range(0, 16):
-        ok = True
-        for t in np.linspace(0.0, 1.0, 33, endpoint=False):
-            M = np.asarray(E.power(-n - t))
-            if not np.all(S.contains(bnd @ M.T)):
-                ok = False
-                break
-        if ok:
-            return n
-    raise RuntimeError("no overlap exponent below 16; dilation too extreme")
+    checked at 33 values of t and 64 boundary points (once per structure
+    value)."""
+
+    def build():
+        E = S.owner
+        bnd = S.boundary_points(64)
+        ts = np.linspace(0.0, 1.0, 33, endpoint=False)
+        for n in range(0, 16):
+            if all(np.all(S.contains(bnd @ np.asarray(E.power(-n - t)).T)) for t in ts):
+                return n
+        raise RuntimeError("no overlap exponent below 16; dilation too extreme")
+
+    return cached(("overlap", S.value_key), build)
 
 
 def left_bound(E: ExpansiveMatrix, n_overlap: int, t: float, alpha: float, q: float) -> float:
@@ -491,10 +491,7 @@ def _v_candidates(S: QuasiNormStructure) -> np.ndarray:
                 pts.append((eta * dirs) @ M)
         return np.concatenate(pts, axis=0)
 
-    return cached(_V_CACHE, ("vcand", S.value_key), build)
-
-
-_V_CACHE: dict = {}
+    return cached(("vcand", S.value_key), build)
 
 
 def weight_v(S: QuasiNormStructure, y, t: float) -> tuple[float, bool]:

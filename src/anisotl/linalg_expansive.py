@@ -44,22 +44,16 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ExpansiveMatrix:
-    """An expansive dilation A with its derived spectral data.
+    """An expansive dilation A with |det A| and its real logarithm.
 
     ``log`` is the real logarithm B with exp(B) = A and is None when A is
-    not exponential.  lambda_minus/lambda_plus bracket the eigenvalue
-    moduli strictly between 1 and infinity, and zeta_minus/zeta_plus are
-    the corresponding Hoelder exponents ln(lambda)/ln|det A|.
+    not exponential.
     """
 
     d: int
     A: np.ndarray
     log: np.ndarray | None
     absdet: float
-    lambda_minus: float
-    lambda_plus: float
-    zeta_minus: float
-    zeta_plus: float
 
     def power(self, s: float) -> np.ndarray:
         """A^s = exp(s B) for real s; integer powers avoid the exponential."""
@@ -120,11 +114,7 @@ def _real_log(A: np.ndarray) -> np.ndarray:
 
 
 def validate_expansive(A) -> ExpansiveMatrix:
-    """Validate a candidate dilation and attach spectral data.
-
-    lambda_minus is the geometric midpoint between 1 and min|sigma(A)|,
-    lambda_plus is max|sigma(A)| * 1.01; any valid bracket works, this one
-    is fixed for reproducibility.
+    """Validate a candidate dilation and attach its logarithm.
 
     Raises Singular when det A = 0 and NotExpansive when some eigenvalue
     modulus is <= 1.  A missing real logarithm is not an error here; ops
@@ -142,9 +132,6 @@ def validate_expansive(A) -> ExpansiveMatrix:
         raise NotExpansive(
             f"eigenvalue modulus {np.min(mods):.6g} <= 1; not expansive"
         )
-    lam_minus = math.sqrt(float(np.min(mods)))
-    lam_plus = float(np.max(mods)) * 1.01
-    absdet = abs(float(det))
     try:
         B = _real_log(A)
     except NotExponential:
@@ -153,11 +140,7 @@ def validate_expansive(A) -> ExpansiveMatrix:
         d=d,
         A=_freeze(A),
         log=None if B is None else _freeze(B),
-        absdet=absdet,
-        lambda_minus=lam_minus,
-        lambda_plus=lam_plus,
-        zeta_minus=math.log(lam_minus) / math.log(absdet),
-        zeta_plus=math.log(lam_plus) / math.log(absdet),
+        absdet=abs(float(det)),
     )
 
 
@@ -446,9 +429,6 @@ def sample_points(S: QuasiNormStructure, n: int, seed: int) -> np.ndarray:
     return per_value_product(k, jitter * dirs, lambda v: np.linalg.matrix_power(E.A, int(v)))
 
 
-_FLOW_CACHE: dict = {}
-
-
 def _flow_steps(E: ExpansiveMatrix) -> np.ndarray:
     """expm(v B) for v = (k + 0.5) / 16, 16 lo <= k <= 16 hi with
     (lo, hi) = _SAMPLE_SHELLS (cached by the value of B)."""
@@ -457,7 +437,7 @@ def _flow_steps(E: ExpansiveMatrix) -> np.ndarray:
         ks = np.arange(16 * _SAMPLE_SHELLS[0], 16 * _SAMPLE_SHELLS[1] + 1.0)
         return np.stack([expm((k + 0.5) / 16 * E.log) for k in ks])
 
-    return cached(_FLOW_CACHE, E.log.tobytes(), build)
+    return cached(("flow", E.log.tobytes()), build)
 
 
 def measure_quasi_triangle(S: QuasiNormStructure, n: int = 4096, seed: int = 7) -> float:
@@ -516,9 +496,10 @@ class ScaleGauge:
     which is what makes frequency-side filter dilations act as exact
     translations in t.
 
-    t_grid(grid) is t on the grid's lattice frequencies, built once per
-    grid through grids.cached and handed out read-only; treat instances
-    as immutable.
+    t_grid(grid) is t on the grid's lattice frequencies, kept in the grids
+    store under the values of A, B and the grid, so equal gauges share
+    one read-only solve.  Instances hold no state that changes after
+    __init__.
     """
 
     _TABLE_STEP = 0.25
@@ -559,7 +540,7 @@ class ScaleGauge:
         for k in range(1, self._TAYLOR_ORDER + 1):
             powers.append(powers[-1] @ (-B) / k)
         self._taylor = np.ascontiguousarray(np.stack(powers).transpose(0, 2, 1)[..., None])
-        self._t_cache: dict = {}
+        self._key = (self.A.tobytes(), self.B.tobytes())
 
     def flow(self, s: np.ndarray, pts: np.ndarray) -> np.ndarray:
         """exp(-s_i B) @ pts_i for per-point scales s_i (table + Taylor).
@@ -600,15 +581,15 @@ class ScaleGauge:
         few 1e-15 apart for sets of 1 or 2 points).
 
         Lattice rule: if pts is the very array freq_points(grid) handed out
-        (grids.lattice_grid), the lattice is solved once per gauge and the
-        cached read-only array of t_grid(grid) is returned.  Any other
+        (grids.lattice_grid), the lattice is solved once per gauge value and
+        the cached read-only array of t_grid(grid) is returned.  Any other
         array, an equal copy of a lattice included, is solved afresh; the
         values are the same either way.
         """
         grid = lattice_grid(pts)
         if grid is None:
             return self._solve(pts)
-        return cached(self._t_cache, grid, lambda: self._solve(pts))
+        return cached(("t", *self._key, grid), lambda: self._solve(pts))
 
     def _log_g(self, s: np.ndarray, x: np.ndarray):
         """log G(s) = log(y^T P y) at y = exp(-sB) x, and its |slope| bound.
@@ -679,9 +660,8 @@ class ScaleGauge:
 
     def t_grid(self, grid: GridSpec) -> np.ndarray:
         """t at every lattice frequency of grid, in FFT order: the cached
-        t(freq_points(grid)), solved through t on first use."""
-        hit = self._t_cache.get(grid)
-        return self.t(freq_points(grid)) if hit is None else hit
+        t(freq_points(grid)), solved through t on first use only."""
+        return cached(("t", *self._key, grid), lambda: self.t(freq_points(grid)))
 
     def region_extent(self, tau: float) -> float:
         """Max coordinate magnitude over {t <= tau} = A^tau {x : x^T P x <= 1},

@@ -25,6 +25,8 @@ import numpy as np
 from .errors import WindowOutOfDomain
 from .field_engine import SampledField, ScaleBand, convolve_scale
 from .grids import GridSpec, cached, offset_index_vectors, spatial_points
+# the one store, under the name perfbench/tracer.py probes for window hits
+from .grids import _CACHE as _WINDOW_CACHE
 from .linalg_expansive import QuasiNormStructure
 from .peetre import _ball_maxima, _ball_windows, offset_shells, weighted_sup_multi
 
@@ -124,9 +126,6 @@ class _CubeWindows:
         return tuple(int(v) for v in self.labels[row])
 
 
-_WINDOW_CACHE: dict = {}
-
-
 def cube_windows(grid: GridSpec, S: QuasiNormStructure, ell: int) -> _CubeWindows:
     def build():
         E = S.owner
@@ -149,7 +148,7 @@ def cube_windows(grid: GridSpec, S: QuasiNormStructure, ell: int) -> _CubeWindow
             labels=labels, inverse=inverse.ravel(), counts=counts, admissible=admissible
         )
 
-    return cached(_WINDOW_CACHE, ("cube", grid, S.value_key, ell), build)
+    return cached(("cube", grid, S.value_key, ell), build)
 
 
 @dataclass(frozen=True)
@@ -191,7 +190,7 @@ def ball_windows(grid: GridSpec, S: QuasiNormStructure, ell: int) -> _BallWindow
             kernel_fft=kernel_fft, admissible=admissible, inside=inside, count=count
         )
 
-    return cached(_WINDOW_CACHE, ("ball", grid, S.value_key, ell), build)
+    return cached(("ball", grid, S.value_key, ell), build)
 
 
 def _windows(grid: GridSpec, S: QuasiNormStructure, ell: int, params: NormParams):
@@ -511,7 +510,6 @@ class MaximalField:
     """Anisotropic Hardy-Littlewood maximal function over shell balls."""
 
     values: np.ndarray
-    shell_range: tuple[int, int]
 
 
 def hl_maximal(
@@ -536,4 +534,4 @@ def hl_maximal(
         (ball_max,) = _ball_maxima(avg, _ball_windows(table.inside.reshape((1,) + grid.shape)))
         np.maximum(result, ball_max, out=result)
     result.flags.writeable = False
-    return MaximalField(values=result, shell_range=(lo, hi))
+    return MaximalField(values=result)

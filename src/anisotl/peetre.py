@@ -26,6 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import GridSpec, cached, offset_index_vectors
+# the one store, under the name perfbench/tracer.py probes for shell hits
+from .grids import _CACHE as _SHELL_CACHE
 from .linalg_expansive import QuasiNormStructure
 
 _BOUNDARY_FRACTION = 0.95
@@ -46,9 +48,6 @@ class OffsetShells:
     truncated: bool                 # shells beyond the search radius exist
 
 
-_SHELL_CACHE: dict = {}
-
-
 def offset_shells(
     grid: GridSpec,
     S: QuasiNormStructure,
@@ -66,8 +65,8 @@ def offset_shells(
     if search_shells < 1:
         raise ValueError(f"search_shells = {search_shells} must be at least 1")
     matrix = np.asarray(scale_matrix, dtype=float)
-    key = (grid, S.value_key, matrix.tobytes(), search_shells)
-    return cached(_SHELL_CACHE, key, lambda: _build_shells(grid, S, matrix, search_shells))
+    key = ("shells", grid, S.value_key, matrix.tobytes(), search_shells)
+    return cached(key, lambda: _build_shells(grid, S, matrix, search_shells))
 
 
 def _build_shells(

@@ -6,11 +6,13 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines live.
 
 import json
 import time
+from pathlib import Path
 
 import pytest
 
 from anisotl.cli import main as cli_main
 from anisotl.experiments import (
+    PLANE_MATRICES,
     run_admissibility,
     run_calderon,
     run_control_weight,
@@ -22,6 +24,8 @@ from anisotl.experiments import (
     run_translation_bounds,
     run_wavelet_repro,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _report(name: str, result: dict, elapsed: float, budget: float) -> None:
@@ -88,6 +92,32 @@ def test_criterion_09_coorbit_identification():
     for row in result["rows"]:
         assert 0 < row["ratio_min"] <= row["ratio_max"]
     assert "reference_scale_tail" not in result["manifest"]["flag_counts"]
+
+
+# On this box every configured window level has a window, so a pass is
+# not bought by dropping levels; configs/embedding_shear.json ships it.
+EMBEDDING_2D = {
+    "grid": {"extent": 2.0, "n": 64},
+    "suite": {"t_range": [0.0, 1.0]},
+    "scale_max": 1,
+    "ell_range": [-2, 0],
+}
+
+
+@pytest.mark.parametrize("matrix", ["shear", "diagonal"])
+def test_criterion_12_anisotropic_besov_identification(matrix):
+    config = {"matrix": PLANE_MATRICES[matrix], **EMBEDDING_2D}
+    name = f"12 p=q=inf identification, {matrix}"
+    result = _run(name, run_embedding, budget=2.0, config=config)
+    flags = result["manifest"]["flag_counts"]
+    assert "window_level_missing" not in flags and "scale_tail" not in flags
+    if matrix == "shear":
+        shipped = json.loads((ROOT / "configs" / "embedding_shear.json").read_text())
+        assert {k: shipped.pop(k) for k in ("experiment", "label")} == {
+            "experiment": "embedding",
+            "label": "embedding-shear",
+        }
+        assert shipped == config
 
 
 def test_criterion_10_frames():

@@ -247,7 +247,7 @@ class TestAdmissible:
     def test_fixed_point(self, phi1):
         vec = make_admissible(phi1)
         again = make_admissible(vec.psi)
-        assert again.raw_energy == pytest.approx(1.0, abs=1e-10)
+        assert shape_energy(again.psi, again.s_step) == pytest.approx(1.0, abs=1e-10)
         assert again.psi.amplitude == pytest.approx(vec.psi.amplitude, rel=1e-10)
 
     def test_quadrature_stability(self, phi1):

@@ -1,6 +1,7 @@
 """Guards on the toolkit's public surface and its documented command lines."""
 
 import ast
+import dataclasses
 import inspect
 import shlex
 from functools import cached_property
@@ -92,6 +93,18 @@ def test_public_members_are_used_by_the_toolkit():
     unreferenced = {m for m in members if m.rsplit(".", 1)[1] not in loaded}
     assert sorted(unreferenced - set(ALLOWED_UNREFERENCED_MEMBERS)) == []
     assert sorted(set(ALLOWED_UNREFERENCED_MEMBERS) - unreferenced) == []
+
+
+def test_public_dataclass_fields_are_read_by_the_toolkit():
+    # a field that no module loads as an attribute is stored for nobody
+    fields = {
+        f"{cls.__name__}.{f.name}"
+        for cls in (getattr(anisotl, n) for n in anisotl.__all__)
+        if inspect.isclass(cls) and dataclasses.is_dataclass(cls)
+        for f in dataclasses.fields(cls)
+    }
+    loaded = _loaded_attributes()
+    assert sorted(f for f in fields if f.rsplit(".", 1)[1] not in loaded) == []
 
 
 def test_readme_cli_block_parses(monkeypatch):

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import expm, logm
 
 import anisotl
-from anisotl import cli, linalg_expansive
+from anisotl import cli, grids, linalg_expansive
 from anisotl.errors import NotExpansive, NotExponential, Singular
 from anisotl.grids import GridSpec, freq_points, lattice_grid
 from anisotl.linalg_expansive import (
@@ -65,23 +65,6 @@ class TestValidate:
     def test_singular_rejected(self):
         with pytest.raises(Singular):
             validate_expansive([[0.0, 0.0], [0.0, 2.0]])
-
-    def test_diag_2_4_exponents(self):
-        E = validate_expansive(np.diag([2.0, 4.0]))
-        # chosen brackets: geometric midpoint and 1% margin
-        lam_minus = math.sqrt(2.0)
-        lam_plus = 4.0 * 1.01
-        assert E.lambda_minus == pytest.approx(lam_minus)
-        assert E.lambda_plus == pytest.approx(lam_plus)
-        assert E.zeta_minus == pytest.approx(math.log(lam_minus) / math.log(8.0))
-        assert E.zeta_plus == pytest.approx(math.log(lam_plus) / math.log(8.0))
-        assert 0.0 < E.zeta_minus < 0.5 < E.zeta_plus
-
-    def test_zeta_bracket_invariant(self):
-        for mat in ([[3.0]], np.diag([2.0, 4.0]), JORDAN, [[0.0, -2.0], [2.0, 0.0]]):
-            E = validate_expansive(mat)
-            assert 0.0 < E.zeta_minus < 1.0 / E.d
-            assert E.zeta_plus > 1.0 / E.d
 
     def test_json_round_trip(self):
         E = matrix_from_json({"dim": 2, "entries": [2, 1, 0, 2]})
@@ -557,7 +540,8 @@ LATTICE_CASES = [([[2.0]], GridSpec(d=1, extent=8.0, n=256)),
 
 
 @pytest.mark.parametrize("mat, grid", LATTICE_CASES, ids=["line", "shear"])
-def test_lattice_is_solved_once_per_gauge(mat, grid):
+def test_lattice_is_solved_once_per_gauge(mat, grid, monkeypatch):
+    monkeypatch.setattr(grids, "_CACHE", {})
     g = transpose_gauge(validate_expansive(mat))
     steps = _count_flows(g)
     lattice = freq_points(grid)
@@ -575,16 +559,29 @@ def test_lattice_is_solved_once_per_gauge(mat, grid):
     assert fresh is not t and fresh.flags.writeable
     assert np.array_equal(fresh, t)
     assert steps
+    # an equal gauge shares the solve
+    twin = transpose_gauge(validate_expansive(mat))
+    twin_steps = _count_flows(twin)
+    assert twin.t_grid(grid) is t and twin.t(lattice) is t
+    assert twin_steps == []
 
 
 @pytest.mark.parametrize("mat, grid", LATTICE_CASES, ids=["line", "shear"])
-def test_suite_costs_one_lattice_solve(mat, grid):
+def test_suite_costs_one_lattice_solve(mat, grid, monkeypatch):
     E = validate_expansive(mat)
+    spec = SuiteSpec(count=4, seed=7, t_range=(0.0, 1.5))
+    monkeypatch.setattr(grids, "_CACHE", {})
     alone = transpose_gauge(E)
     lattice_steps = _count_flows(alone)
     alone.t_grid(grid)
+    monkeypatch.setattr(grids, "_CACHE", {})
     g = transpose_gauge(E)
     suite_steps = _count_flows(g)
-    fields = suite_generate(SuiteSpec(count=4, seed=7, t_range=(0.0, 1.5)), grid, g)
+    fields = suite_generate(spec, grid, g)
     assert len(fields) == 4
     assert len(suite_steps) == len(lattice_steps) > 0
+    # an equal second gauge finds the lattice solved
+    twin = transpose_gauge(E)
+    twin_steps = _count_flows(twin)
+    assert len(suite_generate(spec, grid, twin)) == 4
+    assert twin_steps == []

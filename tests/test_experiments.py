@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from anisotl import experiments, frames, group_analysis, norms
+from anisotl import experiments, frames, grids, group_analysis, norms, peetre
 from anisotl.experiments import (
+    PLANE_MATRICES,
     run_coorbit,
     run_embedding,
     run_frames,
@@ -171,6 +172,41 @@ def test_coorbit_counts_comparison_norm_tails():
     # (3 qs, 2 grids, 2 norms); at the default scale_max 4 it never does
     result = experiments.run_coorbit({"scale_max": 0, "suite": {"count": 1}})
     assert result["manifest"]["flag_counts"]["reference_scale_tail"] == 8
+
+
+@pytest.mark.parametrize("matrix", ["shear", "diagonal"])
+def test_coorbit_counts_comparison_norm_tails_in_2d(matrix):
+    # the 2-D case of the test above: one field, 8 of the 12 comparison
+    # norms weigh their finest scale at the optimum
+    config = {
+        "matrix": PLANE_MATRICES[matrix],
+        "grid": {"extent": 2.0, "n": 64},
+        "suite": {"count": 1, "seed": 13, "t_range": [0.0, 1.0]},
+        "ell_range": [-2, 0],
+        "scale_max": 0,
+    }
+    result = experiments.run_coorbit(config)
+    assert result["manifest"]["flag_counts"]["reference_scale_tail"] == 8
+
+
+@pytest.mark.parametrize(
+    "run, config",
+    [
+        (run_coorbit, {"suite": {"count": 1}}),
+        (run_translation_bounds, {"suite": {"count": 1}, "pairs_per_branch": 2}),
+    ],
+    ids=["coorbit", "translation-bounds"],
+)
+def test_no_cache_changes_a_result(run, config, monkeypatch):
+    # one store holds every derived table, also under the names the
+    # benchmark tracer probes
+    assert norms._WINDOW_CACHE is peetre._SHELL_CACHE is grids._CACHE
+    monkeypatch.setattr(grids, "_CACHE", {})
+    fresh = run(config)
+    assert grids._CACHE
+    warm = run(config)
+    assert fresh["rows"] == warm["rows"]
+    assert fresh["manifest"] == warm["manifest"]
 
 
 QS = [0.5, 1.0, "inf"]  # q = 0.5 tightens the continuous step to 1/16

@@ -9,7 +9,7 @@ from anisotl.analyzers import bump, make_analyzing_pair, make_covering_profile
 from anisotl.errors import WindowOutOfDomain
 from anisotl.field_engine import convolve_scale, field_from_closure, field_from_spec
 from anisotl.grids import GridSpec, spatial_points
-from anisotl.linalg_expansive import build_ellipsoid, validate_expansive
+from anisotl.linalg_expansive import QuasiNormStructure, build_ellipsoid, validate_expansive
 from anisotl.experiments import run_norm_equivalence
 from anisotl.suite import SuiteSpec, suite_generate
 from anisotl.norms import (
@@ -351,15 +351,18 @@ class TestEmbedding:
         assert rep["besov_over_inf"] >= 1.0 - 1e-12
 
 
+def _tables(tag: str) -> int:
+    """Number of tables of one kind in the store."""
+    return sum(key[0] == tag for key in grids._CACHE)
+
+
 class TestValueKeyedCaches:
     @pytest.fixture(autouse=True)
     def colliding_ids(self, monkeypatch):
         # every object reports the same id, so id-keyed caches would collide
         for module in (norms, group_analysis, peetre):
             monkeypatch.setattr(module, "id", lambda _o: 0, raising=False)
-        monkeypatch.setattr(norms, "_WINDOW_CACHE", {})
-        monkeypatch.setattr(group_analysis, "_V_CACHE", {})
-        monkeypatch.setattr(peetre, "_SHELL_CACHE", {})
+        monkeypatch.setattr(grids, "_CACHE", {})
 
     def test_distinct_structures_get_their_own_tables(self):
         S3 = build_ellipsoid(validate_expansive([[3.0]]))
@@ -372,35 +375,45 @@ class TestValueKeyedCaches:
         ball = ball_windows(GRID, S3, 1)
         cand = group_analysis._v_candidates(S3)
         shells = peetre.offset_shells(GRID, S3, M, 2)
-        for cache in (norms._WINDOW_CACHE, group_analysis._V_CACHE, peetre._SHELL_CACHE):
-            cache.clear()
+        grids._CACHE.clear()
         assert np.array_equal(cube.labels, cube_windows(GRID, S3, 1).labels)
         assert ball.count == ball_windows(GRID, S3, 1).count
         assert np.array_equal(cand, group_analysis._v_candidates(S3))
         assert shells.shells == peetre.offset_shells(GRID, S3, M, 2).shells
 
     @pytest.mark.parametrize(
-        "module, cache, build",
+        "tag, build",
         [
-            (norms, "_WINDOW_CACHE", lambda S: cube_windows(GRID, S, 0)),
-            (norms, "_WINDOW_CACHE", lambda S: ball_windows(GRID, S, 0)),
-            (peetre, "_SHELL_CACHE", lambda S: peetre.offset_shells(GRID, S, np.eye(1), 2)),
-            (group_analysis, "_V_CACHE", lambda S: group_analysis._v_candidates(S)),
+            ("cube", lambda S: cube_windows(GRID, S, 0)),
+            ("ball", lambda S: ball_windows(GRID, S, 0)),
+            ("shells", lambda S: peetre.offset_shells(GRID, S, np.eye(1), 2)),
+            ("vcand", lambda S: group_analysis._v_candidates(S)),
         ],
         ids=["cube_windows", "ball_windows", "offset_shells", "v_candidates"],
     )
-    def test_equal_structures_share_one_entry(self, module, cache, build):
+    def test_equal_structures_share_one_entry(self, tag, build):
         Sa, Sb = build_ellipsoid(E1), build_ellipsoid(E1)
         assert Sa is not Sb
         assert build(Sa) is build(Sb)
-        assert len(getattr(module, cache)) == 1
+        assert _tables(tag) == 1
 
     def test_shell_tables_are_kept_past_many_scales(self):
         first = peetre.offset_shells(GRID, S1, np.eye(1), 2)
         for k in range(1, 201):
             peetre.offset_shells(GRID, S1, np.array([[1.0 + k / 256]]), 2)
-        assert len(peetre._SHELL_CACHE) == 201
+        assert _tables("shells") == 201
         assert peetre.offset_shells(GRID, S1, np.eye(1), 2) is first
+
+    def test_equal_structures_share_one_overlap_exponent(self, monkeypatch):
+        # one build draws boundary points once; 32 calls over two equal
+        # structures, as in 32 translation-bounds pairs, make one build
+        Sa, Sb = build_ellipsoid(E1), build_ellipsoid(E1)
+        draws, draw = [], QuasiNormStructure.boundary_points
+        monkeypatch.setattr(
+            QuasiNormStructure, "boundary_points", lambda S, n: draws.append(n) or draw(S, n)
+        )
+        ns = {group_analysis.translation_overlap_n(S) for _ in range(16) for S in (Sa, Sb)}
+        assert len(ns) == 1 and draws == [64] and _tables("overlap") == 1
 
 
 def test_derived_tables_are_read_only(pair):
