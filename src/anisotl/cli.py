@@ -109,7 +109,7 @@ def _write_artifacts(out_dir: str, cfg: dict, result: dict, tables: dict, summar
 
 def run(kind: str, config: dict, out_dir: str = "results") -> int:
     """Run one experiment kind and write its artifact directory."""
-    if kind not in RUNNERS:
+    if not isinstance(kind, str) or kind not in RUNNERS:
         return _fail_config(f"unknown experiment kind {kind!r}")
     outcome = _execute(kind, _run_kind, kind, config)
     if isinstance(outcome, int):

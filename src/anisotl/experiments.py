@@ -40,6 +40,7 @@ from .group_analysis import (
     pti_arrays,
     pti_norm,
     reproducing_check,
+    reproducing_kernel,
     translation_bound_check,
     wavelet_transform,
     wiener_amalgam_norm,
@@ -515,11 +516,12 @@ def run_wavelet_repro(config: dict | None = None) -> dict:
     fields = _suite(cfg["suite"], grid, phi.gauge)
     rows = []
     fine = ggrid.refined()
+    kernel, kernel2 = (reproducing_kernel(phi_vec, vec, g) for g in (ggrid, fine))
     for i, (f, f2) in enumerate(zip(fields, _resampled(fields, fine.grid, phi.gauge))):
         W = wavelet_transform(f, vec, ggrid)
         iso = abs(W.l2_norm(E.absdet) - f.l2_norm()) / f.l2_norm()
-        rep = reproducing_check(f, phi_vec, vec, ggrid)
-        rep2 = reproducing_check(f2, phi_vec, vec, fine)
+        rep = reproducing_check(f, phi_vec, W, kernel)
+        rep2 = reproducing_check(f2, phi_vec, wavelet_transform(f2, vec, fine), kernel2)
         improved = rep2["rel_l2"] <= cfg["refine_factor"] * max(rep["rel_l2"], 1e-12)
         passed = (
             iso <= cfg["isometry_tolerance"]

@@ -140,12 +140,15 @@ class SampledField(LatticeSpectrum):
     band_t is the scale-coordinate range of the spectral support measured
     against the analyzer gauge at construction; band_limit is the outer
     gauge radius.  spectrum_fn, when present, extends the field off the
-    lattice (used by dilation and group-covariance checks).
+    lattice (used by dilation and group-covariance checks): fn(xi, t) is
+    the spectrum at the (P, d) frequencies xi, and the caller hands over
+    their (P,) coordinates t under the field's gauge (t_grid on the
+    lattice), so a closure solves no t of its own.
     """
 
     band_t: tuple[float, float]
     band_limit: float
-    spectrum_fn: Callable[[np.ndarray], np.ndarray] | None = None
+    spectrum_fn: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
     def scaled(self, c: complex) -> "SampledField":
         return SampledField(
@@ -155,7 +158,7 @@ class SampledField(LatticeSpectrum):
             band_limit=self.band_limit,
             spectrum_fn=None
             if self.spectrum_fn is None
-            else (lambda xi, f=self.spectrum_fn: c * f(xi)),
+            else (lambda xi, t, f=self.spectrum_fn: c * f(xi, t)),
         )
 
 
@@ -163,7 +166,7 @@ def field_from_spec(
     grid: GridSpec,
     spec: np.ndarray,
     gauge,
-    spectrum_fn: Callable[[np.ndarray], np.ndarray] | None = None,
+    spectrum_fn: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
 ) -> SampledField:
     """Wrap spectral coefficients, measuring the band against a gauge.
 
@@ -194,7 +197,10 @@ def field_from_spec(
 
 
 def field_from_closure(grid: GridSpec, gauge, spectrum_fn) -> SampledField:
-    spec = np.asarray(spectrum_fn(freq_points(grid)), dtype=complex).reshape(grid.shape)
+    """The field whose lattice coefficients are spectrum_fn(xi, t) at the
+    lattice frequencies xi and their cached gauge coordinates t."""
+    t = gauge.t_grid(grid)
+    spec = np.asarray(spectrum_fn(freq_points(grid), t), dtype=complex).reshape(grid.shape)
     return field_from_spec(grid, spec, gauge, spectrum_fn=spectrum_fn)
 
 

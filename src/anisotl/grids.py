@@ -61,8 +61,7 @@ class GridSpec:
 # The one store of derived tables.  A key is a tuple: the table's name
 # ("cube", "shells", "t", ...) and then values only (GridSpec,
 # S.value_key, matrix bytes), so equal inputs share one table and no
-# table can belong to another object.  ("lattice", id(pts)) is the one
-# id-keyed entry; see freq_points.
+# table can belong to another object.
 _CACHE: dict = {}
 
 
@@ -100,31 +99,14 @@ def freq_axis(grid: GridSpec) -> np.ndarray:
 
 
 def freq_points(grid: GridSpec) -> np.ndarray:
-    """All lattice frequencies as an (N, d) array in FFT order.
-
-    The array is built once per grid and the grid is recorded beside it,
-    so lattice_grid can tell this exact object from an equal copy."""
+    """All lattice frequencies as an (N, d) array in FFT order."""
 
     def build():
         ax = freq_axis(grid)
         mesh = np.meshgrid(*([ax] * grid.d), indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=-1)
-        # _CACHE keeps pts alive, so its id is never reused for another array
-        _CACHE[("lattice", id(pts))] = grid
-        return pts
+        return np.stack([m.ravel() for m in mesh], axis=-1)
 
     return cached(("fp", grid), build)
-
-
-def lattice_grid(pts) -> GridSpec | None:
-    """The grid whose freq_points array is pts itself, else None.
-
-    Only the very object freq_points handed out counts; a copy, a view or
-    an equal array of the same frequencies gives None."""
-    grid = _CACHE.get(("lattice", id(pts)))
-    if grid is None or _CACHE.get(("fp", grid)) is not pts:
-        return None
-    return grid
 
 
 def spectral_phase(grid: GridSpec) -> np.ndarray:

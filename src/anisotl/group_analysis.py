@@ -186,7 +186,7 @@ def psi_spatial_field(vec, grid: GridSpec) -> SampledField:
     return field_from_closure(
         grid,
         psi.gauge,
-        lambda xi: scale * psi.shape(psi.gauge.t(np.atleast_2d(xi))) + 0j,
+        lambda xi, t: scale * psi.shape(t) + 0j,
     )
 
 
@@ -196,7 +196,8 @@ def quasi_regular(g: GroupPoint, f: SampledField, E: ExpansiveMatrix, gauge) -> 
     When A^-s0 maps the frequency lattice into itself the coefficients are
     remapped exactly (the periodic field is transformed as a trigonometric
     polynomial); otherwise the spectral closure of f is resampled, which
-    is the periodization-consistent continuum action.
+    is the periodization-consistent continuum action.  gauge is the gauge
+    of f's closure and of the result.
     """
     x0 = np.asarray(g.x, dtype=float)
     s0 = float(g.s)
@@ -222,10 +223,12 @@ def quasi_regular(g: GroupPoint, f: SampledField, E: ExpansiveMatrix, gauge) -> 
     det_pow = E.absdet ** (s0 / 2.0)
     fn = f.spectrum_fn
 
-    def spectrum(xi):
+    def spectrum(xi, t):
+        # fn reads the moved frequencies, whose coordinate is not t
         xi = np.atleast_2d(xi)
         phase = np.exp(-2j * np.pi * (xi @ x0))
-        return det_pow * phase * fn(xi @ M)
+        moved = xi @ M
+        return det_pow * phase * fn(moved, gauge.t(moved))
 
     return field_from_closure(grid, gauge, spectrum)
 
@@ -279,26 +282,26 @@ def group_convolve(F: GroupField, G: GroupField, E: ExpansiveMatrix) -> GroupFie
     return GroupField(ggrid=F.ggrid, spec=out.reshape(F.spec.shape))
 
 
-def reproducing_check(
-    f: SampledField, phi_vec, psi_vec, ggrid: GroupGrid
-) -> dict:
-    """Compare W_phi f against (W_psi f) * (W_phi psi) on the group grid.
-
-    The kernel W_phi psi is computed on its own scale range (covering its
-    full support), independent of the field's grid.
-    """
-    E = phi_vec.matrix
-    target = wavelet_transform(f, phi_vec, ggrid)
-    F = wavelet_transform(f, psi_vec, ggrid)
-    psi_f = psi_spatial_field(psi_vec, ggrid.grid)
+def reproducing_kernel(phi_vec, psi_vec, ggrid: GroupGrid) -> GroupField:
+    """The kernel W_phi psi on ggrid's spatial grid and scale step, over its
+    own scale range (covering its full support), so it depends on ggrid
+    only through those two and one kernel serves every field on them."""
     lo_f, hi_f = phi_vec.psi.t_support
     lo_p, hi_p = psi_vec.psi.t_support
     ds = ggrid.ds
     v_lo = math.floor((lo_f - hi_p) / ds) * ds - ds
     v_hi = math.ceil((hi_f - lo_p) / ds) * ds + ds
     kernel_grid = GroupGrid(grid=ggrid.grid, s_min=v_lo, s_max=v_hi, ds=ds)
-    G = wavelet_transform(psi_f, phi_vec, kernel_grid)
-    conv = group_convolve(F, G, E)
+    return wavelet_transform(psi_spatial_field(psi_vec, ggrid.grid), phi_vec, kernel_grid)
+
+
+def reproducing_check(f: SampledField, phi_vec, F: GroupField, kernel: GroupField) -> dict:
+    """Compare W_phi f against F * kernel on F's group grid, where F is
+    W_psi f and kernel is reproducing_kernel(phi_vec, psi_vec, F.ggrid)."""
+    E = phi_vec.matrix
+    ggrid = F.ggrid
+    target = wavelet_transform(f, phi_vec, ggrid)
+    conv = group_convolve(F, kernel, E)
     w = ggrid.haar_weights(E.absdet)
     diff = conv.values - target.values
     num = np.sum(w * np.sum(np.abs(diff) ** 2, axis=tuple(range(1, diff.ndim))))

@@ -19,7 +19,7 @@ from scipy.linalg import expm, logm, solve_continuous_lyapunov
 from scipy.linalg import eigh as generalized_eigh
 
 from .errors import NotExpansive, NotExponential, Singular
-from .grids import GridSpec, cached, freq_points, lattice_grid
+from .grids import GridSpec, cached, freq_points
 
 # Shell search range for the step quasi-norm; outside it the value
 # saturates at the boundary shell and the caller is handed a flag.
@@ -578,33 +578,10 @@ class ScaleGauge:
         g can move by an ulp with the other points.  A stacked call is
         therefore bit-identical to k separate calls when every set has at
         least 3 nonzero points, and agrees to rounding otherwise (t up to a
-        few 1e-15 apart for sets of 1 or 2 points).
-
-        Lattice rule: if pts is the very array freq_points(grid) handed out
-        (grids.lattice_grid), the lattice is solved once per gauge value and
-        the cached read-only array of t_grid(grid) is returned.  Any other
-        array, an equal copy of a lattice included, is solved afresh; the
-        values are the same either way.
+        few 1e-15 apart for sets of 1 or 2 points).  Every call solves
+        afresh (Newton steps, bisecting inside a bracket); t_grid is the
+        cached lattice route.
         """
-        grid = lattice_grid(pts)
-        if grid is None:
-            return self._solve(pts)
-        return cached(("t", *self._key, grid), lambda: self._solve(pts))
-
-    def _log_g(self, s: np.ndarray, x: np.ndarray):
-        """log G(s) = log(y^T P y) at y = exp(-sB) x, and its |slope| bound.
-
-        g keeps the 3-operand einsum: its summation order depends on the
-        number of points (nested for n <= 2, flat for n >= 3), which column
-        arithmetic cannot follow bit for bit.  ||y||^2 has two terms in
-        d <= 2 and goes through _dot like flow.
-        """
-        y = self.flow(s, x)
-        g = np.einsum("ni,ij,nj->n", y, self.P, y)
-        return np.log(g), _dot(y.T, y.T) / g
-
-    def _solve(self, pts: np.ndarray) -> np.ndarray:
-        """The Newton solve behind t, with bisection inside a bracket."""
         pts = np.asarray(pts, dtype=float)
         stacked = pts.ndim == 3
         if not stacked:
@@ -657,6 +634,18 @@ class ScaleGauge:
             s = nxt
         flat[live] = s
         return out if stacked else out[0]
+
+    def _log_g(self, s: np.ndarray, x: np.ndarray):
+        """log G(s) = log(y^T P y) at y = exp(-sB) x, and its |slope| bound.
+
+        g keeps the 3-operand einsum: its summation order depends on the
+        number of points (nested for n <= 2, flat for n >= 3), which column
+        arithmetic cannot follow bit for bit.  ||y||^2 has two terms in
+        d <= 2 and goes through _dot like flow.
+        """
+        y = self.flow(s, x)
+        g = np.einsum("ni,ij,nj->n", y, self.P, y)
+        return np.log(g), _dot(y.T, y.T) / g
 
     def t_grid(self, grid: GridSpec) -> np.ndarray:
         """t at every lattice frequency of grid, in FFT order: the cached

@@ -46,11 +46,14 @@ def load_array(path) -> tuple[np.ndarray, dict]:
     with open(path, "rb") as fh:
         header_line = fh.readline()
         header = json.loads(header_line.decode("utf-8"))
-        if header.get("magic") != _MAGIC:
+        if not isinstance(header, dict) or header.get("magic") != _MAGIC:
             raise ValueError(f"{path}: not an array container")
         dtype = "<" + ("c8" if header["dtype"] == "complex64" else "c16")
         raw = fh.read()
-    arr = np.frombuffer(raw, dtype=dtype).reshape(header["shape"]).astype(complex)
+    try:
+        arr = np.frombuffer(raw, dtype=dtype).reshape(header["shape"]).astype(complex)
+    except TypeError as exc:
+        raise ValueError(f"{path}: shape must be a list of sizes, got {header['shape']!r}") from exc
     return arr, header
 
 
@@ -71,8 +74,13 @@ def load_field(path, gauge) -> SampledField:
     arr, header = load_array(path)
     if header.get("kind") != "field":
         raise ValueError(f"{path}: not a field container")
-    g = header["grid"]
-    grid = GridSpec(d=int(g["d"]), extent=float(g["extent"]), n=int(g["n"]))
+    g = header.get("grid")
+    try:
+        grid = GridSpec(d=int(g["d"]), extent=float(g["extent"]), n=int(g["n"]))
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"{path}: field grid needs d, extent and n, got {g!r}") from exc
+    if arr.shape != grid.shape:
+        raise ValueError(f"{path}: payload shape {arr.shape} does not match grid {grid.shape}")
     return field_from_spec(grid, arr, gauge)
 
 

@@ -36,9 +36,8 @@ def _random_field(grid: GridSpec, gauge, rng, spec: SuiteSpec) -> SampledField:
         center = rng.uniform(-1.0, 1.0, size=grid.d) * (0.1 * grid.extent)
         params.append((amp, t0, width, center))
 
-    def spectrum(xi, params=tuple(params)):
+    def spectrum(xi, t, params=tuple(params)):
         xi = np.atleast_2d(xi)
-        t = gauge.t(xi)
         out = np.zeros(len(xi), dtype=complex)
         for amp, t0, width, center in params:
             out += amp * bump((t - t0) / width) * np.exp(-2j * np.pi * (xi @ center))

@@ -120,6 +120,16 @@ def test_criterion_12_anisotropic_besov_identification(matrix):
         assert shipped == config
 
 
+@pytest.mark.parametrize("matrix", ["shear", "diagonal"])
+def test_criterion_13_anisotropic_coorbit_identification(matrix):
+    config = {"matrix": PLANE_MATRICES[matrix], **EMBEDDING_2D}
+    name = f"13 coorbit identification, {matrix}"
+    result = _run(name, run_coorbit, budget=10.0, config=config)
+    flags = result["manifest"]["flag_counts"]
+    for flag in ("window_level_missing", "scale_tail", "reference_scale_tail"):
+        assert flag not in flags
+
+
 def test_criterion_10_frames():
     result = _run("10 frames", run_frames, budget=10.0)
     stages = {row["stage"] for row in result["rows"]}

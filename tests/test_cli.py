@@ -424,12 +424,50 @@ class TestCli:
                 ["run", "--kind", "translation-bounds", "--set", "suite.count=0"],
                 "config error: translation-bounds: suite.count = 0 leaves no field to translate",
             ),
+            (
+                ["run", "--kind", "calderon", "--set", "experiment=[1]"],
+                "config error: unknown experiment kind [1]",
+            ),
         ],
     )
     def test_bad_config_value_exit_two(self, tmp_path, capsys, argv, message):
         code = main(["--out", str(tmp_path / "r")] + argv)
         assert code == 2
         assert capsys.readouterr().err.strip() == message
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize(
+        "header, payload, message",
+        [
+            ([1], b"", "not an array container"),
+            (
+                {"magic": "anisotl-array-v1", "dtype": "complex128", "shape": [0],
+                 "kind": "field", "grid": [1, 2]},
+                b"",
+                "field grid needs d, extent and n, got [1, 2]",
+            ),
+            (
+                {"magic": "anisotl-array-v1", "dtype": "complex128", "shape": [2],
+                 "kind": "field", "grid": {"d": 1, "extent": 8.0, "n": 4}},
+                np.ones(2, dtype="<c16").tobytes(),
+                "payload shape (2,) does not match grid (4,)",
+            ),
+            (
+                {"magic": "anisotl-array-v1", "dtype": "complex128", "shape": "ab",
+                 "kind": "field", "grid": {"d": 1, "extent": 8.0, "n": 4}},
+                b"",
+                "shape must be a list of sizes, got 'ab'",
+            ),
+        ],
+        ids=["header-not-an-object", "grid-not-an-object", "payload-off-the-grid",
+             "shape-not-a-list"],
+    )
+    def test_malformed_field_container_exit_two(self, tmp_path, capsys, header, payload, message):
+        path = tmp_path / "f.bin"
+        path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+        code = main(["--out", str(tmp_path / "r"), "norm", "--field", str(path)])
+        assert code == 2
+        assert capsys.readouterr().err.strip() == f"config error: norm: {path}: {message}"
         assert not (tmp_path / "r").exists()
 
     def test_overflowing_alpha_on_a_stored_field_exit_two(self, tmp_path, capsys):

@@ -14,6 +14,7 @@ from anisotl.experiments import (
     run_frames,
     run_norm_equivalence,
     run_translation_bounds,
+    run_wavelet_repro,
 )
 from anisotl.group_analysis import wavelet_transform
 from anisotl.norms import NormParams, NormReport
@@ -110,6 +111,23 @@ def test_translation_bounds_transforms_each_field_once(monkeypatch):
     monkeypatch.setattr(experiments, "wavelet_transform", counting)
     run_translation_bounds()
     assert len(calls) == experiments.DEFAULTS["translation-bounds"]["suite"]["count"] == 4
+
+
+def test_wavelet_repro_shares_transforms_and_kernels(monkeypatch):
+    # per field: W_psi f on the base grid (isometry and reproducing check),
+    # W_psi f2 on the refined grid and W_phi of both; plus one kernel per grid
+    calls = []
+    real = group_analysis.wavelet_transform
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(experiments, "wavelet_transform", counting)
+    monkeypatch.setattr(group_analysis, "wavelet_transform", counting)
+    run_wavelet_repro()
+    count = experiments.DEFAULTS["wavelet-repro"]["suite"]["count"]
+    assert len(calls) == 4 * count + 2 == 34
 
 
 @pytest.mark.parametrize(

@@ -38,8 +38,7 @@ def band_field(gauge, t_lo=1.0, t_hi=4.0, center=0.5, seed=0):
     width = rng.uniform(0.3, 0.6)
     amp = rng.normal() + 1j * rng.normal()
 
-    def spectrum(xi):
-        t = gauge.t(np.atleast_2d(xi))
+    def spectrum(xi, t):
         phase = np.exp(-2j * np.pi * (np.atleast_2d(xi) @ np.array([center])))
         return amp * bump((t - t0) / width) * phase
 
@@ -106,7 +105,7 @@ class TestScaleBank:
         f = field_from_closure(
             GRID1,
             phi.gauge,
-            lambda xi: phi.shape(phi.gauge.t(np.atleast_2d(xi)) - 2.0),
+            lambda xi, t: phi.shape(t - 2.0),
         )
         bank = [convolve_scale(f, phi, s) for s in range(-2, 7)]
         alive = [b for b in bank if np.max(b.abs_values) > 1e-12]

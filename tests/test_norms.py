@@ -43,8 +43,7 @@ def make_field(seed=0, t0=2.5, width=0.5, center=0.4, amp=None):
     if amp is None:
         amp = rng.normal() + 1j * rng.normal()
 
-    def spectrum(xi):
-        t = phi_gauge.t(np.atleast_2d(xi))
+    def spectrum(xi, t):
         ph = np.exp(-2j * np.pi * (np.atleast_2d(xi) @ np.array([center])))
         return amp * bump((t - t0) / width) * ph
 
@@ -81,7 +80,7 @@ def embedding(f, pair, params):
 
 
 def zero_field(pair):
-    return field_from_closure(GRID, pair.phi.gauge, lambda xi: np.zeros(len(np.atleast_2d(xi)), dtype=complex))
+    return field_from_closure(GRID, pair.phi.gauge, lambda xi, t: np.zeros(len(t), dtype=complex))
 
 
 class TestBasics:

@@ -32,8 +32,7 @@ def phi():
 def band(phi):
     gauge = phi.gauge
 
-    def spectrum(xi):
-        t = gauge.t(np.atleast_2d(xi))
+    def spectrum(xi, t):
         ph = np.exp(-2j * np.pi * (np.atleast_2d(xi) @ np.array([0.7])))
         return (1.3 - 0.4j) * bump((t - 2.3) / 0.5) * ph
 
@@ -278,8 +277,7 @@ class TestSubMeanValue:
     def test_ratio_stable_under_refinement(self, phi):
         gauge = phi.gauge
 
-        def spectrum(xi):
-            t = gauge.t(np.atleast_2d(xi))
+        def spectrum(xi, t):
             return bump((t - 2.0) / 0.6)
 
         reports = []

@@ -21,8 +21,7 @@ GRID = GridSpec(d=1, extent=8.0, n=1024)
 def single_band_field(grid, gauge, j0, profile):
     """Deterministic fixture: a copy of the analyzer bump at shell j0."""
 
-    def spectrum(xi):
-        t = gauge.t(np.atleast_2d(xi))
+    def spectrum(xi, t):
         return profile.shape(t - float(j0)) + 0j
 
     return field_from_closure(grid, gauge, spectrum)
@@ -61,10 +60,10 @@ class TestSuite:
             def __getattr__(self, name):
                 return getattr(self.gauge, name)
 
-            def t(self, xi):
+            def t_grid(self, grid):
                 if self.nested is None:
                     self.nested = suite_generate(b, GRID, self.gauge)
-                return self.gauge.t(xi)
+                return self.gauge.t_grid(grid)
 
         gauge = NestingGauge(phi.gauge)
         mixed_a = suite_generate(a, GRID, gauge)
@@ -137,7 +136,7 @@ class TestFrameEdges:
         gamma = sample_index_set(ggrid, E1, U=(0.25, 0.25), kind="covering", density_factor=0.5)
         system = FrameSystem.build(vec, gamma, GRID)
         zero = field_from_closure(
-            GRID, phi.gauge, lambda xi: np.zeros(len(np.atleast_2d(xi)), complex)
+            GRID, phi.gauge, lambda xi, t: np.zeros(len(t), complex)
         )
         rec, errors = dual_reconstruct(zero, system)
         assert errors == [0.0]
