@@ -79,6 +79,17 @@ def cached(key, build):
     return value
 
 
+def cached_batch(keys, build):
+    """The tables for several keys, in order: build(missing) runs once on
+    the keys not yet in _CACHE (each once) and returns their tables in that
+    order; each is kept and handed out as cached keeps it."""
+    missing = list(dict.fromkeys(key for key in keys if key not in _CACHE))
+    if missing:
+        for key, value in zip(missing, build(missing), strict=True):
+            cached(key, lambda value=value: value)
+    return [_CACHE[key] for key in keys]
+
+
 def spatial_axis(grid: GridSpec) -> np.ndarray:
     return cached(("sx", grid), lambda: -grid.extent + grid.h * np.arange(grid.n, dtype=float))
 

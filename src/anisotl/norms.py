@@ -325,14 +325,15 @@ def peetre_arrays(
 ) -> dict[float, tuple[dict[float, np.ndarray], bool]]:
     """Peetre maximal fields of bands (scale s -> |f * phi_s| on grid, as
     band_arrays returns them; weight (1 + rho(A^s z))^-beta) for several
-    betas from one sweep per scale; returns per beta the fields and the
-    or-ed boundary flag."""
+    betas from one sweep per scale, over the balls of one offset_shells
+    call for all scales; returns per beta the fields and the or-ed
+    boundary flag."""
     betas = list(betas)
     arrays = {b: {} for b in betas}
     flagged = dict.fromkeys(betas, False)
     E = S.owner
-    for s, band in bands.items():
-        struct = offset_shells(grid, S, E.power(s), search_shells)
+    structs = offset_shells(grid, S, [E.power(s) for s in bands], search_shells)
+    for (s, band), struct in zip(bands.items(), structs):
         res = weighted_sup_multi(band, struct, betas, E.absdet)
         for b, (vals, flag) in res.items():
             arrays[b][s] = vals.ravel()

@@ -4,8 +4,11 @@ The supremum over offsets z is organized by quasi-norm shells: the weight
 (1 + rho(A^m z))^-beta is constant on each shell, so the running maximum
 over the nested balls ball_m = {0} u {z : shell(z) <= m} evaluates the
 weighted supremum exactly on the grid, for several betas in one sweep.
-offset_shells builds the balls from one shell_index call on the offsets
-and stores each ball as the power-of-two windows covering its row runs.
+offset_shells builds the balls of every scale matrix of a sweep together:
+one shell_index call and one _ball_windows call per group of matrices,
+each solving only the offsets that are not the exact negation of an
+earlier one (shell_index is even), and stores each matrix's balls under
+its own key as the power-of-two windows covering their row runs.
 _ball_maxima wrap-pads the field once and reads every window from a
 lazily built doubling table of running maxima over the last axis (van
 Herk / Gil-Werman), so a sweep takes two views per run, gathers nothing
@@ -25,12 +28,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import GridSpec, cached, offset_index_vectors
+from .grids import GridSpec, cached_batch, offset_index_vectors
 # the one store, under the name perfbench/tracer.py probes for shell hits
 from .grids import _CACHE as _SHELL_CACHE
 from .linalg_expansive import QuasiNormStructure
 
 _BOUNDARY_FRACTION = 0.95
+# offset_shells builds at most this many torus offsets (matrices times grid
+# points, but at least one matrix) per shell_index call, so the scratch of
+# one build stays bounded however many scales a sweep has
+_GROUP_OFFSETS = 1 << 14
 
 # Offset-table row p and FFT array position p describe the same node, so
 # kernels built over the offset table line up with plain C-order raveling,
@@ -51,40 +58,74 @@ class OffsetShells:
 def offset_shells(
     grid: GridSpec,
     S: QuasiNormStructure,
-    scale_matrix: np.ndarray,
+    scale_matrices,
     search_shells: int,
-) -> OffsetShells:
-    """Balls of the torus offsets by the shell index of rho(M z), up to
-    shell search_shells.
+) -> list[OffsetShells]:
+    """Per scale matrix M, the balls of the torus offsets by the shell
+    index of rho(M z), up to shell search_shells.
 
-    One shell_index call gives every nonzero offset its shell; ball_m
-    holds the origin and the offsets of shell <= m, for each present shell
-    m <= search_shells (shells lie in [-CL - 1, CL]).  A search radius
-    below 1 raises ValueError.
+    ball_m holds the origin and the offsets of shell <= m, for each present
+    shell m <= search_shells (shells lie in [-CL - 1, CL]).  Each result is
+    stored under its own matrix's key, so sweeps over overlapping scales
+    share it; the matrices not yet stored are built together, in groups of
+    at most _GROUP_OFFSETS torus offsets.  A search radius below 1 raises
+    ValueError.
     """
     if search_shells < 1:
         raise ValueError(f"search_shells = {search_shells} must be at least 1")
-    matrix = np.asarray(scale_matrix, dtype=float)
-    key = ("shells", grid, S.value_key, matrix.tobytes(), search_shells)
-    return cached(key, lambda: _build_shells(grid, S, matrix, search_shells))
+    matrices = [np.asarray(M, dtype=float) for M in scale_matrices]
+    keys = [("shells", grid, S.value_key, M.tobytes(), search_shells) for M in matrices]
+    by_key = dict(zip(keys, matrices))
+    per_group = max(1, _GROUP_OFFSETS // grid.size)
+
+    def build(missing):
+        todo = [by_key[key] for key in missing]
+        return [
+            struct
+            for i in range(0, len(todo), per_group)
+            for struct in _build_shells(grid, S, todo[i : i + per_group], search_shells)
+        ]
+
+    return cached_batch(keys, build)
 
 
 def _build_shells(
-    grid: GridSpec, S: QuasiNormStructure, matrix: np.ndarray, search_shells: int
-) -> OffsetShells:
+    grid: GridSpec, S: QuasiNormStructure, matrices: list, search_shells: int
+) -> list[OffsetShells]:
+    """The balls of several matrices from one shell_index call and one
+    _ball_windows call.
+
+    shell_index(-x) equals shell_index(x) bit for bit, as the quadratic
+    form and member are even in x.  So a row whose point M z is the exact
+    negation of an earlier row's point copies that row's shell, and only
+    the others are solved: about half the table, with every row that has a
+    -n/2 component (its negation is not a table offset).
+    """
     offs = offset_index_vectors(grid)
-    nonzero = np.flatnonzero(np.any(offs != 0, axis=1))
-    shell, _ = S.shell_index(((offs * grid.h) @ matrix.T)[nonzero])
-    shells = np.unique(shell[shell <= search_shells])
-    masks = np.zeros((len(shells), grid.size), dtype=bool)
-    masks[:, nonzero] = shell <= shells[:, None]
-    masks[:, 0] = True  # the origin
-    return OffsetShells(
-        grid=grid,
-        shells=tuple(int(m) for m in shells),
-        groups=tuple(_ball_windows(masks.reshape((-1,) + grid.shape))),
-        truncated=bool(shell.max() > search_shells),
-    )
+    mirror = np.ravel_multi_index(tuple((-offs % grid.n).T), grid.shape)  # row of -z
+    earlier = mirror < np.arange(grid.size)
+    earlier[0] = True  # row 0, the origin, is neither solved nor read
+    points = [(offs * grid.h) @ M.T for M in matrices]
+    copies = [earlier & np.all(pts[mirror] == -pts, axis=1) for pts in points]
+    solved, _ = S.shell_index(np.concatenate([p[~c] for p, c in zip(points, copies)]))
+    heads = np.cumsum([0] + [grid.size - np.count_nonzero(c) for c in copies])
+    kept, masks = [], []
+    for copy, a, b in zip(copies, heads[:-1], heads[1:]):
+        shell = np.empty(grid.size, dtype=solved.dtype)
+        shell[~copy] = solved[a:b]
+        shell[copy] = shell[mirror[copy]]
+        shell = shell[1:]
+        shells = np.unique(shell[shell <= search_shells])
+        mask = np.ones((len(shells), grid.size), dtype=bool)  # the origin
+        mask[:, 1:] = shell <= shells[:, None]
+        masks.append(mask)
+        kept.append((tuple(int(m) for m in shells), bool(shell.max() > search_shells)))
+    tables = _ball_windows(np.concatenate(masks).reshape((-1,) + grid.shape))
+    ends = np.cumsum([0] + [len(shells) for shells, _ in kept])
+    return [
+        OffsetShells(grid=grid, shells=shells, groups=tuple(tables[a:b]), truncated=truncated)
+        for (shells, truncated), a, b in zip(kept, ends[:-1], ends[1:])
+    ]
 
 
 def _ball_windows(masks: np.ndarray) -> list[np.ndarray]:

@@ -18,6 +18,7 @@ from .field_engine import SampledField, field_from_spec
 from .grids import GridSpec
 
 _MAGIC = "anisotl-array-v1"
+_PAYLOAD_TYPES = {"complex64": "<c8", "complex128": "<c16"}  # header dtype -> payload
 
 
 def _dtype_name(arr: np.ndarray) -> str:
@@ -35,7 +36,7 @@ def save_array(path, arr: np.ndarray, meta: dict) -> None:
         "byte_order": "little",
         **meta,
     }
-    payload = arr.astype("<" + ("c8" if header["dtype"] == "complex64" else "c16"))
+    payload = arr.astype(_PAYLOAD_TYPES[header["dtype"]])
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
         fh.write(b"\n")
@@ -48,10 +49,14 @@ def load_array(path) -> tuple[np.ndarray, dict]:
         header = json.loads(header_line.decode("utf-8"))
         if not isinstance(header, dict) or header.get("magic") != _MAGIC:
             raise ValueError(f"{path}: not an array container")
-        dtype = "<" + ("c8" if header["dtype"] == "complex64" else "c16")
+        dtype, order = header.get("dtype"), header.get("byte_order", "little")
+        if not isinstance(dtype, str) or dtype not in _PAYLOAD_TYPES:
+            raise ValueError(f"{path}: dtype must be complex64 or complex128, got {dtype!r}")
+        if order != "little":
+            raise ValueError(f"{path}: byte_order must be little, got {order!r}")
         raw = fh.read()
     try:
-        arr = np.frombuffer(raw, dtype=dtype).reshape(header["shape"]).astype(complex)
+        arr = np.frombuffer(raw, dtype=_PAYLOAD_TYPES[dtype]).reshape(header["shape"]).astype(complex)
     except TypeError as exc:
         raise ValueError(f"{path}: shape must be a list of sizes, got {header['shape']!r}") from exc
     return arr, header

@@ -95,7 +95,8 @@ def test_criterion_09_coorbit_identification():
 
 
 # On this box every configured window level has a window, so a pass is
-# not bought by dropping levels; configs/embedding_shear.json ships it.
+# not bought by dropping levels; configs/embedding_shear.json and
+# configs/norm_equivalence_shear.json ship it.
 EMBEDDING_2D = {
     "grid": {"extent": 2.0, "n": 64},
     "suite": {"t_range": [0.0, 1.0]},
@@ -112,12 +113,18 @@ def test_criterion_12_anisotropic_besov_identification(matrix):
     flags = result["manifest"]["flag_counts"]
     assert "window_level_missing" not in flags and "scale_tail" not in flags
     if matrix == "shear":
-        shipped = json.loads((ROOT / "configs" / "embedding_shear.json").read_text())
-        assert {k: shipped.pop(k) for k in ("experiment", "label")} == {
-            "experiment": "embedding",
-            "label": "embedding-shear",
-        }
-        assert shipped == config
+        _assert_shipped("embedding", config)
+
+
+def _assert_shipped(kind: str, config: dict) -> None:
+    """configs/<kind>_shear.json is config, run as kind."""
+    path = ROOT / "configs" / f"{kind.replace('-', '_')}_shear.json"
+    shipped = json.loads(path.read_text())
+    assert {k: shipped.pop(k) for k in ("experiment", "label")} == {
+        "experiment": kind,
+        "label": f"{kind}-shear",
+    }
+    assert shipped == config
 
 
 @pytest.mark.parametrize("matrix", ["shear", "diagonal"])
@@ -128,6 +135,17 @@ def test_criterion_13_anisotropic_coorbit_identification(matrix):
     flags = result["manifest"]["flag_counts"]
     for flag in ("window_level_missing", "scale_tail", "reference_scale_tail"):
         assert flag not in flags
+
+
+@pytest.mark.parametrize("matrix", ["shear", "diagonal"])
+def test_criterion_14_anisotropic_maximal_characterization(matrix):
+    config = {"matrix": PLANE_MATRICES[matrix], **EMBEDDING_2D}
+    name = f"14 maximal characterization, {matrix}"
+    result = _run(name, run_norm_equivalence, budget=20.0, config=config)
+    flags = result["manifest"]["flag_counts"]
+    assert "window_level_missing" not in flags and "scale_tail" not in flags
+    if matrix == "shear":
+        _assert_shipped("norm-equivalence", config)
 
 
 def test_criterion_10_frames():

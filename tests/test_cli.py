@@ -458,9 +458,23 @@ class TestCli:
                 b"",
                 "shape must be a list of sizes, got 'ab'",
             ),
+            (
+                {"magic": "anisotl-array-v1", "dtype": "float32", "shape": [4],
+                 "byte_order": "little", "kind": "field",
+                 "grid": {"d": 1, "extent": 8.0, "n": 4}},
+                np.ones(16, dtype="<f4").tobytes(),
+                "dtype must be complex64 or complex128, got 'float32'",
+            ),
+            (
+                {"magic": "anisotl-array-v1", "dtype": "complex128", "shape": [4],
+                 "byte_order": "big", "kind": "field",
+                 "grid": {"d": 1, "extent": 8.0, "n": 4}},
+                np.ones(4, dtype=">c16").tobytes(),
+                "byte_order must be little, got 'big'",
+            ),
         ],
         ids=["header-not-an-object", "grid-not-an-object", "payload-off-the-grid",
-             "shape-not-a-list"],
+             "shape-not-a-list", "float32-payload", "big-endian-payload"],
     )
     def test_malformed_field_container_exit_two(self, tmp_path, capsys, header, payload, message):
         path = tmp_path / "f.bin"

@@ -154,10 +154,11 @@ def test_coorbit_search_shells_reaches_the_norms(monkeypatch):
     ggrids = []
     real_shells, real_pti = norms.offset_shells, experiments.pti_arrays
 
-    def recording(grid, S, matrix, search_shells):
-        exponent = math.log2(float(np.asarray(matrix)[0, 0]))
-        seen[side[0]].append((round(16 * exponent) / 16, search_shells))
-        return real_shells(grid, S, matrix, search_shells)
+    def recording(grid, S, matrices, search_shells):
+        for matrix in matrices:
+            exponent = math.log2(float(np.asarray(matrix)[0, 0]))
+            seen[side[0]].append((round(16 * exponent) / 16, search_shells))
+        return real_shells(grid, S, matrices, search_shells)
 
     def tagging(*args):
         side[0] = "group_analysis"

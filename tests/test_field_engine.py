@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from anisotl import experiments, field_engine
 from anisotl.analyzers import SpectralProfile, bump, make_analyzing_pair, make_covering_profile
 from anisotl.errors import Aliasing
 from anisotl.field_engine import (
@@ -77,6 +78,19 @@ class TestConvolveScale:
         f = field_from_closure(GRID1, phi.gauge, band_field(phi.gauge, seed=5))
         band = convolve_scale(f, phi, f.band_t[1] + 3.0)
         assert np.max(np.abs(band.values)) <= 1e-12
+
+    def test_disjoint_band_t_is_not_a_zero_band(self):
+        """band_t is an energy-threshold support (_BAND_TOL), so supports
+        disjoint by _supports_touch can still give a nonzero band: field 5
+        of the default norm-equivalence suite at s = -0.25, one of 30 such
+        bands in that run.  A band may skip its FFT only on an exact test."""
+        cfg = experiments.merged_config("norm-equivalence", None)
+        _, grid, phi = experiments._setup(cfg["matrix"], cfg["grid"])
+        f = experiments._suite(cfg["suite"], grid, phi.gauge)[5]
+        assert not field_engine._supports_touch(f, phi, -0.25)
+        band = convolve_scale(f, phi, -0.25)
+        assert np.max(np.abs(band.spec)) == pytest.approx(6.276245958134521e-16, rel=1e-6)
+        assert 0.0 < np.max(band.abs_values) < 1e-15 * np.max(np.abs(f.values))
 
     def test_parseval(self, phi):
         f = field_from_closure(GRID1, phi.gauge, band_field(phi.gauge, seed=6))

@@ -233,8 +233,10 @@ class TestPtiNorm:
         ggrid = GroupGrid(grid=GRID, s_min=-5.0, s_max=-4.0, ds=0.25)
         F = GroupField(ggrid=ggrid, vals=np.zeros((len(ggrid.s_values),) + GRID.shape))
         beta = PTI_PARAMS.beta
-        for s, arr in zip(ggrid.s_values, F.abs_values):
-            struct = peetre.offset_shells(GRID, S1, E1.power(-s), PTI_PARAMS.search_shells)
+        structs = peetre.offset_shells(
+            GRID, S1, [E1.power(-s) for s in ggrid.s_values], PTI_PARAMS.search_shells
+        )
+        for struct, arr in zip(structs, F.abs_values, strict=True):
             assert struct.truncated
             # the sweep flags a zero slice: every shell ties the maximum 0
             assert peetre.weighted_sup_multi(arr, struct, [beta], E1.absdet)[beta][1]

@@ -369,23 +369,23 @@ class TestValueKeyedCaches:
         cube_windows(GRID, S1, 1)
         ball_windows(GRID, S1, 1)
         group_analysis._v_candidates(S1)
-        peetre.offset_shells(GRID, S1, M, 2)
+        peetre.offset_shells(GRID, S1, [M], 2)
         cube = cube_windows(GRID, S3, 1)
         ball = ball_windows(GRID, S3, 1)
         cand = group_analysis._v_candidates(S3)
-        shells = peetre.offset_shells(GRID, S3, M, 2)
+        (shells,) = peetre.offset_shells(GRID, S3, [M], 2)
         grids._CACHE.clear()
         assert np.array_equal(cube.labels, cube_windows(GRID, S3, 1).labels)
         assert ball.count == ball_windows(GRID, S3, 1).count
         assert np.array_equal(cand, group_analysis._v_candidates(S3))
-        assert shells.shells == peetre.offset_shells(GRID, S3, M, 2).shells
+        assert shells.shells == peetre.offset_shells(GRID, S3, [M], 2)[0].shells
 
     @pytest.mark.parametrize(
         "tag, build",
         [
             ("cube", lambda S: cube_windows(GRID, S, 0)),
             ("ball", lambda S: ball_windows(GRID, S, 0)),
-            ("shells", lambda S: peetre.offset_shells(GRID, S, np.eye(1), 2)),
+            ("shells", lambda S: peetre.offset_shells(GRID, S, [np.eye(1)], 2)[0]),
             ("vcand", lambda S: group_analysis._v_candidates(S)),
         ],
         ids=["cube_windows", "ball_windows", "offset_shells", "v_candidates"],
@@ -397,11 +397,11 @@ class TestValueKeyedCaches:
         assert _tables(tag) == 1
 
     def test_shell_tables_are_kept_past_many_scales(self):
-        first = peetre.offset_shells(GRID, S1, np.eye(1), 2)
+        (first,) = peetre.offset_shells(GRID, S1, [np.eye(1)], 2)
         for k in range(1, 201):
-            peetre.offset_shells(GRID, S1, np.array([[1.0 + k / 256]]), 2)
+            peetre.offset_shells(GRID, S1, [np.array([[1.0 + k / 256]])], 2)
         assert _tables("shells") == 201
-        assert peetre.offset_shells(GRID, S1, np.eye(1), 2) is first
+        assert peetre.offset_shells(GRID, S1, [np.eye(1)], 2)[0] is first
 
     def test_equal_structures_share_one_overlap_exponent(self, monkeypatch):
         # one build draws boundary points once; 32 calls over two equal
@@ -425,7 +425,7 @@ def test_derived_tables_are_read_only(pair):
         pair.phi.gauge.t_grid(GRID),
         cube_windows(GRID, S1, 0).labels,
         ball_windows(GRID, S1, 0).kernel_fft,
-        *peetre.offset_shells(GRID, S1, np.eye(1), 2).groups,
+        *peetre.offset_shells(GRID, S1, [np.eye(1)], 2)[0].groups,
     ]
     assert [t.flags.writeable for t in tables] == [False] * len(tables)
 

@@ -3,7 +3,7 @@ import pytest
 
 from anisotl.analyzers import bump, make_covering_profile
 from anisotl.field_engine import ScaleBand, convolve_scale, field_from_closure, values_to_spec
-from anisotl import peetre
+from anisotl import grids, peetre
 from anisotl.grids import GridSpec, offset_index_vectors, spatial_points
 from anisotl.linalg_expansive import (
     WeightNu,
@@ -162,8 +162,9 @@ def test_sweep_matches_roll_reference(matrix, grid, search_shells, monkeypatch):
     monkeypatch.setattr(peetre, "_ball_maxima", lambda v, t: views.append(1) or real_maxima(v, t))
     betas = [0.6, 1.5, 2.0]
     for values in (random_band, np.zeros(grid.shape)):
-        for s in (-1.0, 0.5, 4.0):  # at s = 4 the plane cases keep no shell
-            struct = offset_shells(grid, S, E.power(s), search_shells)
+        scales = (-1.0, 0.5, 4.0)  # at s = 4 the plane cases keep no shell
+        structs = offset_shells(grid, S, [E.power(s) for s in scales], search_shells)
+        for s, struct in zip(scales, structs, strict=True):
             views.clear()
             res = weighted_sup_multi(values, struct, betas, E.absdet)
             assert bool(views) == bool(values.any())
@@ -195,9 +196,9 @@ def test_balls_are_the_shell_sets(matrix):
         offs, shell, nonzero = _torus_shells(grid, S, M)
         present = np.unique(shell[nonzero])
         with pytest.raises(ValueError, match="search_shells = 0 must be at least 1"):
-            offset_shells(grid, S, M, 0)
+            offset_shells(grid, S, [M], 0)
         for K in (1, 2, 9):
-            struct = offset_shells(grid, S, M, K)
+            (struct,) = offset_shells(grid, S, [M], K)
             assert struct.shells == tuple(int(m) for m in present[present <= K])
             assert struct.truncated == bool(np.any(present > K))
             assert len(struct.groups) == len(struct.shells)
@@ -217,11 +218,74 @@ def test_search_radius_beyond_every_shell_matches_the_clamp(matrix):
     S = build_ellipsoid(E)
     grid = GridSpec(d=E.d, extent=8.0 if E.d == 1 else 2.0, n=256 if E.d == 1 else 32)
     for s in (-1.0, 0.0, 2.0):
-        far, near = (offset_shells(grid, S, E.power(s), K) for K in (10**6, 40))
+        far, near = (offset_shells(grid, S, [E.power(s)], K)[0] for K in (10**6, 40))
         assert far is not near
         assert (far.shells, far.truncated) == (near.shells, near.truncated)
         assert len(far.groups) == len(near.groups)
         assert all(np.array_equal(a, b) for a, b in zip(far.groups, near.groups))
+
+
+ROTATION = [[0.0, -2.0], [2.0, 0.0]]
+JORDAN = [[2.0, 3.0], [0.0, 4.0]]
+
+
+@pytest.mark.parametrize("matrix", [[[2.0]], SHEAR, DIAG24, ROTATION, JORDAN])
+def test_shell_index_is_even(matrix):
+    """shell_index(-x) equals shell_index(x), index and saturated flag, bit
+    for bit from 1e-13 to 1e13: offset_shells copies a negated offset's
+    shell instead of solving it."""
+    E = validate_expansive(matrix)
+    S = build_ellipsoid(E)
+    rng = np.random.default_rng(31)
+    x = rng.normal(size=(20_000, E.d)) * 10.0 ** rng.uniform(-13, 13, size=(20_000, 1))
+    shell, saturated = S.shell_index(x)
+    neg_shell, neg_saturated = S.shell_index(-x)
+    assert np.array_equal(shell, neg_shell)
+    assert np.array_equal(saturated, neg_saturated)
+
+
+def _same_shells(a, b):
+    return (
+        a.shells == b.shells
+        and a.truncated == b.truncated
+        and len(a.groups) == len(b.groups)
+        and all(np.array_equal(p, q) for p, q in zip(a.groups, b.groups))
+    )
+
+
+@pytest.mark.parametrize(
+    "matrix,grid",
+    [([[2.0]], GridSpec(d=1, extent=8.0, n=16)), (SHEAR, GridSpec(d=2, extent=2.0, n=8)),
+     (DIAG24, GridSpec(d=2, extent=2.0, n=8))],
+)
+@pytest.mark.parametrize("group_offsets", [1 << 14, 3 * 64])
+def test_batched_shells_equal_single_builds(matrix, grid, group_offsets, monkeypatch):
+    """One offset_shells call over a sweep's matrices (fractional scales,
+    grids with -n/2 offsets, one or several build groups) gives each matrix
+    the balls of a build on its own, and the balls of the full-table
+    shell_index; a repeated matrix and one already in the store come back
+    as the stored table."""
+    E = validate_expansive(matrix)
+    S = build_ellipsoid(E)
+    monkeypatch.setattr(peetre, "_GROUP_OFFSETS", group_offsets)
+    mats = [E.power(s) for s in np.arange(-3.0, 3.01, 0.375)]
+    single = []
+    for M in mats:
+        monkeypatch.setattr(grids, "_CACHE", {})
+        single += offset_shells(grid, S, [M], 2)
+    monkeypatch.setattr(grids, "_CACHE", {})
+    (stored,) = offset_shells(grid, S, [mats[4]], 2)
+    batch = offset_shells(grid, S, mats + [mats[4], mats[0]], 2)
+    assert batch[4] is stored and batch[-2] is stored and batch[-1] is batch[0]
+    assert len(grids._CACHE) == len(mats) + 1  # the offset table
+    for M, one, many in zip(mats, single, batch):
+        assert _same_shells(one, many)
+        offs, shell, nonzero = _torus_shells(grid, S, M)
+        present = np.unique(shell[nonzero])
+        assert many.shells == tuple(int(m) for m in present[present <= 2])
+        for m, table in zip(many.shells, many.groups):
+            want = (~nonzero | (shell <= m)).reshape(grid.shape)
+            assert np.array_equal(_covered(table, grid.shape), want)
 
 
 def test_windows_of_rows_with_several_runs():
