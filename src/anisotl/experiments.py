@@ -23,6 +23,7 @@ from .analyzers import (
 from .field_engine import field_from_closure
 from .frames import (
     FrameSystem,
+    check_atom_band,
     dual_envelope,
     dual_reconstruct,
     frame_bounds,
@@ -767,11 +768,15 @@ def run_translation_bounds(config: dict | None = None) -> dict:
             )
             _count_flags(flag_counts, *rep["flags"], {"v_saturated": rep["v_saturated"]})
             passed = rep["left_ok"] and rep["right_ok"]
+            # one column "y" on the line, "y0", "y1", ... in d >= 2
+            coords = (
+                {"y": float(y[0])} if E.d == 1 else {f"y{i}": float(c) for i, c in enumerate(y)}
+            )
             rows.append(
                 {
                     "branch": branch,
                     "t": t,
-                    "y": float(y[0]),
+                    **coords,
                     "left_ratio": rep["left_ratio"],
                     "left_bound": rep["left_bound"],
                     "right_ratio": rep["right_ratio"],
@@ -971,6 +976,8 @@ def run_frames(config: dict | None = None) -> dict:
     vec = make_admissible(phi)
     S = build_ellipsoid(E)
     ggrid = _group_grid(cfg, grid)
+    # both lattices start at s_min; fail on aliasing before any covering work
+    check_atom_band(vec, ggrid.s_min, grid)
     fields = _suite(cfg["suite"], grid, phi.gauge)
 
     rows = []

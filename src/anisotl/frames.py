@@ -160,8 +160,11 @@ def _covering_stats(ggrid, E, xs, ss, U, core) -> tuple[float, int]:
 # ---------------------------------------------------------------------------
 
 
-def _check_atom_band(vec, s_min: float, grid: GridSpec) -> None:
-    """Atoms at the deepest scale must still fit inside the Nyquist box."""
+def check_atom_band(vec, s_min: float, grid: GridSpec) -> None:
+    """Atoms at the deepest scale must still fit inside the Nyquist box.
+
+    It depends only on the config, so run_frames calls it on the group
+    grid's deepest scale before it builds and measures any lattice."""
     hi = vec.psi.t_support[1]
     check_nyquist(vec.psi.gauge, hi - s_min, grid, f"atoms at scale {s_min:g}")
 
@@ -186,7 +189,7 @@ def atom_spectra(vec, Gamma: IndexSet, grid: GridSpec) -> tuple[np.ndarray, np.n
     psi = vec.psi
     if len(Gamma.ss) == 0:
         return np.zeros((0, 0), dtype=complex), np.zeros(0, dtype=np.int64)
-    _check_atom_band(vec, float(np.min(Gamma.ss)), grid)
+    check_atom_band(vec, float(np.min(Gamma.ss)), grid)
     t = psi.t_grid(grid)
     lo, hi = psi.t_support
     smin, smax = float(np.min(Gamma.ss)), float(np.max(Gamma.ss))
@@ -201,7 +204,7 @@ def atom_spectra(vec, Gamma: IndexSet, grid: GridSpec) -> tuple[np.ndarray, np.n
 
 def atom_field(vec, gamma: GroupPoint, grid: GridSpec) -> SampledField:
     """Single periodized atom as a sampled field."""
-    _check_atom_band(vec, gamma.s, grid)
+    check_atom_band(vec, gamma.s, grid)
     t = vec.psi.t_grid(grid)
     spec = np.zeros(grid.size, dtype=complex)
     finite = np.isfinite(t)

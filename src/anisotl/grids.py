@@ -141,3 +141,25 @@ def offset_index_vectors(grid: GridSpec) -> np.ndarray:
         return np.stack([m.ravel() for m in mesh], axis=-1).astype(np.int64)
 
     return cached(("off", grid), build)
+
+
+def mirror_rows(grid: GridSpec, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(mirror, copy) for points pts given per row of the FFT-order lattice
+    (offset_index_vectors, freq_points).
+
+    mirror[p] is the row of -z_p; copy[p] marks a row whose point is, bit
+    for bit, the negation of an earlier row's point, so a function even in
+    x can copy its value from row mirror[p].  A row with a -n/2 component
+    has no negation on the lattice and is never a copy.  Row 0, the origin,
+    is its own mirror and counts as a copy: its value is not solved.
+    """
+
+    def build():
+        offs = offset_index_vectors(grid)
+        mirror = np.ravel_multi_index(tuple((-offs % grid.n).T), grid.shape)
+        earlier = mirror < np.arange(grid.size)
+        earlier[0] = True
+        return mirror, earlier
+
+    mirror, earlier = cached(("mirror", grid), build)
+    return mirror, earlier & np.all(pts[mirror] == -pts, axis=1)

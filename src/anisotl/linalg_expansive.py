@@ -19,7 +19,7 @@ from scipy.linalg import expm, logm, solve_continuous_lyapunov
 from scipy.linalg import eigh as generalized_eigh
 
 from .errors import NotExpansive, NotExponential, Singular
-from .grids import GridSpec, cached, freq_points
+from .grids import GridSpec, cached, freq_points, mirror_rows
 
 # Shell search range for the step quasi-norm; outside it the value
 # saturates at the boundary shell and the caller is handed a flag.
@@ -171,6 +171,43 @@ def matrix_from_json(obj: dict) -> ExpansiveMatrix:
     return validate_expansive(entries)
 
 
+def _dot(a, b):
+    """sum_j a[j] * b[j] over the leading index, added in einsum's order:
+    (a0*b0 + a1*b1) + a2*b2 + ...
+
+    einsum starts each sum at 0.0, which differs only in turning a -0.0
+    sum into +0.0.  flow accumulates into +0.0 zeros and ||y||^2 adds
+    squares, so that sign reaches no result: with at most two terms the
+    values are bit-equal to einsum's."""
+    acc = a[0] * b[0]
+    for aj, bj in zip(a[1:], b[1:]):
+        acc += aj * bj
+    return acc
+
+
+def _columnar(pts: np.ndarray) -> bool:
+    """Whether _quadratic takes the column route: d = 2 and >= 3 points."""
+    return pts.shape[1] == 2 and len(pts) >= 3
+
+
+def _quadratic(y: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """y_n^T Q y_n for every row of y, bit-equal to
+    np.einsum("ni,ij,nj->n", y, Q, y).
+
+    einsum sums the terms (y_i Q_ij) y_j flat for 3 or more rows, and for
+    at most 2 in an order that also depends on the strides of y.  In d = 2
+    with at least 3 rows this is column arithmetic in the flat order,
+    ((y0 Q00) y0 + (y0 Q01) y1) + (y1 Q10) y0 + (y1 Q11) y1, whose leading
+    term is never -0.0 for a positive definite Q, so einsum's 0.0 start
+    changes no bit.  Other shapes keep einsum on y as given (in d = 1 it is
+    also the faster of the two)."""
+    if not _columnar(y):
+        return np.einsum("ni,ij,nj->n", y, Q, y)
+    y0, y1 = y.T
+    (q00, q01), (q10, q11) = Q.tolist()  # floats unpack faster than array rows
+    return ((y0 * q00) * y0 + (y0 * q01) * y1) + (y1 * q10) * y0 + (y1 * q11) * y1
+
+
 # ---------------------------------------------------------------------------
 # Lyapunov ellipsoid and step homogeneous quasi-norm
 # ---------------------------------------------------------------------------
@@ -200,8 +237,7 @@ class QuasiNormStructure:
         return (self.owner.A.tobytes(), self.Q.tobytes(), self.c)
 
     def quadratic_form(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(pts)
-        return np.einsum("ni,ij,nj->n", pts, self.Q, pts)
+        return _quadratic(np.atleast_2d(pts), self.Q)
 
     def contains(self, pts: np.ndarray) -> np.ndarray:
         """Membership of points in Omega."""
@@ -210,11 +246,18 @@ class QuasiNormStructure:
     def member(self, pts: np.ndarray, level) -> np.ndarray:
         """Membership of points in A^level Omega, for a level per point or
         one for all; levels are clamped to [-CL, CL].  shell_index decides
-        with it, so shell <= m <=> member at m + 1 holds bit for bit."""
+        with it, so shell <= m <=> member at m + 1 holds bit for bit.
+
+        Where _quadratic takes columns, y = A^-level x is _dot column
+        arithmetic, which differs from np.einsum("nij,nj->ni", ...) at most
+        in the sign of a zero, and that sign reaches no quadratic form."""
         level = np.broadcast_to(level, pts.shape[:1])
         mats = self._neg_powers[np.clip(level, -SHELL_CLAMP, SHELL_CLAMP) + SHELL_CLAMP]
-        y = np.einsum("nij,nj->ni", mats, pts)
-        return np.einsum("ni,ij,nj->n", y, self.Q, y) < self.c
+        if _columnar(pts):
+            y = _dot(mats.T, pts.T[:, None]).T
+        else:
+            y = np.einsum("nij,nj->ni", mats, pts)
+        return _quadratic(y, self.Q) < self.c
 
     def boundary_points(self, n: int, rng=None) -> np.ndarray:
         """n points on the boundary of Omega (deterministic unless rng given)."""
@@ -473,20 +516,6 @@ def measure_nu_constant(w: WeightNu, n: int = 4096, seed: int = 11) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _dot(a, b):
-    """sum_j a[j] * b[j] over the leading index, added in einsum's order:
-    (a0*b0 + a1*b1) + a2*b2 + ...
-
-    einsum starts each sum at 0.0, which differs only in turning a -0.0
-    sum into +0.0.  flow accumulates into +0.0 zeros and ||y||^2 adds
-    squares, so that sign reaches no result: with at most two terms the
-    values are bit-equal to einsum's."""
-    acc = a[0] * b[0]
-    for aj, bj in zip(a[1:], b[1:]):
-        acc += aj * bj
-    return acc
-
-
 class ScaleGauge:
     """Continuous anisotropic scale coordinate for an exponential dilation.
 
@@ -496,10 +525,11 @@ class ScaleGauge:
     which is what makes frequency-side filter dilations act as exact
     translations in t.
 
-    t_grid(grid) is t on the grid's lattice frequencies, kept in the grids
-    store under the values of A, B and the grid, so equal gauges share
-    one read-only solve.  Instances hold no state that changes after
-    __init__.
+    t_grid(grid) is t on the grid's lattice frequencies, solved for one
+    point of each +- pair and kept in the grids store under the values of
+    A, B and the grid, so equal gauges share one read-only solve.
+    Instances hold no state that changes after __init__; the flow cache
+    of a solve lives in t.
     """
 
     _TABLE_STEP = 0.25
@@ -542,7 +572,7 @@ class ScaleGauge:
         self._taylor = np.ascontiguousarray(np.stack(powers).transpose(0, 2, 1)[..., None])
         self._key = (self.A.tobytes(), self.B.tobytes())
 
-    def flow(self, s: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    def flow(self, s: np.ndarray, pts: np.ndarray, cache: dict | None = None) -> np.ndarray:
         """exp(-s_i B) @ pts_i for per-point scales s_i (table + Taylor).
 
         Each per-point contraction (the table product and the Taylor
@@ -552,18 +582,35 @@ class ScaleGauge:
         np.einsum("ij,nj->ni", ...); in d >= 3 einsum may pair the terms
         differently and the two agree to rounding.  One call is one Newton
         step of t.
+
+        cache, an empty dict on the first call, carries each point's table
+        index and table product _table[idx] . pts_i from one call to the
+        next for the same pts: only the points whose index changed are
+        multiplied again.  The product is elementwise, so a kept column has
+        the bits of a fresh one.  t owns one cache per solve.
         """
         s = np.asarray(s, dtype=float)
         idx = np.clip(
             np.rint(s / self._TABLE_STEP).astype(int), -self._n_tab, self._n_tab
         )
         u = s - idx * self._TABLE_STEP
-        base = _dot(self._table[:, :, idx + self._n_tab], np.asarray(pts).T[:, None])
+        cols = np.asarray(pts).T[:, None]
+        if not cache:
+            base = _dot(self._table[:, :, idx + self._n_tab], cols)
+        else:
+            base = cache["base"]
+            stale = np.flatnonzero(idx != cache["idx"])
+            if stale.size:
+                base[:, stale] = _dot(self._table[:, :, idx[stale] + self._n_tab], cols[..., stale])
+        if cache is not None:
+            cache.update(idx=idx, base=base)
         out = np.zeros_like(base)
         upow = np.ones_like(s)
         for taylor in self._taylor:
-            out += upow * _dot(taylor, base)
-            upow = upow * u
+            term = _dot(taylor, base)
+            term *= upow
+            out += term
+            upow *= u
         return out.T.copy()
 
     def t(self, pts: np.ndarray) -> np.ndarray:
@@ -572,15 +619,16 @@ class ScaleGauge:
         pts is one point set (n, d), giving (n,), or a stack of independent
         sets (k, n, d), giving (k, n).  Each set iterates until its own
         max |log G| < 1e-13 (at most 120 steps) and is then frozen; the other
-        sets go on.  flow and ||y||^2 are elementwise, but y^T P y is an
-        einsum whose summation order depends on how many live points share
-        the call (nested for at most 2, flat for 3 or more), so a point's
-        g can move by an ulp with the other points.  A stacked call is
-        therefore bit-identical to k separate calls when every set has at
-        least 3 nonzero points, and agrees to rounding otherwise (t up to a
-        few 1e-15 apart for sets of 1 or 2 points).  Every call solves
-        afresh (Newton steps, bisecting inside a bracket); t_grid is the
-        cached lattice route.
+        sets go on.  flow and ||y||^2 are elementwise, but y^T P y
+        (_quadratic) is summed in an order that depends on how many live
+        points share the call (nested for at most 2, flat for 3 or more), so
+        a point's g can move by an ulp with the other points.  A stacked
+        call is therefore bit-identical to k separate calls when every set
+        has at least 3 nonzero points, and agrees to rounding otherwise (t
+        up to a few 1e-15 apart for sets of 1 or 2 points).  Every call
+        solves afresh (Newton steps, bisecting inside a bracket), with one
+        flow cache for the solve that is compacted with the points when
+        sets finish; t_grid is the cached lattice route.
         """
         pts = np.asarray(pts, dtype=float)
         stacked = pts.ndim == 3
@@ -598,13 +646,14 @@ class ScaleGauge:
         starts = np.cumsum(counts) - counts
 
         # initial guess from the P-quadratic form at s = 0
-        g0 = np.einsum("ni,ij,nj->n", x, self.P, x)
+        g0 = _quadratic(x, self.P)
         lam_mid = 2.0 / (1.0 / self._lam_min + 1.0 / self._lam_max)
         s = np.log(np.maximum(g0, 1e-300)) * lam_mid
         lo = np.full(len(s), -np.inf)
         hi = np.full(len(s), np.inf)
+        cache: dict = {}
         for _ in range(120):
-            val, slope = self._log_g(s, x)
+            val, slope = self._log_g(s, x, cache)
             # logG is strictly decreasing: val > 0 means the root is above s
             lo = np.where(val > 0, np.maximum(lo, s), lo)
             hi = np.where(val < 0, np.minimum(hi, s), hi)
@@ -618,6 +667,7 @@ class ScaleGauge:
                 live, x, s, lo, hi, val, slope = (
                     a[keep] for a in (live, x, s, lo, hi, val, slope)
                 )
+                cache.update({k: v[..., keep] for k, v in cache.items()})
                 counts = counts[~done]
                 if not counts.size:
                     break
@@ -635,22 +685,39 @@ class ScaleGauge:
         flat[live] = s
         return out if stacked else out[0]
 
-    def _log_g(self, s: np.ndarray, x: np.ndarray):
+    def _log_g(self, s: np.ndarray, x: np.ndarray, cache: dict):
         """log G(s) = log(y^T P y) at y = exp(-sB) x, and its |slope| bound.
 
-        g keeps the 3-operand einsum: its summation order depends on the
-        number of points (nested for n <= 2, flat for n >= 3), which column
-        arithmetic cannot follow bit for bit.  ||y||^2 has two terms in
-        d <= 2 and goes through _dot like flow.
+        g is _quadratic, bit-equal to the 3-operand einsum; ||y||^2 has two
+        terms in d <= 2 and goes through _dot like flow.
         """
-        y = self.flow(s, x)
-        g = np.einsum("ni,ij,nj->n", y, self.P, y)
+        y = self.flow(s, x, cache)
+        g = _quadratic(y, self.P)
         return np.log(g), _dot(y.T, y.T) / g
 
     def t_grid(self, grid: GridSpec) -> np.ndarray:
-        """t at every lattice frequency of grid, in FFT order: the cached
-        t(freq_points(grid)), solved through t on first use only."""
-        return cached(("t", *self._key, grid), lambda: self.t(freq_points(grid)))
+        """t at every lattice frequency of grid, in FFT order, solved
+        through t on first use only and then cached.
+
+        Only one point of each +- pair is solved (grids.mirror_rows): flow
+        is linear and y^T P y and ||y||^2 are even in y, so -x takes the
+        Newton and bisection steps of x and reaches its t bit for bit, and
+        a set stops at the same step.  If fewer than 3 points would be
+        solved, the whole lattice is, since _quadratic sums 2 or fewer
+        points in another order.
+        """
+
+        def build():
+            pts = freq_points(grid)
+            mirror, copy = mirror_rows(grid, pts)
+            if np.count_nonzero(~copy) < 3:  # the origin is a copy
+                return self.t(pts)
+            out = np.full(grid.size, -np.inf)
+            out[~copy] = self.t(pts[~copy])
+            out[copy] = out[mirror[copy]]
+            return out
+
+        return cached(("t", *self._key, grid), build)
 
     def region_extent(self, tau: float) -> float:
         """Max coordinate magnitude over {t <= tau} = A^tau {x : x^T P x <= 1},

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import GridSpec, cached_batch, offset_index_vectors
+from .grids import GridSpec, cached_batch, mirror_rows, offset_index_vectors
 # the one store, under the name perfbench/tracer.py probes for shell hits
 from .grids import _CACHE as _SHELL_CACHE
 from .linalg_expansive import QuasiNormStructure
@@ -99,18 +99,16 @@ def _build_shells(
     form and member are even in x.  So a row whose point M z is the exact
     negation of an earlier row's point copies that row's shell, and only
     the others are solved: about half the table, with every row that has a
-    -n/2 component (its negation is not a table offset).
+    -n/2 component (its negation is not a table offset).  The pairing is
+    grids.mirror_rows, which ScaleGauge.t_grid shares.
     """
     offs = offset_index_vectors(grid)
-    mirror = np.ravel_multi_index(tuple((-offs % grid.n).T), grid.shape)  # row of -z
-    earlier = mirror < np.arange(grid.size)
-    earlier[0] = True  # row 0, the origin, is neither solved nor read
     points = [(offs * grid.h) @ M.T for M in matrices]
-    copies = [earlier & np.all(pts[mirror] == -pts, axis=1) for pts in points]
-    solved, _ = S.shell_index(np.concatenate([p[~c] for p, c in zip(points, copies)]))
-    heads = np.cumsum([0] + [grid.size - np.count_nonzero(c) for c in copies])
+    pairs = [mirror_rows(grid, pts) for pts in points]  # row 0 is never read
+    solved, _ = S.shell_index(np.concatenate([p[~c] for p, (_, c) in zip(points, pairs)]))
+    heads = np.cumsum([0] + [grid.size - np.count_nonzero(c) for _, c in pairs])
     kept, masks = [], []
-    for copy, a, b in zip(copies, heads[:-1], heads[1:]):
+    for (mirror, copy), a, b in zip(pairs, heads[:-1], heads[1:]):
         shell = np.empty(grid.size, dtype=solved.dtype)
         shell[~copy] = solved[a:b]
         shell[copy] = shell[mirror[copy]]

@@ -48,11 +48,11 @@ def test_criterion_01_quasinorm_axioms():
 
 
 def test_criterion_02_calderon_identity():
-    _run("2 Calderon identity", run_calderon, budget=5.0)
+    _run("2 Calderon identity", run_calderon, budget=2.0)
 
 
 def test_criterion_03_admissibility():
-    _run("3 admissibility", run_admissibility, budget=5.0)
+    _run("3 admissibility", run_admissibility, budget=2.0)
 
 
 def test_criterion_04_isometry_and_reproducing():

@@ -18,6 +18,7 @@ from anisotl.linalg_expansive import (
     SHELL_CLAMP,
     _SAMPLE_SHELLS,
     ScaleGauge,
+    _quadratic,
     _real_log,
     build_ellipsoid,
     fractional_power,
@@ -385,9 +386,9 @@ def _count_flows(g):
     """Replace g.flow by a wrapper; the returned list gets each step's set size."""
     flow, steps = g.flow, []
 
-    def counted(s, pts):
+    def counted(s, pts, *args, **kwargs):
         steps.append(len(s))
-        return flow(s, pts)
+        return flow(s, pts, *args, **kwargs)
 
     g.flow = counted
     return steps
@@ -471,11 +472,12 @@ class TestScaleGauge:
 
 
 class _EinsumGauge(ScaleGauge):
-    """Reference Newton step: the einsum bodies that flow and the slope of
-    log G had before they became column arithmetic.  The stored tables are
-    indexed contracted-index first, hence the transposes."""
+    """Reference Newton step: the einsum bodies that flow, g and the slope
+    of log G had before they became column arithmetic, with no flow cache.
+    The stored tables are indexed contracted-index first, hence the
+    transposes."""
 
-    def flow(self, s, pts):
+    def flow(self, s, pts, cache=None):
         s = np.asarray(s, dtype=float)
         idx = np.clip(np.rint(s / self._TABLE_STEP).astype(int), -self._n_tab, self._n_tab)
         u = s - idx * self._TABLE_STEP
@@ -487,7 +489,7 @@ class _EinsumGauge(ScaleGauge):
             upow = upow * u
         return out
 
-    def _log_g(self, s, x):
+    def _log_g(self, s, x, cache=None):
         y = self.flow(s, x)
         g = np.einsum("ni,ij,nj->n", y, self.P, y)
         ynorm = np.einsum("ni,ni->n", y, y)
@@ -524,6 +526,75 @@ def test_newton_step_bit_equal_to_einsum(mat, n):
         assert np.array_equal(g.t(pts), ref.t(pts))
     stack = np.stack([_gauge_points(rng, n, g.d) for _ in range(3)])
     assert np.array_equal(g.t(stack), ref.t(stack))
+
+
+@pytest.mark.parametrize("mat", NEWTON_MATRICES, ids=NEWTON_IDS)
+def test_flow_cache_keeps_every_bit(mat):
+    g = transpose_gauge(validate_expansive(mat))
+    rng = np.random.default_rng(5)
+    n = 500
+    pts = _gauge_points(rng, n, g.d)
+    s = rng.uniform(-40.0, 40.0, size=n)
+    cache = {}
+    for _ in range(8):
+        y = g.flow(s, pts, cache)
+        fresh = g.flow(s, pts)
+        assert np.array_equal(y, fresh)
+        assert np.array_equal(np.signbit(y), np.signbit(fresh))
+        # about half the points keep their table index, the rest move
+        small = rng.random(n) < 0.5
+        s = s + np.where(small, rng.uniform(-0.05, 0.05, n), rng.uniform(-5.0, 5.0, n))
+
+
+def _einsum_member(S, pts, level):
+    """Reference: member with both products through einsum."""
+    level = np.broadcast_to(level, pts.shape[:1])
+    mats = S._neg_powers[np.clip(level, -SHELL_CLAMP, SHELL_CLAMP) + SHELL_CLAMP]
+    y = np.einsum("nij,nj->ni", mats, pts)
+    return np.einsum("ni,ij,nj->n", y, S.Q, y) < S.c
+
+
+@pytest.mark.parametrize("mat", NEWTON_MATRICES, ids=NEWTON_IDS)
+@pytest.mark.parametrize("n", [1, 2, 3, 10_000])
+def test_quadratic_forms_bit_equal_to_einsum(mat, n):
+    E = validate_expansive(mat)
+    S = build_ellipsoid(E)
+    rng = np.random.default_rng(n)
+    pts = _gauge_points(rng, n, E.d)
+    for Q in (S.Q, transpose_gauge(E).P):
+        assert np.array_equal(_quadratic(pts, Q), np.einsum("ni,ij,nj->n", pts, Q, pts))
+    assert np.array_equal(S.quadratic_form(pts), np.einsum("ni,ij,nj->n", pts, S.Q, pts))
+    # points within a few ulps of the boundary of A^level Omega, where a
+    # differently rounded form flips membership; many draws for small n
+    for _ in range(300 if n < 3 else 1):
+        level = rng.integers(-40, 41, size=n)
+        bnd = S.boundary_points(n, rng)
+        near = np.einsum("nij,nj->ni", S._neg_powers[SHELL_CLAMP - level], bnd)
+        near *= 1.0 + rng.integers(-2, 3, size=(n, 1)) * np.finfo(float).eps
+        for x in (pts, near):
+            for lev in (level, level[0], level - 1):
+                assert np.array_equal(S.member(x, lev), _einsum_member(S, x, lev))
+
+
+def _lattice_pairs(grid):
+    """Nonzero lattice points that have their negation on the lattice,
+    counted once per pair: rows without a -n/2 component."""
+    return ((grid.n - 1) ** grid.d - 1) // 2
+
+
+@pytest.mark.parametrize("mat", NEWTON_MATRICES, ids=NEWTON_IDS)
+@pytest.mark.parametrize("n", [2, 4, 8, 64])
+def test_paired_lattice_solve_is_bit_equal_to_the_full_solve(mat, n, monkeypatch):
+    monkeypatch.setattr(grids, "_CACHE", {})
+    g, ref = _reference_pair(mat)
+    grid = GridSpec(d=g.d, extent=2.0, n=n)
+    sizes = _count_flows(g)
+    t = g.t_grid(grid)
+    assert np.array_equal(t, ref.t(freq_points(grid)))
+    # one point of each pair is solved, unless fewer than 3 would be (1-D
+    # n <= 4 keeps the full solve)
+    halved = grid.size - 1 - _lattice_pairs(grid)
+    assert sizes[0] == (halved if halved >= 3 else grid.size - 1)
 
 
 def test_newton_step_in_3d_agrees_to_rounding():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from anisotl import experiments, frames, grids, group_analysis, norms, peetre
+from anisotl.errors import Aliasing
 from anisotl.experiments import (
     PLANE_MATRICES,
     run_coorbit,
@@ -99,6 +100,24 @@ def test_frames_exponentiates_about_half_the_phase_entries(monkeypatch):
     assert seen["computed"] <= 2_900_000
 
 
+def test_frames_checks_its_atom_band_before_the_covering(monkeypatch):
+    # diag(2, 4) atoms at scale -3 reach |xi| = 687 against Nyquist 8; the
+    # run must say so before it builds or measures any lattice
+    def no_lattice(*args, **kwargs):
+        raise AssertionError("lattice built before the atom band check")
+
+    monkeypatch.setattr(experiments, "sample_index_set", no_lattice)
+    monkeypatch.setattr(frames, "_covering_stats", no_lattice)
+    config = {
+        "matrix": PLANE_MATRICES["diagonal"],
+        "grid": {"extent": 2.0, "n": 64},
+        "suite": {"count": 1, "seed": 21, "t_range": [0.0, 1.0]},
+        "covering": {"U": [0.25, 0.25], "density": 0.4},
+    }
+    with pytest.raises(Aliasing, match="atoms at scale -3 reach"):
+        run_frames(config)
+
+
 def test_translation_bounds_transforms_each_field_once(monkeypatch):
     # the pairs cycle through the suite and share each field's transform
     calls = []
@@ -111,6 +130,29 @@ def test_translation_bounds_transforms_each_field_once(monkeypatch):
     monkeypatch.setattr(experiments, "wavelet_transform", counting)
     run_translation_bounds()
     assert len(calls) == experiments.DEFAULTS["translation-bounds"]["suite"]["count"] == 4
+
+
+@pytest.mark.parametrize("plane", [False, True], ids=["line", "shear"])
+def test_translation_bounds_records_every_coordinate_of_y(plane):
+    config = {"suite": {"count": 1}, "pairs_per_branch": 2}
+    if plane:
+        config.update(
+            matrix=PLANE_MATRICES["shear"],
+            grid={"extent": 2.0, "n": 32},
+            suite={"count": 1, "seed": 3, "t_range": [0.0, 1.0]},
+        )
+    else:
+        config["grid"] = {"n": 256}
+    result = run_translation_bounds(config)
+    cfg = experiments.merged_config("translation-bounds", config)
+    names = ["y0", "y1"] if plane else ["y"]
+    assert result["columns"][2:2 + len(names)] == names
+    # the draws of the runner, replayed: each row holds all of its y
+    rng = np.random.default_rng(cfg["seed"])
+    for row in result["rows"]:
+        rng.choice(4)  # the row's t, one of four per branch
+        y = rng.uniform(-1.5, 1.5, size=len(names))
+        assert [row[name] for name in names] == y.tolist()
 
 
 def test_wavelet_repro_shares_transforms_and_kernels(monkeypatch):

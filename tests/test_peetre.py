@@ -277,7 +277,7 @@ def test_batched_shells_equal_single_builds(matrix, grid, group_offsets, monkeyp
     (stored,) = offset_shells(grid, S, [mats[4]], 2)
     batch = offset_shells(grid, S, mats + [mats[4], mats[0]], 2)
     assert batch[4] is stored and batch[-2] is stored and batch[-1] is batch[0]
-    assert len(grids._CACHE) == len(mats) + 1  # the offset table
+    assert len(grids._CACHE) == len(mats) + 2  # the offset table and its mirror rows
     for M, one, many in zip(mats, single, batch):
         assert _same_shells(one, many)
         offs, shell, nonzero = _torus_shells(grid, S, M)
