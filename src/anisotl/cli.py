@@ -18,7 +18,13 @@ from pathlib import Path
 from .analyzers import make_analyzing_pair
 from .errors import AnisoError
 from .experiments import LINE_MATRIX, RUNNERS, _setup, _suite, merged_config
-from .linalg_expansive import build_ellipsoid, matrix_from_json, measure_quasi_triangle
+from .linalg_expansive import (
+    WeightNu,
+    build_ellipsoid,
+    matrix_from_json,
+    measure_constants,
+    sample_pair,
+)
 from .norms import NormParams, band_arrays, besov_norm, tl_norm_inf, tl_norm_q
 from .storage import ensure_dir, load_field, save_field, write_csv, write_json
 
@@ -148,7 +154,7 @@ def _cmd_validate(args) -> int:
 def _ellipsoid_record(matrix: dict) -> dict:
     E = matrix_from_json(matrix)
     S = build_ellipsoid(E)
-    c_emp = measure_quasi_triangle(S, n=4096, seed=7)
+    c_emp, _ = measure_constants(WeightNu(S, beta=1.0), *sample_pair(S, 4096, 7))
     return {
         "op": "build_ellipsoid",
         "input": E.to_json(),

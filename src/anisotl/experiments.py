@@ -44,16 +44,15 @@ from .group_analysis import (
     reproducing_kernel,
     translation_bound_check,
     wavelet_transform,
+    weight_v_many,
     wiener_amalgam_norm,
 )
 from .linalg_expansive import (
     WeightNu,
     build_ellipsoid,
     matrix_from_json,
-    measure_nu_constant,
-    measure_quasi_triangle,
-    per_value_product,
-    sample_points,
+    measure_constants,
+    sample_pair,
 )
 from .norms import (
     NormParams,
@@ -389,11 +388,13 @@ def _pair_drift(rows: list[dict], key: str, drift_key: str, holds) -> None:
 
 def run_quasinorm_axioms(config: dict | None = None) -> dict:
     cfg = merged_config("quasinorm-axioms", config)
+    n, seed = int(cfg["points"]), int(cfg["seed"])
     rows = []
     for mat in cfg["matrices"]:
         E = matrix_from_json(mat)
         S = build_ellipsoid(E)
-        pts = sample_points(S, int(cfg["points"]), seed=int(cfg["seed"]))
+        # the main check's points are the first of the constants' pair
+        pts, other = sample_pair(S, n, seed)
         shell, sat = S.shell_index(pts)
         shell_a, sat_a = S.shell_index(pts @ E.A.T)
         usable = ~(sat | sat_a)
@@ -404,12 +405,10 @@ def run_quasinorm_axioms(config: dict | None = None) -> dict:
         )
         sym_exact = bool(np.array_equal(S.rho(-pts[usable]), vals))
         positive = bool(np.all(vals > 0))
-        c1 = measure_quasi_triangle(S, n=int(cfg["points"]), seed=int(cfg["seed"]))
-        c2 = measure_quasi_triangle(S, n=4 * int(cfg["points"]), seed=int(cfg["seed"]))
-        stable = abs(c2 - c1) <= cfg["stability_tolerance"] * c1
         nu = WeightNu(S, beta=1.0)
-        k1 = measure_nu_constant(nu, n=int(cfg["points"]), seed=int(cfg["seed"]))
-        k2 = measure_nu_constant(nu, n=4 * int(cfg["points"]), seed=int(cfg["seed"]))
+        c1, k1 = measure_constants(nu, pts, other)
+        c2, k2 = measure_constants(nu, *sample_pair(S, 4 * n, seed))
+        stable = abs(c2 - c1) <= cfg["stability_tolerance"] * c1
         nu_stable = np.isfinite(k1) and abs(k2 - k1) <= 0.5 * k1
         passed = hom_exact and hom_float and sym_exact and positive and stable and nu_stable
         rows.append(
@@ -811,9 +810,12 @@ def run_control_weight(config: dict | None = None) -> dict:
         )
         ys = rng.normal(size=(n, E.d)) * 3.0
         ts = np.round(rng.uniform(-3, 3, size=n) * 8) / 8
-        lhs = w(ys, ts)
-        inv_y = -per_value_product(ts, ys, lambda t: E.power(-float(t)))
-        rhs = E.absdet ** (ts / w.r) * w(inv_y, -ts)
+        inv_y, inv_t = w.inverse(ys, ts)
+        v_inv = weight_v_many(S, inv_y, inv_t)
+        lhs = w.from_v(ts, weight_v_many(S, ys, ts), v_inv)
+        # w at the inverses takes v there, which lhs has, and at their inverses
+        v_back = weight_v_many(S, *w.inverse(inv_y, inv_t))
+        rhs = E.absdet ** (ts / w.r) * w.from_v(inv_t, v_inv, v_back)
         sym_err = float(np.max(np.abs(lhs - rhs) / lhs))
 
         half = n // 2

@@ -631,16 +631,18 @@ class ControlWeight:
             self.alpha - 1.0 / self.q,
         )
 
-    def __call__(self, ys: np.ndarray, ts: np.ndarray) -> np.ndarray:
-        ys = np.atleast_2d(ys)
-        ts = np.asarray(ts, dtype=float)
+    def inverse(self, ys: np.ndarray, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The group inverses (-A^-t y, -t) of the points (y, t)."""
+        E = self.S.owner
+        return -per_value_product(ts, ys, lambda t: E.power(-float(t))), -ts
+
+    def from_v(self, ts: np.ndarray, v_fwd: np.ndarray, v_inv: np.ndarray) -> np.ndarray:
+        """w at points with scale components ts, from weight_v_many at the
+        points (v_fwd) and at their inverses (v_inv)."""
         E = self.S.owner
         gamma, delta, zeta = self.exponents
         r = self.r
         a = lambda tau: E.absdet ** (ts * tau)
-        v_fwd = weight_v_many(self.S, ys, ts)
-        inv_y = -per_value_product(ts, ys, lambda t: E.power(-float(t)))
-        v_inv = weight_v_many(self.S, inv_y, -ts)
         vb = v_fwd**self.beta
         vib = v_inv**self.beta
         pieces = [
@@ -656,6 +658,12 @@ class ControlWeight:
             a(-zeta) * vb,
         ]
         return np.max(np.stack(pieces), axis=0)
+
+    def __call__(self, ys: np.ndarray, ts: np.ndarray) -> np.ndarray:
+        ys = np.atleast_2d(ys)
+        ts = np.asarray(ts, dtype=float)
+        inv_y, inv_t = self.inverse(ys, ts)
+        return self.from_v(ts, weight_v_many(self.S, ys, ts), weight_v_many(self.S, inv_y, inv_t))
 
     def envelopes(self) -> tuple[EnvelopeSpec, EnvelopeSpec, bool]:
         sigma, kappa, upper = sigma_kappa(

@@ -199,9 +199,11 @@ def _quadratic(y: np.ndarray, Q: np.ndarray) -> np.ndarray:
     with at least 3 rows this is column arithmetic in the flat order,
     ((y0 Q00) y0 + (y0 Q01) y1) + (y1 Q10) y0 + (y1 Q11) y1, whose leading
     term is never -0.0 for a positive definite Q, so einsum's 0.0 start
-    changes no bit.  Other shapes keep einsum on y as given (in d = 1 it is
-    also the faster of the two)."""
+    changes no bit.  Other shapes keep einsum, on a C-ordered y so that
+    the result does not depend on the caller's memory layout (in d = 1 it
+    is also the faster of the two)."""
     if not _columnar(y):
+        y = np.ascontiguousarray(y)
         return np.einsum("ni,ij,nj->n", y, Q, y)
     y0, y1 = y.T
     (q00, q01), (q10, q11) = Q.tolist()  # floats unpack faster than array rows
@@ -483,16 +485,6 @@ def _flow_steps(E: ExpansiveMatrix) -> np.ndarray:
     return cached(("flow", E.log.tobytes()), build)
 
 
-def measure_quasi_triangle(S: QuasiNormStructure, n: int = 4096, seed: int = 7) -> float:
-    """Empirical quasi-triangle constant max rho(x+y)/(rho(x)+rho(y))."""
-    x = sample_points(S, n, seed)
-    y = sample_points(S, n, seed + 1)
-    rx = S.rho(x)
-    ry = S.rho(y)
-    rs = S.rho(x + y)
-    return float(np.max(rs / (rx + ry)))
-
-
 @dataclass(frozen=True)
 class WeightNu:
     """nu_beta(x) = (1 + rho_A(x))^beta."""
@@ -504,11 +496,22 @@ class WeightNu:
         return (1.0 + self.structure.rho(pts)) ** self.beta
 
 
-def measure_nu_constant(w: WeightNu, n: int = 4096, seed: int = 11) -> float:
-    """Empirical K with nu(x+y) <= K nu(x) nu(y)."""
-    x = sample_points(w.structure, n, seed)
-    y = sample_points(w.structure, n, seed + 1)
-    return float(np.max(w(x + y) / (w(x) * w(y))))
+def sample_pair(S: QuasiNormStructure, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The sample pair (x, y) that measure_constants takes: sample_points
+    at seed and at seed + 1."""
+    return sample_points(S, n, seed), sample_points(S, n, seed + 1)
+
+
+def measure_constants(nu: WeightNu, x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """Empirical quasi-triangle constant max rho(x+y)/(rho(x)+rho(y)) and
+    K with nu(x+y) <= K nu(x) nu(y), over the sample pairs (x, y).
+
+    Both come from one rho of x, of y and of x + y (by nu's structure)."""
+    rho, b = nu.structure.rho, nu.beta
+    rx, ry, rs = rho(x), rho(y), rho(x + y)
+    c = float(np.max(rs / (rx + ry)))
+    k = float(np.max((1.0 + rs) ** b / ((1.0 + rx) ** b * (1.0 + ry) ** b)))
+    return c, k
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,7 @@ def _run(name: str, runner, budget: float, config=None) -> dict:
 
 
 def test_criterion_01_quasinorm_axioms():
-    _run("1 quasi-norm axioms", run_quasinorm_axioms, budget=5.0)
+    _run("1 quasi-norm axioms", run_quasinorm_axioms, budget=2.0)
 
 
 def test_criterion_02_calderon_identity():
@@ -81,7 +81,7 @@ def test_criterion_07_translation_bounds():
 
 
 def test_criterion_08_control_weight():
-    result = _run("8 control weight", run_control_weight, budget=5.0)
+    result = _run("8 control weight", run_control_weight, budget=2.0)
     for row in result["rows"]:
         assert row["symmetry_error"] <= 1e-9
     assert {bool(r["upper_branch"]) for r in result["rows"]} == {True, False}

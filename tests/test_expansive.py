@@ -23,10 +23,10 @@ from anisotl.linalg_expansive import (
     build_ellipsoid,
     fractional_power,
     matrix_from_json,
-    measure_nu_constant,
-    measure_quasi_triangle,
+    measure_constants,
     per_value_product,
     real_matrix_log,
+    sample_pair,
     sample_points,
     transpose_gauge,
     validate_expansive,
@@ -227,7 +227,7 @@ class TestEllipsoid:
         S = build_ellipsoid(matrix_from_json(matrix))
         assert calls == []
         record = cli._ellipsoid_record(matrix)
-        c_emp = measure_quasi_triangle(S, n=4096, seed=7)
+        c_emp, _ = measure_constants(WeightNu(S, 1.0), *sample_pair(S, 4096, 7))
         assert record["output"]["quasi_triangle_c"] == c_emp
 
     @pytest.mark.parametrize("mat", [[[2.0]], np.diag([2.0, 4.0]), JORDAN])
@@ -273,18 +273,30 @@ class TestQuasiNorm:
 
     def test_quasi_triangle_stability(self):
         S = build_ellipsoid(validate_expansive(JORDAN))
-        c1 = measure_quasi_triangle(S, n=4096, seed=13)
-        c2 = measure_quasi_triangle(S, n=16384, seed=13)
+        nu = WeightNu(S, beta=1.0)
+        c1, _ = measure_constants(nu, *sample_pair(S, 4096, 13))
+        c2, _ = measure_constants(nu, *sample_pair(S, 16384, 13))
         assert np.isfinite(c1) and c1 >= 0.5
         assert abs(c2 - c1) <= 0.1 * c1
 
     def test_nu_submultiplicative_stability(self):
         S = build_ellipsoid(validate_expansive(np.diag([2.0, 4.0])))
         w = WeightNu(S, beta=1.5)
-        k1 = measure_nu_constant(w, n=4096, seed=1)
-        k2 = measure_nu_constant(w, n=16384, seed=1)
+        _, k1 = measure_constants(w, *sample_pair(S, 4096, 1))
+        _, k2 = measure_constants(w, *sample_pair(S, 16384, 1))
         assert np.isfinite(k1)
         assert abs(k2 - k1) <= 0.25 * k1
+
+    @pytest.mark.parametrize("mat", [[[2.0]], JORDAN], ids=["line", "shear"])
+    def test_merged_constants_equal_the_separate_formulas(self, mat):
+        S = build_ellipsoid(validate_expansive(mat))
+        x, y = sample_pair(S, 3000, 42)
+        for beta in (1.0, 1.5):
+            nu = WeightNu(S, beta)
+            c, k = measure_constants(nu, x, y)
+            # the quasi-triangle and nu formulas, each rating x, y and x + y
+            assert c == float(np.max(S.rho(x + y) / (S.rho(x) + S.rho(y))))
+            assert k == float(np.max(nu(x + y) / (nu(x) * nu(y))))
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -297,6 +309,30 @@ class TestQuasiNorm:
 
 
 _JORDAN_STRUCTURE = build_ellipsoid(validate_expansive(JORDAN))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_small_point_sets_are_layout_independent(n):
+    # for at most 2 rows einsum sums y^T Q y in an order that follows the
+    # strides of y; C- and F-ordered copies and a strided view must agree
+    S = _JORDAN_STRUCTURE
+    rng = np.random.default_rng(n)
+    methods = {
+        "quadratic_form": S.quadratic_form,
+        "contains": S.contains,
+        "shell_index": lambda p: S.shell_index(p)[0],
+        "rho": S.rho,
+    }
+    for _ in range(500):
+        # within 2 ulps of the boundary of A^level Omega, level 0 or random
+        level = rng.integers(-20, 21) * rng.integers(0, 2)
+        bnd = S.boundary_points(n, rng) @ np.linalg.matrix_power(np.array(JORDAN), level).T
+        pts = bnd * (1.0 + rng.integers(-2, 3, size=(n, 1)) * np.finfo(float).eps)
+        layouts = (np.asfortranarray(pts), np.repeat(pts, 2, axis=0)[::2])
+        for name, method in methods.items():
+            ref = method(np.ascontiguousarray(pts))
+            for other in layouts:
+                assert np.array_equal(method(other), ref), name
 
 SHELL_MATRICES = [[[2.0]], np.diag([2.0, 4.0]), JORDAN, [[1.0, -1.0], [1.0, 1.0]]]
 

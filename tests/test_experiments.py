@@ -6,10 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from anisotl import experiments, frames, grids, group_analysis, norms, peetre
+from anisotl import experiments, frames, grids, group_analysis, linalg_expansive, norms, peetre
 from anisotl.errors import Aliasing
 from anisotl.experiments import (
     PLANE_MATRICES,
+    run_control_weight,
     run_coorbit,
     run_embedding,
     run_frames,
@@ -353,3 +354,68 @@ def test_each_fields_arrays_are_built_once(monkeypatch):
         assert list(args[2]) == coarse.continuous_scales.tolist()
         assert args[3] == [1.5, 2.0]
     assert convolved_once()
+
+
+def test_quasinorm_axioms_draws_and_rates_each_sample_once(monkeypatch):
+    # per matrix 4 draws, (n, seed), (n, seed + 1), (4n, seed) and
+    # (4n, seed + 1); x, y and x + y of each size reach shell_index once
+    # for both constants
+    draws, seen = [], []
+    real_draw = linalg_expansive.sample_points
+    real_shell = linalg_expansive.QuasiNormStructure.shell_index
+
+    def drawing(S, n, seed):
+        draws.append((n, seed, real_draw(S, n, seed)))
+        return draws[-1][2]
+
+    def recording(self, pts):
+        seen.append(pts)
+        return real_shell(self, pts)
+
+    monkeypatch.setattr(linalg_expansive, "sample_points", drawing)
+    monkeypatch.setattr(linalg_expansive.QuasiNormStructure, "shell_index", recording)
+    matrices = [experiments.LINE_MATRIX, PLANE_MATRICES["shear"]]
+    experiments.run_quasinorm_axioms({"points": 300, "seed": 5, "matrices": matrices})
+    assert [(n, s) for n, s, _ in draws] == [(300, 5), (300, 6), (1200, 5), (1200, 6)] * 2
+    # the main check: the points and their images under A, then rho of the
+    # usable points, of their images and of their negatives
+    assert len(seen) == (5 + 6) * len(matrices)
+
+    def reached(pts):
+        return sum(a is pts for a in seen)
+
+    for m in range(len(matrices)):
+        (_, _, x), (_, _, y), (_, _, x4), (_, _, y4) = draws[4 * m : 4 * m + 4]
+        assert (reached(x), reached(y), reached(x4), reached(y4)) == (2, 1, 1, 1)  # x: main check too
+        for a, b in ((x, y), (x4, y4)):
+            assert sum(s.shape == a.shape and np.array_equal(s, a + b) for s in seen) == 1
+
+
+def test_control_weight_reuses_the_inverse_weight(monkeypatch):
+    # 3 weight_v_many calls per branch, and the symmetry error equals that
+    # of w at the samples against w at their inverses
+    calls = []
+    real = group_analysis.weight_v_many
+
+    def counting(S, ys, ts):
+        calls.append(len(ts))
+        return real(S, ys, ts)
+
+    monkeypatch.setattr(experiments, "weight_v_many", counting)
+    monkeypatch.setattr(group_analysis, "weight_v_many", counting)
+    config = {"samples": 300, "seed": 9}
+    rows = run_control_weight(config)["rows"]
+    assert calls == [300] * 3 * len(rows)
+
+    cfg = experiments.merged_config("control-weight", config)
+    E = linalg_expansive.matrix_from_json(cfg["matrix"])
+    S = linalg_expansive.build_ellipsoid(E)
+    rng = np.random.default_rng(9)
+    for row in rows:
+        w = group_analysis.ControlWeight(S, alpha=row["alpha"], beta=row["beta"], q=row["q"])
+        ys = rng.normal(size=(300, E.d)) * 3.0
+        ts = np.round(rng.uniform(-3, 3, size=300) * 8) / 8
+        lhs = w(ys, ts)
+        inv_y = -linalg_expansive.per_value_product(ts, ys, lambda t: E.power(-float(t)))
+        rhs = E.absdet ** (ts / w.r) * w(inv_y, -ts)
+        assert row["symmetry_error"] == float(np.max(np.abs(lhs - rhs) / lhs))

@@ -8,7 +8,8 @@ from anisotl.grids import GridSpec, offset_index_vectors, spatial_points
 from anisotl.linalg_expansive import (
     WeightNu,
     build_ellipsoid,
-    measure_nu_constant,
+    measure_constants,
+    sample_pair,
     validate_expansive,
 )
 from anisotl.norms import check_submeanvalue, hl_maximal, peetre_arrays
@@ -87,7 +88,7 @@ class TestPeetreMaximal:
         # full-search maximal field transported between base points
         pf = _peetre(band, beta=1.0, shells=10**6)
         nu = WeightNu(S1, beta=1.0)
-        K = measure_nu_constant(nu, n=8192, seed=2)
+        _, K = measure_constants(nu, *sample_pair(S1, 8192, 2))
         Ms = E1.power(band.scale)
         xs = spatial_points(GRID1)
         rng = np.random.default_rng(3)
