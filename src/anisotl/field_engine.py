@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import Aliasing
-from .grids import GridSpec, freq_points, offset_index_vectors, spectral_phase
+from .grids import GridSpec, flat_index, freq_points, offset_index_vectors, spectral_phase
 
 _BAND_TOL = 1e-10
 
@@ -269,7 +269,7 @@ def dilate_field(f: SampledField, E, gauge) -> SampledField:
     K = offset_index_vectors(grid)
     flat = f.spec.ravel()
     active = np.flatnonzero(np.abs(flat) > 0.0)
-    target = (K[active] @ np.round(A).astype(np.int64)) % grid.n
+    target = flat_index(grid, K[active] @ np.round(A).astype(np.int64))
     out = np.zeros(grid.size, dtype=complex)
-    out[np.ravel_multi_index(target.T, grid.shape)] = E.absdet * flat[active]
+    out[target] = E.absdet * flat[active]
     return field_from_spec(grid, out.reshape(grid.shape), gauge)

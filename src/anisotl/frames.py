@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import Diverged, IllConditioned, VerificationFailed
 from .field_engine import PhaseRows, SampledField, check_nyquist, evaluate_spectrum, field_from_spec
-from .grids import GridSpec, freq_points, spatial_points
+from .grids import GridSpec, freq_points, mesh_points, spatial_points
 from .group_analysis import (
     GroupField,
     GroupGrid,
@@ -88,8 +88,7 @@ def sample_index_set(
         # spatial positions A^s (a m) spanning the whole torus box
         m_max = int(math.ceil(np.linalg.norm(np.linalg.inv(M), 2) * grid.extent / a_step))
         rng_m = np.arange(-m_max - 1, m_max + 2)
-        mesh = np.meshgrid(*([rng_m] * grid.d), indexing="ij")
-        ms = np.stack([mm.ravel() for mm in mesh], axis=-1).astype(float)
+        ms = mesh_points(rng_m.astype(float), grid.d)
         pos = (a_step * ms) @ M.T
         keep = np.all((pos >= -core) & (pos < core), axis=1)
         xs_list.append(pos[keep])
@@ -299,21 +298,18 @@ def frame_bounds(system: FrameSystem, suite: list[SampledField]) -> tuple[float,
 def dual_reconstruct(
     f: SampledField,
     system: FrameSystem,
-    iterations: int = 50,
-    bounds: tuple[float, float] | None = None,
+    iterations: int,
+    bounds: tuple[float, float],
 ) -> tuple[SampledField, list[float]]:
     """Frame-algorithm iteration f_(k+1) = f_k + lam (S f - S f_k) with
-    lam = 2 / (A + B) from the frame bounds.
+    lam = 2 / (A + B) from the frame bounds (A, B) = bounds.
 
     Returns the reconstruction and the per-iteration relative error curve;
     raises Diverged after three consecutive error increases.
     """
     if f.l2_norm() == 0.0:
         return f, [0.0]
-    if bounds is None:
-        a_lo, b_hi = frame_bounds(system, [f])
-    else:
-        a_lo, b_hi = bounds
+    a_lo, b_hi = bounds
     if a_lo <= 0:
         raise VerificationFailed("frame lower bound is not positive on this field")
     lam = 2.0 / (a_lo + b_hi)

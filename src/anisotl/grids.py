@@ -90,34 +90,32 @@ def cached_batch(keys, build):
     return [_CACHE[key] for key in keys]
 
 
-def spatial_axis(grid: GridSpec) -> np.ndarray:
-    return cached(("sx", grid), lambda: -grid.extent + grid.h * np.arange(grid.n, dtype=float))
+def mesh_points(values: np.ndarray, d: int) -> np.ndarray:
+    """The d-fold product of values as (len(values)^d, d) rows in C order:
+    row p holds (values[i_1], ..., values[i_d]) for the multi-index
+    (i_1, ..., i_d) that flat_index maps to p.  The one builder of the
+    lattice layout: grid points, frequencies, offsets and frame lattices."""
+    mesh = np.meshgrid(*([values] * d), indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=-1)
+
+
+def flat_index(grid: GridSpec, k: np.ndarray) -> np.ndarray:
+    """Flat C-order index of integer index vectors k (rows), each component
+    wrapped mod n onto the torus; the inverse of mesh_points' layout."""
+    return np.ravel_multi_index(tuple((k % grid.n).T), grid.shape)
 
 
 def spatial_points(grid: GridSpec) -> np.ndarray:
     """All grid points as an (N, d) array in C (FFT) order."""
-
-    def build():
-        ax = spatial_axis(grid)
-        mesh = np.meshgrid(*([ax] * grid.d), indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
-
-    return cached(("sp", grid), build)
-
-
-def freq_axis(grid: GridSpec) -> np.ndarray:
-    return cached(("fx", grid), lambda: np.fft.fftfreq(grid.n, d=grid.h))
+    return cached(
+        ("sp", grid),
+        lambda: mesh_points(-grid.extent + grid.h * np.arange(grid.n, dtype=float), grid.d),
+    )
 
 
 def freq_points(grid: GridSpec) -> np.ndarray:
     """All lattice frequencies as an (N, d) array in FFT order."""
-
-    def build():
-        ax = freq_axis(grid)
-        mesh = np.meshgrid(*([ax] * grid.d), indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
-
-    return cached(("fp", grid), build)
+    return cached(("fp", grid), lambda: mesh_points(np.fft.fftfreq(grid.n, d=grid.h), grid.d))
 
 
 def spectral_phase(grid: GridSpec) -> np.ndarray:
@@ -135,10 +133,8 @@ def offset_index_vectors(grid: GridSpec) -> np.ndarray:
     """Integer offset vectors in [-n/2, n/2)^d, C order, for torus shifts."""
 
     def build():
-        half = np.arange(grid.n)
-        half = np.where(half >= grid.n // 2, half - grid.n, half)
-        mesh = np.meshgrid(*([half] * grid.d), indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1).astype(np.int64)
+        half = np.arange(grid.n, dtype=np.int64)
+        return mesh_points(np.where(half >= grid.n // 2, half - grid.n, half), grid.d)
 
     return cached(("off", grid), build)
 
@@ -156,7 +152,7 @@ def mirror_rows(grid: GridSpec, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
     def build():
         offs = offset_index_vectors(grid)
-        mirror = np.ravel_multi_index(tuple((-offs % grid.n).T), grid.shape)
+        mirror = flat_index(grid, -offs)
         earlier = mirror < np.arange(grid.size)
         earlier[0] = True
         return mirror, earlier

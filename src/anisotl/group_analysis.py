@@ -28,7 +28,15 @@ from .field_engine import (
     field_from_spec,
     spec_to_values,
 )
-from .grids import GridSpec, cached, freq_points, offset_index_vectors, spatial_points
+from .grids import (
+    GridSpec,
+    cached,
+    flat_index,
+    freq_points,
+    mesh_points,
+    offset_index_vectors,
+    spatial_points,
+)
 from .linalg_expansive import ExpansiveMatrix, QuasiNormStructure, per_value_product
 from .norms import NormParams, NormReport, peetre_arrays, windowed_norm
 
@@ -104,9 +112,6 @@ class GroupGrid:
         if abs(idx - r) > 1e-9:
             raise ValueError(f"scale shift {t} is not on the ds = {self.ds} grid")
         return r
-
-    def refined(self) -> "GroupGrid":
-        return GroupGrid(self.grid.widened(), self.s_min, self.s_max, self.ds / 2.0)
 
 
 @dataclass
@@ -211,7 +216,7 @@ def quasi_regular(g: GroupPoint, f: SampledField, E: ExpansiveMatrix, gauge) -> 
         k_new = K[active] @ R
         eta = k_new / (2.0 * grid.extent)
         phase = np.exp(-2j * np.pi * (eta @ x0))
-        target = np.ravel_multi_index((k_new % grid.n).T, grid.shape)
+        target = flat_index(grid, k_new)
         out = np.zeros(grid.size, dtype=complex)
         out[target] = E.absdet ** (-s0 / 2.0) * phase * flat[active]
         return field_from_spec(grid, out.reshape(grid.shape), gauge)
@@ -699,8 +704,7 @@ def _unit_neighborhood_samples(
     center, and at most 3 scale shifts aligned to the ds grid plus 0."""
     d = ggrid.grid.d
     ax = np.unique(np.concatenate([np.linspace(-a, a, spatial_count, endpoint=False), [0.0]]))
-    mesh = np.meshgrid(*([ax] * d), indexing="ij")
-    xs = np.stack([m.ravel() for m in mesh], axis=-1)
+    xs = mesh_points(ax, d)
     n_steps = max(1, int(math.floor(b / ggrid.ds)))
     steps = np.arange(-n_steps, n_steps) * ggrid.ds
     ss = steps[np.abs(steps) < b]
@@ -715,11 +719,8 @@ def _unit_neighborhood_samples(
 def _snap_gather(grid: GridSpec, vals_flat: np.ndarray, points: np.ndarray) -> np.ndarray:
     """|F| sampled at the grid nodes nearest to the requested points
     (torus wrap); the snapped esssup surrogate used by local maxima."""
-    idx = np.zeros(len(points), dtype=np.int64)
-    for ax in range(grid.d):
-        comp = np.round((points[:, ax] + grid.extent) / grid.h).astype(np.int64) % grid.n
-        idx = idx * grid.n + comp
-    return vals_flat[idx]
+    k = np.round((points + grid.extent) / grid.h).astype(np.int64)
+    return vals_flat[flat_index(grid, k)]
 
 
 def local_maximal(

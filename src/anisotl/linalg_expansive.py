@@ -311,15 +311,17 @@ class QuasiNormStructure:
         shell = j0 - 1
         return shell, saturated
 
+    def shell_rho(self, shell: np.ndarray) -> np.ndarray:
+        """|det A|^j for shell indices j from shell_index (clamped to the
+        table); the value of rho away from the origin."""
+        return self._pow_table[np.clip(shell, -SHELL_CLAMP, SHELL_CLAMP + 1) + SHELL_CLAMP]
+
     def rho(self, pts: np.ndarray) -> np.ndarray:
         """Step homogeneous quasi-norm rho_A, vectorized over points:
         |det A|^j on the shell A^(j+1)Omega \\ A^j Omega, 0 at 0."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         shell, _ = self.shell_index(pts)
-        clipped = np.clip(shell, -SHELL_CLAMP, SHELL_CLAMP + 1)
-        vals = self._pow_table[clipped + SHELL_CLAMP]
-        vals = np.where(np.all(pts == 0.0, axis=1), 0.0, vals)
-        return vals
+        return np.where(np.all(pts == 0.0, axis=1), 0.0, self.shell_rho(shell))
 
 
 def build_ellipsoid(E: ExpansiveMatrix) -> QuasiNormStructure:
@@ -358,7 +360,7 @@ def build_ellipsoid(E: ExpansiveMatrix) -> QuasiNormStructure:
         raise NotExpansive("expansion gap certificate failed: r <= 1")
     r = 1.0 + 0.99 * (r_exact - 1.0)
 
-    neg_powers = _power_chain(E.A, A_inv)
+    neg_powers = _freeze(_power_table(A_inv, E.A, SHELL_CLAMP))
     structure = QuasiNormStructure(
         owner=E,
         Q=_freeze(Q),
@@ -376,24 +378,25 @@ def build_ellipsoid(E: ExpansiveMatrix) -> QuasiNormStructure:
     return structure
 
 
-def _power_chain(A: np.ndarray, A_inv: np.ndarray) -> np.ndarray:
-    """Stack of A^{-j} for j = -SHELL_CLAMP .. SHELL_CLAMP."""
-    d = A.shape[0]
-    out = np.empty((2 * SHELL_CLAMP + 1, d, d))
-    out[SHELL_CLAMP] = np.eye(d)
-    for k in range(1, SHELL_CLAMP + 1):
-        out[SHELL_CLAMP + k] = out[SHELL_CLAMP + k - 1] @ A_inv
-        out[SHELL_CLAMP - k] = out[SHELL_CLAMP - k + 1] @ A
-    res = np.ascontiguousarray(out)
-    res.flags.writeable = False
-    return res
+def _power_table(step: np.ndarray, back: np.ndarray, n: int) -> np.ndarray:
+    """Stack [k] = step^(k - n) for k = 0 .. 2n, step^-1 being back: each
+    entry is its neighbour towards [n] = I times step (above) or back
+    (below), one product per entry, so the chain is reproducible bit for
+    bit."""
+    d = step.shape[0]
+    out = np.empty((2 * n + 1, d, d))
+    out[n] = np.eye(d)
+    for k in range(1, n + 1):
+        out[n + k] = out[n + k - 1] @ step
+        out[n - k] = out[n - k + 1] @ back
+    return out
 
 
 def _level_bounds(Q: np.ndarray, cond: float, neg_powers: np.ndarray) -> np.ndarray:
     """Per level j in [-CL, CL], bounds on L = log(x^T Q x / c) that decide
     membership of x in A^j Omega without a test.
 
-    With N = A^-j from the power chain, x^T N^T Q N x lies between the
+    With N = A^-j from the power table, x^T N^T Q N x lies between the
     smallest and largest generalized eigenvalue of N^T Q N against Q times
     x^T Q x; these are the squared singular values of K = R N R^-1 for
     Q = R^T R.  Row 0: L >= it means surely outside A^j Omega or some
@@ -558,13 +561,7 @@ class ScaleGauge:
         self._lam_min = float(evals[0])
         self._lam_max = float(evals[-1])
         n_tab = int(self._TABLE_RANGE / self._TABLE_STEP)
-        step_mat = expm(-self._TABLE_STEP * B)
-        step_inv = expm(self._TABLE_STEP * B)
-        table = np.empty((2 * n_tab + 1, self.d, self.d))
-        table[n_tab] = np.eye(self.d)
-        for k in range(1, n_tab + 1):
-            table[n_tab + k] = table[n_tab + k - 1] @ step_mat
-            table[n_tab - k] = table[n_tab - k + 1] @ step_inv
+        table = _power_table(expm(-self._TABLE_STEP * B), expm(self._TABLE_STEP * B), n_tab)
         # flow reads the contracted index first: _table[j, i, m] is entry
         # (i, j) of table step m, _taylor[k, j, i, 0] that of (-B)^k / k!
         self._table = np.ascontiguousarray(table.T)

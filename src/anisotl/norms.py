@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import WindowOutOfDomain
 from .field_engine import SampledField, ScaleBand, convolve_scale
-from .grids import GridSpec, cached, offset_index_vectors, spatial_points
+from .grids import GridSpec, cached, mesh_points, offset_index_vectors, spatial_points
 # the one store, under the name perfbench/tracer.py probes for window hits
 from .grids import _CACHE as _WINDOW_CACHE
 from .linalg_expansive import QuasiNormStructure
@@ -136,9 +136,7 @@ def cube_windows(grid: GridSpec, S: QuasiNormStructure, ell: int) -> _CubeWindow
         labels, inverse, counts = np.unique(
             k, axis=0, return_inverse=True, return_counts=True
         )
-        corners = np.stack(
-            np.meshgrid(*([np.array([0.0, 1.0])] * grid.d), indexing="ij"), axis=-1
-        ).reshape(-1, grid.d)
+        corners = mesh_points(np.array([0.0, 1.0]), grid.d)
         pow_mat = np.asarray(E.power(ell))
         admissible = np.ones(len(labels), dtype=bool)
         for c in corners:

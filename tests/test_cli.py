@@ -428,6 +428,12 @@ class TestCli:
                 ["run", "--kind", "calderon", "--set", "experiment=[1]"],
                 "config error: unknown experiment kind [1]",
             ),
+            # a leaf of a list item holds no object
+            (
+                ["run", "--kind", "calderon", "--set",
+                 'cases=[{"matrix": {"dim": {"a": 1}, "entries": [2.0]}, "grid": {"extent": 8, "n": 64}}]'],
+                "config error: calderon: cases[0].matrix.dim must not be an object, got {'a': 1}",
+            ),
         ],
     )
     def test_bad_config_value_exit_two(self, tmp_path, capsys, argv, message):

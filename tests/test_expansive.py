@@ -18,6 +18,7 @@ from anisotl.linalg_expansive import (
     SHELL_CLAMP,
     _SAMPLE_SHELLS,
     ScaleGauge,
+    _power_table,
     _quadratic,
     _real_log,
     build_ellipsoid,
@@ -580,6 +581,44 @@ def test_flow_cache_keeps_every_bit(mat):
         # about half the points keep their table index, the rest move
         small = rng.random(n) < 0.5
         s = s + np.where(small, rng.uniform(-0.05, 0.05, n), rng.uniform(-5.0, 5.0, n))
+
+
+def _former_power_chain(A, A_inv):
+    """The former build of _neg_powers, kept as the reference."""
+    d = A.shape[0]
+    out = np.empty((2 * SHELL_CLAMP + 1, d, d))
+    out[SHELL_CLAMP] = np.eye(d)
+    for k in range(1, SHELL_CLAMP + 1):
+        out[SHELL_CLAMP + k] = out[SHELL_CLAMP + k - 1] @ A_inv
+        out[SHELL_CLAMP - k] = out[SHELL_CLAMP - k + 1] @ A
+    return out
+
+
+def _former_flow_table(B, step, n_tab):
+    """The former ScaleGauge flow table loop, kept as the reference."""
+    d = B.shape[0]
+    step_mat = expm(-step * B)
+    step_inv = expm(step * B)
+    table = np.empty((2 * n_tab + 1, d, d))
+    table[n_tab] = np.eye(d)
+    for k in range(1, n_tab + 1):
+        table[n_tab + k] = table[n_tab + k - 1] @ step_mat
+        table[n_tab - k] = table[n_tab - k + 1] @ step_inv
+    return table
+
+
+@pytest.mark.parametrize("mat", NEWTON_MATRICES, ids=NEWTON_IDS)
+def test_power_table_is_bit_equal_to_both_former_loops(mat):
+    E = validate_expansive(mat)
+    A_inv = np.linalg.inv(E.A)
+    chain = _former_power_chain(E.A, A_inv)
+    assert np.array_equal(_power_table(A_inv, E.A, SHELL_CLAMP), chain)
+    assert np.array_equal(build_ellipsoid(E)._neg_powers, chain)
+    g = transpose_gauge(E)
+    step, n_tab = g._TABLE_STEP, int(g._TABLE_RANGE / g._TABLE_STEP)
+    table = _former_flow_table(g.B, step, n_tab)
+    assert np.array_equal(_power_table(expm(-step * g.B), expm(step * g.B), n_tab), table)
+    assert np.array_equal(g._table, np.ascontiguousarray(table.T))
 
 
 def _einsum_member(S, pts, level):

@@ -207,7 +207,8 @@ class TestReproducing:
     def test_random_field_error_halves_under_refinement(self, psi_vec, suite_field):
         rep = reproduce(suite_field, psi_vec, GGRID)
         assert rep["rel_l2"] <= 0.05
-        fine = GGRID.refined()
+        # the refined group grid: twice the box at the same step, half the ds
+        fine = GroupGrid(GGRID.grid.widened(), GGRID.s_min, GGRID.s_max, GGRID.ds / 2.0)
         f2 = field_from_closure(fine.grid, psi_vec.psi.gauge, suite_field.spectrum_fn)
         rep2 = reproduce(f2, psi_vec, fine)
         assert rep2["rel_l2"] <= 0.6 * max(rep["rel_l2"], 1e-12)
@@ -501,6 +502,27 @@ class TestLocalMaximal:
         shift = int(round(0.5 / GRID.h))
         rhs = np.roll(rhs_field.values, shift, axis=1)
         assert np.max(np.abs(lhs.values - rhs)) <= 1e-10 * max(np.max(rhs), 1.0)
+
+
+def _former_snap_gather(grid, vals_flat, points):
+    """The former per-axis loop of _snap_gather, kept as the reference."""
+    idx = np.zeros(len(points), dtype=np.int64)
+    for ax in range(grid.d):
+        comp = np.round((points[:, ax] + grid.extent) / grid.h).astype(np.int64) % grid.n
+        idx = idx * grid.n + comp
+    return vals_flat[idx]
+
+
+@pytest.mark.parametrize("grid", [GRID, GridSpec(d=2, extent=2.0, n=16)], ids=["d1", "d2"])
+def test_snap_gather_matches_the_per_axis_loop(grid):
+    rng = np.random.default_rng(11)
+    vals = rng.random(grid.size)
+    # up to two boxes either side, so node indices wrap below 0 and above n
+    pts = rng.uniform(-5.0 * grid.extent, 5.0 * grid.extent, size=(600, grid.d))
+    nodes = np.round((pts + grid.extent) / grid.h)
+    assert np.any(nodes < 0) and np.any(nodes >= grid.n)
+    got = group_analysis._snap_gather(grid, vals, pts)
+    assert np.array_equal(got, _former_snap_gather(grid, vals, pts))
 
 
 class TestWienerNorm:
